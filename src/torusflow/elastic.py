@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError
-from .flows import FlowFunction, FlowNetworkProblem, Solution, solve_all
+from .flows import FlowFunction, FlowNetworkProblem, Solution, identity_groups, solve_all
 from .graphs import CycleBasis, WeightedGraph
 from .torus import edge_differences
 
@@ -119,18 +119,16 @@ class ElasticNetworkProblem:
     def derived_flow_problem(self) -> FlowNetworkProblem:
         """The equivalent flow problem with h_e = H_e' and p = tau.
 
-        When the energy supplies a sine-family derivative the exact inner
-        inverse is attached, keeping the solver's closed forms available.
+        Edges sharing an energy share its flow function; a sine derivative
+        gets the exact inner inverse, keeping the solver's closed forms.
         """
-        flows = []
+        made = {}
         for H in self.energies:
-            ff = H.flow_function()
-            if H.derivative is np.sin:
-                ff = FlowFunction.sin_family()
-            flows.append(ff)
+            if id(H) not in made:
+                made[id(H)] = FlowFunction.sin_family() if H.derivative is np.sin else H.flow_function()
         return FlowNetworkProblem(
             graph=self.graph,
-            flow_functions=tuple(flows),
+            flow_functions=tuple(made[id(H)] for H in self.energies),
             p=self.tau,
             gamma=self.gamma,
         )
@@ -139,19 +137,19 @@ class ElasticNetworkProblem:
 def energy(problem: ElasticNetworkProblem, theta) -> float:
     """Total elastic energy sum_e a_ij H_e(theta_i - theta_j)."""
     delta = edge_differences(problem.graph, theta)
-    total = 0.0
-    for e, H in enumerate(problem.energies):
-        total += problem.graph.weights[e] * float(H.energy(np.array(delta[e])))
-    return total
+    return sum(
+        float(problem.graph.weight_vector[idx] @ problem.energies[first].energy(delta[idx]))
+        for first, idx in identity_groups(problem.energies)
+    )
 
 
 def gradient(problem: ElasticNetworkProblem, theta) -> np.ndarray:
     """Nodal gradient of the energy; always orthogonal to the ones vector."""
     g = problem.graph
     delta = edge_differences(g, theta)
-    h_vals = np.array(
-        [float(H.derivative(np.array(delta[e]))) for e, H in enumerate(problem.energies)]
-    )
+    h_vals = np.empty(g.m)
+    for first, idx in identity_groups(problem.energies):
+        h_vals[idx] = problem.energies[first].derivative(delta[idx])
     return g.incidence @ (g.weight_vector * h_vals)
 
 
@@ -167,7 +165,8 @@ def solve_elastic(
     """All critical points of the constrained elastic problem.
 
     Builds the derived flow problem and returns the phase vectors of its
-    solutions (canonical representatives modulo rotation).
+    solutions (canonical representatives modulo rotation).  `jobs` is
+    accepted and ignored, as in `solve_all`.
     """
     problem = ElasticNetworkProblem(graph=graph, energies=energies, tau=tau, gamma=gamma)
     solutions: list[Solution] = solve_all(

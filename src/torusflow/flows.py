@@ -8,7 +8,6 @@ iteration, the complete multi-solution solver, and flow decomposition.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
@@ -25,13 +24,13 @@ from .errors import (
     NonIntegerWindingError,
     TorusFlowError,
 )
-from .graphs import Cycle, CycleBasis, WeightedGraph, cycle_projection, fundamental_cycle_basis
+from .graphs import Cycle, CycleBasis, WeightedGraph, fundamental_cycle_basis
 from .torus import (
     TWO_PI,
+    WINDING_INT_TOL,
     canonical_rotation,
     edge_differences,
     feasible_winding_vectors,
-    polytope_to_torus,
     wrap,
 )
 
@@ -280,46 +279,62 @@ class FlowNetworkProblem:
         return float(np.max(1.0 - self.lmin / self.lmax))
 
     @cached_property
-    def projection(self) -> np.ndarray:
-        """Lmin-weighted cycle projection matrix."""
-        return cycle_projection(self.graph, self.lmin).matrix
-
-    @cached_property
     def cutset_flow(self) -> np.ndarray:
-        """The balanced flow A B^T L^+ p, the iteration's starting point."""
-        g = self.graph
-        return g.weight_vector * (g.incidence.T @ (g.laplacian_pinv @ self.p))
+        """The balanced flow A B^T L^+ p, the iteration's starting point.
+
+        The tree flow minus its A^{-1}-orthogonal cycle part C^T G^T f, G the
+        weighted pinv of any basis: the map's last one, else the fundamental.
+        """
+        f = self.graph.tree_flow(self.p)
+        if self.graph.cycle_space_dim == 0:
+            return f
+        basis = self._cell[0] if "_cell" in self.__dict__ else fundamental_cycle_basis(self.graph)
+        return f - basis.matrix.T @ (basis.weighted_pinv.T @ f)
 
     @cached_property
-    def _edge_groups(self) -> list[tuple[ExtendedFlowFunction, np.ndarray]]:
-        groups: dict[int, list[int]] = {}
-        for e, f in enumerate(self.flow_functions):
-            groups.setdefault(id(f), []).append(e)
-        out = []
-        for ids in groups.values():
-            out.append((self.extended[ids[0]], np.array(ids, dtype=int)))
-        return out
+    def _edge_groups(self) -> list[tuple[int, np.ndarray]]:
+        return identity_groups(self.flow_functions)
 
     def inverse_differences(self, f: np.ndarray) -> np.ndarray:
         """h_gamma^{-1}(A^{-1} f), vectorized over edges."""
         v = np.asarray(f, dtype=float) / self.graph.weight_vector
         out = np.empty_like(v)
-        for ext, idx in self._edge_groups:
-            out[idx] = ext.inverse(v[idx])
+        for first, idx in self._edge_groups:
+            out[idx] = self.extended[first].inverse(v[idx])
         return out
 
     def edge_flows(self, delta: np.ndarray) -> np.ndarray:
         """a_ij h_e(delta_e) for a vector of edge differences."""
         delta = np.asarray(delta, dtype=float)
         out = np.empty_like(delta)
-        for e, fn in enumerate(self.flow_functions):
-            out[e] = fn.evaluate(np.array(delta[e]))
+        for first, idx in self._edge_groups:
+            out[idx] = self.flow_functions[first].evaluate(delta[idx])
         return self.graph.weight_vector * out
 
     def weighted_norm(self, v: np.ndarray) -> float:
         """The Lmin A weighted 2-norm used by the contraction bound."""
         la = self.lmin * self.graph.weight_vector
         return float(np.sqrt(np.sum(la * np.asarray(v) ** 2)))
+
+
+def identity_groups(items: Sequence) -> list[tuple[int, np.ndarray]]:
+    """Group positions by the identity of their item: (first position, positions)."""
+    groups: dict[int, list[int]] = {}
+    for e, item in enumerate(items):
+        groups.setdefault(id(item), []).append(e)
+    return [(ids[0], np.array(ids, dtype=int)) for ids in groups.values()]
+
+
+def _map_factor(problem: FlowNetworkProblem, basis: CycleBasis) -> np.ndarray:
+    """K = C^T M^{-1}, M = C (Lmin A)^{-1} C^T, so that P_D (Lmin A x) = K C x.
+
+    Kept for the last basis only, so a problem holds one m x k factor.
+    """
+    if problem.__dict__.get("_cell", (None,))[0] is not basis:
+        C = basis.matrix
+        K = np.linalg.solve((C / (problem.lmin * problem.graph.weight_vector)) @ C.T, C).T
+        problem.__dict__["_cell"] = (basis, K)
+    return problem._cell[1]
 
 
 @dataclass
@@ -347,11 +362,19 @@ class SolutionReport:
     boundary: bool = False
 
     def within_tolerance(self) -> bool:
-        return (
-            self.balance_residual < RESIDUAL_TOL
-            and self.physics_residual < RESIDUAL_TOL
-            and self.constraint_margin >= -FEASIBILITY_SLACK
+        """Balance, physics and margin within tolerance; winding not checked."""
+        return not replace(self, winding_deviation=0.0).failures()
+
+    def failures(self) -> list[str]:
+        """The residuals outside tolerance, winding deviation included."""
+        checks = (
+            (self.balance_residual < RESIDUAL_TOL, "balance residual", self.balance_residual),
+            (self.physics_residual < RESIDUAL_TOL, "physics residual", self.physics_residual),
+            (self.constraint_margin >= -FEASIBILITY_SLACK, "constraint margin", self.constraint_margin),
+            (self.winding_deviation <= WINDING_INT_TOL, "winding mismatch", self.winding_deviation),
         )
+        # Written as "not within", so that a NaN residual is flagged too.
+        return [f"{name} {value:.3e}" for ok, name, value in checks if not ok]
 
 
 @dataclass
@@ -365,22 +388,19 @@ class Solution:
     iteration: IterationReport | None = None
 
 
-def winding_fixed_point_map(
-    problem: FlowNetworkProblem, basis: CycleBasis, u, f
-) -> np.ndarray:
+def winding_fixed_point_map(problem: FlowNetworkProblem, basis: CycleBasis, u, f) -> np.ndarray:
     """One application of T_u; preserves the balance constraint B f = p."""
     f = np.asarray(f, dtype=float)
-    g = problem.graph
-    residual = float(np.max(np.abs(g.incidence @ f - problem.p)))
+    residual = float(np.max(np.abs(problem.graph.incidence @ f - problem.p)))
     if residual >= BALANCE_TOL:
         raise BalanceError(f"f is not balanced: ||Bf - p||_inf = {residual:.3e}")
     return _apply_map(problem, basis, np.asarray(u, dtype=float), f)
 
 
 def _apply_map(problem, basis, u, f):
-    la = problem.lmin * problem.graph.weight_vector
-    offset = TWO_PI * (basis.pinv @ u)
-    return f - problem.projection @ (la * (problem.inverse_differences(f) - offset))
+    # T_u f = f - P_D Lmin A (delta - 2pi C^+ u) = f - K (C delta - 2pi u).
+    K = _map_factor(problem, basis)
+    return f - K @ (basis.matrix @ problem.inverse_differences(f) - TWO_PI * u)
 
 
 def projection_iteration(
@@ -399,10 +419,10 @@ def projection_iteration(
         raise InputError("rho must be positive")
     u = np.asarray(u, dtype=float)
     rate = problem.contraction_rate
-    la = problem.lmin * problem.graph.weight_vector
-    sqrt_la_min = math.sqrt(float(np.min(la)))
+    sqrt_la_min = math.sqrt(float(np.min(problem.lmin * problem.graph.weight_vector)))
 
-    f = problem.cutset_flow.copy()
+    _map_factor(problem, basis)  # so that a start not yet computed is taken with this basis
+    f = problem.cutset_flow
     nxt = _apply_map(problem, basis, u, f)
     step_inf = float(np.max(np.abs(nxt - f))) if f.size else 0.0
     d0 = problem.weighted_norm(nxt - f)
@@ -450,10 +470,11 @@ def check_feasibility(problem: FlowNetworkProblem, f) -> tuple[bool, np.ndarray]
 def recover_phases(problem: FlowNetworkProblem, basis: CycleBasis, u, f) -> np.ndarray:
     """Phases of a feasible fixed-point flow, canonical modulo rotation.
 
-    Computes the polytope coordinate x = L^+ B A (h_gamma^{-1}(A^{-1}f) -
-    2pi C^+ u) and maps it back to the torus through the winding-cell
-    bijection, so the returned phases reproduce the edge differences and
-    carry winding vector u.
+    Fits delta = h_gamma^{-1}(A^{-1}f) to C delta = 2pi u by A-weighted
+    least squares (giving B^T x + 2pi C^+ u for the polytope coordinate x)
+    and integrates it along the spanning tree.  On non-tree edges the phases
+    then differ from the fit by 2pi z, C z = u; z not integral means u has no
+    integer shift, so its winding cell is empty: NonIntegerWindingError.
     """
     feasible, margins = check_feasibility(problem, f)
     if not feasible:
@@ -462,8 +483,10 @@ def recover_phases(problem: FlowNetworkProblem, basis: CycleBasis, u, f) -> np.n
     g = problem.graph
     u = np.asarray(u, dtype=np.int64)
     delta = problem.inverse_differences(np.asarray(f, dtype=float))
-    x = g.laplacian_pinv @ (g.incidence @ (g.weight_vector * (delta - TWO_PI * (basis.pinv @ u))))
-    theta = polytope_to_torus(basis, x, u)
+    delta -= basis.weighted_pinv @ (basis.matrix @ delta - TWO_PI * u)
+    theta = g.tree_phases(delta)
+    if np.max(np.abs(wrap(g.incidence.T @ theta - delta))) > TWO_PI * WINDING_INT_TOL:
+        raise NonIntegerWindingError(f"no integer shift for u={u.tolist()}: cell is empty")
     return canonical_rotation(theta)
 
 
@@ -511,9 +534,7 @@ def acyclic_solve(problem: FlowNetworkProblem) -> Solution | None:
     feasible, _ = check_feasibility(problem, f)
     if not feasible:
         return None
-    delta = problem.inverse_differences(f)
-    x = g.laplacian_pinv @ (g.incidence @ (g.weight_vector * delta))
-    theta = canonical_rotation(wrap(x))
+    theta = canonical_rotation(g.tree_phases(problem.inverse_differences(f)))
     report = verify_solution(problem, None, f, theta, np.zeros(0, dtype=np.int64))
     if not report.within_tolerance():
         raise TorusFlowError(f"acyclic certification failed: {report}")
@@ -525,9 +546,7 @@ def _solve_one_winding(problem, basis, u, rho):
     f, it = projection_iteration(problem, basis, u, rho)
     feasible, margins = check_feasibility(problem, f)
     it.feasible = feasible
-    it.infeasible_edges = tuple(
-        int(e) for e in np.nonzero(margins < -FEASIBILITY_SLACK)[0]
-    )
+    it.infeasible_edges = tuple(int(e) for e in np.nonzero(margins < -FEASIBILITY_SLACK)[0])
     if not feasible:
         return None
     try:
@@ -536,7 +555,7 @@ def _solve_one_winding(problem, basis, u, rho):
         # u admits no integer cycle shift, so its winding cell is empty.
         return None
     report = verify_solution(problem, basis, f, theta, u)
-    if not report.within_tolerance() or report.winding_deviation > 1e-6:
+    if report.failures():
         raise TorusFlowError(
             f"certification failed for winding vector {np.asarray(u).tolist()}: {report}"
         )
@@ -552,25 +571,17 @@ def solve_all(
     """All solutions of the flow network problem, sorted by winding vector.
 
     Enumerates the candidate winding box, runs the projection iteration in
-    each cell (optionally across a thread pool), keeps the feasible fixed
-    points, and certifies every returned solution independently.
+    each cell, keeps the feasible fixed points, and certifies every
+    returned solution independently.  `jobs` is accepted and ignored: the
+    cells are solved in order in the calling thread.
     """
     if problem.graph.cycle_space_dim == 0:
         sol = acyclic_solve(problem)
         return [sol] if sol is not None else []
     if basis is None:
         basis = fundamental_cycle_basis(problem.graph)
-    candidates = list(feasible_winding_vectors(basis, problem.gamma))
-    # Materialize the shared caches before any worker threads touch them.
-    problem.projection, problem.cutset_flow, problem.lmin, basis.pinv
-    if jobs > 1 and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(lambda u: _solve_one_winding(problem, basis, u, rho), candidates)
-            )
-    else:
-        results = [_solve_one_winding(problem, basis, u, rho) for u in candidates]
-    solutions = [s for s in results if s is not None]
+    cells = feasible_winding_vectors(basis, problem.gamma)
+    solutions = [s for u in cells if (s := _solve_one_winding(problem, basis, u, rho))]
     solutions.sort(key=lambda s: tuple(s.u.tolist()))
     return solutions
 

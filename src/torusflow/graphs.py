@@ -1,5 +1,6 @@
-"""Weighted-graph algebra: incidence and Laplacian machinery, cycle bases,
-the cycle-edge matrix, and the D-weighted cycle projection.
+"""Weighted-graph algebra: incidence and Laplacian machinery, the spanning
+tree (tree flows, integration of edge differences), cycle bases, the
+cycle-edge matrix, and the D-weighted cycle projection.
 
 Conventions
 -----------
@@ -63,8 +64,7 @@ class WeightedGraph:
             seen.add(key)
         if any(w <= 0.0 for w in weights):
             raise WeightError("all edge weights must be strictly positive")
-        if not self._is_connected():
-            raise SingularityError("graph is not connected")
+        self.tree  # raises SingularityError when the graph is not connected
 
     @classmethod
     def from_edges(cls, n, edges, weights=None) -> "WeightedGraph":
@@ -80,26 +80,6 @@ class WeightedGraph:
     @property
     def cycle_space_dim(self) -> int:
         return self.m - self.n + 1
-
-    def _is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = [False] * self.n
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    queue.append(w)
-        return count == self.n
 
     @cached_property
     def incidence(self) -> np.ndarray:
@@ -129,6 +109,32 @@ class WeightedGraph:
         """(B B^T)^+, the pseudoinverse ignoring edge weights."""
         B = self.incidence
         return deflated_pinv(B @ B.T)
+
+    @cached_property
+    def tree(self) -> tuple[list[int], list[int], list[int]]:
+        """Parents, parent edges and BFS order of the spanning tree from node 0."""
+        return _tree_paths(self, spanning_tree(self))
+
+    def tree_flow(self, p) -> np.ndarray:
+        """The flow balancing p (B f = p) that uses tree edges only; O(n)."""
+        parent, parent_edge, order = self.tree
+        subtree = [float(x) for x in p]
+        f = np.zeros(self.m)
+        for v in reversed(order[1:]):
+            e = parent_edge[v]
+            f[e] = subtree[v] if self.edges[e][0] == v else -subtree[v]
+            subtree[parent[v]] += subtree[v]
+        return f
+
+    def tree_phases(self, delta) -> np.ndarray:
+        """Phases with theta_0 = 0 whose tree-edge differences equal delta."""
+        parent, parent_edge, order = self.tree
+        d = np.asarray(delta, dtype=float).tolist()
+        theta = [0.0] * self.n
+        for v in order[1:]:
+            e = parent_edge[v]
+            theta[v] = theta[parent[v]] + (d[e] if self.edges[e][0] == v else -d[e])
+        return np.array(theta)
 
     @cached_property
     def adjacency(self) -> dict[int, list[tuple[int, int]]]:
@@ -273,6 +279,12 @@ class CycleBasis:
         return cycle_edge_pinv(self)
 
     @cached_property
+    def weighted_pinv(self) -> np.ndarray:
+        """A^{-1} C^T (C A^{-1} C^T)^{-1}: the A-weighted right inverse of C."""
+        C, a = self.matrix, self.graph.weight_vector
+        return (np.linalg.solve((C / a) @ C.T, C) / a).T
+
+    @cached_property
     def lengths(self) -> tuple[int, ...]:
         return tuple(c.length for c in self.cycles)
 
@@ -304,26 +316,19 @@ def explicit_cycle_basis(g: WeightedGraph, node_sequences: Iterable[Sequence[int
 
 
 def _tree_paths(g: WeightedGraph, tree: Sequence[int]):
-    """parent/parent-edge arrays for the tree, rooted at node 0."""
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.n)}
-    for e in tree:
-        i, j = g.edges[e]
-        adj[i].append((e, j))
-        adj[j].append((e, i))
+    """parent/parent-edge arrays and BFS order for the tree, rooted at node 0."""
+    in_tree = set(tree)
     parent = [-1] * g.n
     parent_edge = [-1] * g.n
-    order = deque([0])
-    seen = [False] * g.n
-    seen[0] = True
-    while order:
-        v = order.popleft()
-        for e, w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
+    order = [0]
+    for v in order:
+        for e, w in g.adjacency[v]:
+            # In a tree the only edge back to a visited node is the parent edge.
+            if e in in_tree and e != parent_edge[v]:
                 parent[w] = v
                 parent_edge[w] = e
                 order.append(w)
-    return parent, parent_edge
+    return parent, parent_edge, order
 
 
 def _tree_path_nodes(parent: list[int], a: int, b: int) -> list[int]:
@@ -353,9 +358,9 @@ def fundamental_cycle_basis(g: WeightedGraph) -> CycleBasis:
     """
     if g.cycle_space_dim < 1:
         raise AcyclicGraphError("acyclic graph has an empty cycle basis")
-    tree = spanning_tree(g)
+    parent, parent_edge, _ = g.tree
+    tree = sorted(parent_edge[1:])
     in_tree = set(tree)
-    parent, _ = _tree_paths(g, tree)
     cycles = []
     nontree = []
     for e, (i, j) in enumerate(g.edges):

@@ -189,6 +189,14 @@ class TestCheckAndDecompose:
         assert run(["check", pentagon_file, sol_path]) == 4
         assert "winding mismatch" in capsys.readouterr().err
 
+    def test_check_nan_flow(self, pentagon_file, tmp_path, capsys):
+        sol_path, doc = self._solve_to_files(pentagon_file, tmp_path)
+        sol = doc["solutions"][2]
+        sol["f"][0] = float("nan")
+        sol_path.write_text(json.dumps(sol))
+        assert run(["check", pentagon_file, sol_path]) == 4
+        assert "balance residual nan" in capsys.readouterr().err
+
     def test_decompose(self, pentagon_file, tmp_path):
         sol_path, _ = self._solve_to_files(pentagon_file, tmp_path)
         out = tmp_path / "dec.json"

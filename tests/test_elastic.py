@@ -93,6 +93,48 @@ class TestGradient:
         assert np.max(np.abs(gradient(prob, theta) - g.incidence @ f)) < 1e-10
 
 
+class TestMixedEnergies:
+    """Edges grouped by energy identity, against the per-edge scalar loop."""
+
+    def _problem(self, rng):
+        quartic = ElasticEnergy(
+            energy=lambda y: 1 - np.cos(y) + 0.05 * (1 - np.cos(2 * y)),
+            derivative=lambda y: np.sin(y) + 0.1 * np.sin(2 * y),
+            second_derivative=lambda y: np.cos(y) + 0.2 * np.cos(2 * y),
+            name="quartic",
+        )
+        spacing = ElasticEnergy.spacing_potential()
+        g = random_connected_graph(rng, 7)
+        energies = tuple(spacing if e % 3 else quartic for e in range(g.m))
+        return ElasticNetworkProblem(graph=g, energies=energies, tau=np.zeros(7), gamma=1.2)
+
+    def test_energy_and_gradient_match_per_edge_loop(self, rng):
+        prob = self._problem(rng)
+        g = prob.graph
+        from torusflow import edge_differences
+
+        for _ in range(10):
+            theta = rng.uniform(-1.0, 1.0, g.n)
+            delta = edge_differences(g, theta)
+            ref_energy = sum(
+                g.weights[e] * float(H.energy(np.array(delta[e])))
+                for e, H in enumerate(prob.energies)
+            )
+            ref_h = np.array(
+                [float(H.derivative(np.array(delta[e]))) for e, H in enumerate(prob.energies)]
+            )
+            assert energy(prob, theta) == pytest.approx(ref_energy, rel=1e-14, abs=1e-14)
+            ref_grad = g.incidence @ (g.weight_vector * ref_h)
+            assert np.max(np.abs(gradient(prob, theta) - ref_grad)) < 1e-14
+
+    def test_one_flow_function_per_energy(self, rng):
+        prob = self._problem(rng)
+        funcs = prob.derived_flow_problem().flow_functions
+        assert len({id(f) for f in funcs}) == 2
+        for e, f in enumerate(funcs):
+            assert f.name == ("sin" if e % 3 else "d/dy quartic")
+
+
 class TestSolveElastic:
     def test_pentagon_three_critical_points(self):
         crit = solve_elastic(

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,17 +22,30 @@ from torusflow import (
     ExtendedFlowFunction,
     FeasibilityError,
     FlowFunction,
+    FlowNetworkProblem,
     GammaError,
     InputError,
+    NonIntegerWindingError,
     acyclic_solve,
+    builtin_case,
+    case_to_problem,
     check_feasibility,
+    cycle_edge_pinv,
+    cycle_projection,
     decompose_flow,
     edge_differences,
+    explicit_cycle_basis,
     extended_inverse,
+    feasible_winding_vectors,
     fundamental_cycle_basis,
+    integer_cycle_shift,
+    laplacian_pinv,
     loop_flow,
+    minimum_cycle_basis,
     phases_equal_mod_rotation,
+    polytope_to_torus,
     projection_iteration,
+    ptc,
     recover_phases,
     solve_all,
     verify_solution,
@@ -452,3 +466,151 @@ class TestVerifySolution:
         assert not bad.within_tolerance()
         wrong_u = verify_solution(prob, basis, sol.f, sol.theta, sol.u - 1)
         assert wrong_u.winding_deviation > 0.5
+        assert good.failures() == []
+        assert [s.split()[0] for s in bad.failures()] == ["balance", "physics"]
+        assert wrong_u.within_tolerance()
+        assert [s.split()[0] for s in wrong_u.failures()] == ["winding"]
+
+    def test_nan_is_flagged(self):
+        prob = sin_problem(ring_graph(5), np.zeros(5), 1.4)
+        basis = fundamental_cycle_basis(prob.graph)
+        sol = solve_all(prob)[2]
+        nan_f = sol.f.copy()
+        nan_f[0] = np.nan
+        report = verify_solution(prob, basis, nan_f, sol.theta, sol.u)
+        assert not report.within_tolerance()
+        assert [s.split()[0] for s in report.failures()] == ["balance", "physics"]
+        nan_theta = sol.theta.copy()
+        nan_theta[1] = np.nan
+        report = verify_solution(prob, basis, sol.f, nan_theta, sol.u)
+        assert not report.within_tolerance()
+        assert [s.split()[0] for s in report.failures()] == ["physics", "constraint", "winding"]
+
+
+def _mixed_problem(rng, g, gamma=1.3):
+    """Per-edge linear flows of mixed slopes with some sine edges: lmin varies."""
+    funcs = tuple(
+        FlowFunction.sin_family() if rng.random() < 0.3 else FlowFunction.linear(s)
+        for s in rng.choice([0.5, 1.0, 2.0], size=g.m)
+    )
+    return FlowNetworkProblem(graph=g, flow_functions=funcs, p=balanced_vector(rng, g.n, 0.2), gamma=gamma)
+
+
+def _bases(g):
+    return (fundamental_cycle_basis(g), minimum_cycle_basis(g))
+
+
+class TestCycleSpaceAgainstDenseReference:
+    """The k x k cycle-space solve against the dense m x m / n x n formulas."""
+
+    def test_map_matches_dense_projection(self, rng):
+        for _ in range(15):
+            g = random_connected_graph(rng, int(rng.integers(4, 10)))
+            prob = _mixed_problem(rng, g)
+            P = cycle_projection(g, prob.lmin).matrix
+            la = prob.lmin * g.weight_vector
+            for basis in _bases(g):
+                C = basis.matrix
+                f = prob.cutset_flow + C.T @ rng.normal(scale=0.3, size=basis.size)
+                u = rng.integers(-1, 2, size=basis.size)
+                offset = TWO_PI * (cycle_edge_pinv(basis) @ u)
+                ref = f - P @ (la * (prob.inverse_differences(f) - offset))
+                got = winding_fixed_point_map(prob, basis, u, f)
+                assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    def test_cutset_flow_matches_laplacian_pinv(self, rng):
+        for _ in range(15):
+            g = random_connected_graph(rng, int(rng.integers(2, 10)))
+            prob = _mixed_problem(rng, g)
+            ref = g.weight_vector * (g.incidence.T @ (laplacian_pinv(g) @ prob.p))
+            assert np.max(np.abs(prob.cutset_flow - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+            if g.cycle_space_dim:
+                # A start computed after the map ran is taken with the map's basis.
+                fresh = prob.with_supply(prob.p)
+                winding_fixed_point_map(fresh, minimum_cycle_basis(g), 0, g.tree_flow(prob.p))
+                assert np.max(np.abs(fresh.cutset_flow - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    def test_recover_phases_matches_polytope_to_torus(self, rng):
+        checked = 0
+        for _ in range(10):
+            g = random_connected_graph(rng, int(rng.integers(4, 9)))
+            prob = _mixed_problem(rng, g)
+            for basis in _bases(g):
+                for sol in solve_all(prob, basis=basis):
+                    delta = prob.inverse_differences(sol.f)
+                    shifted = delta - TWO_PI * (cycle_edge_pinv(basis) @ sol.u)
+                    x = laplacian_pinv(g) @ (g.incidence @ (g.weight_vector * shifted))
+                    ref = polytope_to_torus(basis, x, sol.u)
+                    theta = recover_phases(prob, basis, sol.u, sol.f)
+                    assert phases_equal_mod_rotation(theta, ref, 1e-10)
+                    checked += 1
+        assert checked >= 20
+
+
+class TestEmptyWindingCells:
+    """K4 on three 4-cycles: |det| = 2 against the fundamental basis, so some
+    feasible fixed points carry a u with no integer cycle shift."""
+
+    def _setup(self):
+        g = complete_graph(4)
+        basis = explicit_cycle_basis(g, [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)])
+        prob = FlowNetworkProblem.single_family(g, FlowFunction.linear(), np.zeros(4), 3.0)
+        return g, basis, prob
+
+    def test_recover_phases_raises_on_each_empty_cell(self):
+        g, basis, prob = self._setup()
+        candidates = list(feasible_winding_vectors(basis, prob.gamma))
+        assert len(candidates) == 27
+        empty = []
+        for u in candidates:
+            f, _ = projection_iteration(prob, basis, u)
+            if not check_feasibility(prob, f)[0]:
+                continue
+            try:
+                recover_phases(prob, basis, u, f)
+            except NonIntegerWindingError:
+                empty.append(tuple(u.tolist()))
+                with pytest.raises(NonIntegerWindingError):
+                    integer_cycle_shift(basis, u)  # the dense reference agrees
+        assert len(empty) == 6
+
+    def test_solution_set_matches_fundamental_basis(self):
+        g, basis, prob = self._setup()
+        by_explicit = solve_all(prob, basis=basis)
+        by_fund = solve_all(prob, basis=fundamental_cycle_basis(g))
+        assert len(by_explicit) == len(by_fund) >= 1
+        for a in by_explicit:
+            assert any(phases_equal_mod_rotation(a.theta, b.theta, 1e-10) for b in by_fund)
+
+
+def test_solve_path_forms_no_dense_matrix(monkeypatch):
+    """With the dense m x m / n x n routines stubbed out everywhere, every
+    solve path still runs."""
+    from torusflow import WeightedGraph
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense reference routine called on the solve path")
+
+    names = (
+        "laplacian_pinv", "deflated_pinv", "cycle_projection",
+        "cycle_edge_pinv", "integer_cycle_shift", "polytope_to_torus",
+    )
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "torusflow" or mod_name.startswith("torusflow."):
+            for name in names:
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, refuse)
+
+    expo = case_to_problem(builtin_case("expo(2)"), 1.4)
+    assert len(solve_all(expo, basis=fundamental_cycle_basis(expo.graph))) == 9
+    L = 6
+    edges = [(r * L + c, r * L + c + 1) for r in range(L) for c in range(L - 1)]
+    edges += [(r * L + c, (r + 1) * L + c) for r in range(L - 1) for c in range(L)]
+    lattice = WeightedGraph.from_edges(L * L, edges)
+    rng = np.random.default_rng(6)
+    prob = sin_problem(lattice, balanced_vector(rng, L * L, 0.05), 1.4)
+    sols = solve_all(prob, basis=minimum_cycle_basis(lattice))
+    assert len(sols) == 1 and not np.any(sols[0].u)
+    assert len(solve_all(sin_problem(_path_graph(4), [0.3, 0.0, -0.1, -0.2], 1.0))) == 1
+    res = ptc(builtin_case("ring12-asym"), [1], math.pi / 2 - 0.01, tol=1e-4)
+    assert res.ptc == pytest.approx(oracles.ring_two_path_ptc(12, 11, 2, 1, math.pi / 2 - 0.01), abs=1e-3)

@@ -117,6 +117,21 @@ class TestSpanningTree:
         g = random_connected_graph(rng, 9)
         assert spanning_tree(g) == spanning_tree(g)
 
+    def test_tree_flow_and_phases(self, rng):
+        for _ in range(10):
+            g = random_connected_graph(rng, int(rng.integers(1, 10)))
+            tree = list(spanning_tree(g))
+            off_tree = [e for e in range(g.m) if e not in tree]
+            p = rng.normal(size=g.n)
+            p -= p.mean()
+            f = g.tree_flow(p)
+            assert np.max(np.abs(g.incidence @ f - p)) < 1e-12
+            assert not np.any(f[off_tree])
+            delta = rng.normal(size=g.m)
+            theta = g.tree_phases(delta)
+            assert theta[0] == 0.0
+            assert np.allclose((g.incidence.T @ theta)[tree], delta[tree], atol=1e-12)
+
 
 def _basis_invariants(basis: CycleBasis):
     g = basis.graph
