@@ -27,6 +27,7 @@ from .errors import (
     WeightError,
 )
 from .flows import (
+    DEFAULT_RHO,
     FlowNetworkProblem,
     decompose_flow,
     solve_all,
@@ -75,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("input", nargs="?", help="problem JSON file")
             p.add_argument("--case", help="built-in case name instead of a file")
         p.add_argument("--gamma", type=float, default=None, help="angle bound")
-        p.add_argument("--rho", type=float, default=1e-10, help="flow tolerance")
+        p.add_argument("--rho", type=float, default=DEFAULT_RHO, help="flow tolerance")
         p.add_argument(
             "--basis",
             choices=("fundamental", "minimum"),

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError
-from .flows import FlowFunction, FlowNetworkProblem, Solution, identity_groups, solve_all
+from .flows import DEFAULT_RHO, FlowFunction, FlowNetworkProblem, Solution, identity_groups, solve_all
 from .graphs import CycleBasis, WeightedGraph
 from .torus import edge_differences
 
@@ -109,7 +109,7 @@ class ElasticNetworkProblem:
         object.__setattr__(self, "tau", tau)
         if not 0.0 <= self.gamma < math.pi:
             raise InputError("gamma must lie in [0, pi)")
-        for H in energies:
+        for H in {id(H): H for H in energies}.values():
             H.validate(self.gamma)
 
     @classmethod
@@ -158,7 +158,7 @@ def solve_elastic(
     energies,
     tau,
     gamma: float,
-    rho: float = 1e-10,
+    rho: float = DEFAULT_RHO,
     basis: CycleBasis | None = None,
     jobs: int = 1,
 ) -> list[np.ndarray]:

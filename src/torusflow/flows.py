@@ -176,24 +176,14 @@ class ExtendedFlowFunction:
 
     def evaluate(self, y):
         y = np.asarray(y, dtype=float)
-        c = self.cert
-        inner = self.base.evaluate(np.clip(y, -self.gamma, self.gamma))
-        hi = c.h_gamma + c.dh_gamma * (y - self.gamma)
-        lo = -c.h_gamma + c.dh_gamma * (y + self.gamma)
-        return np.where(y >= self.gamma, hi, np.where(y <= -self.gamma, lo, inner))
+        inside = np.clip(y, -self.gamma, self.gamma)
+        return self.base.evaluate(inside) + self.cert.dh_gamma * (y - inside)
 
     def inverse(self, v):
         v = np.asarray(v, dtype=float)
         c = self.cert
-        out = np.empty_like(v)
-        hi = v >= c.h_gamma
-        lo = v <= -c.h_gamma
-        mid = ~(hi | lo)
-        out[hi] = self.gamma + (v[hi] - c.h_gamma) / c.dh_gamma
-        out[lo] = -self.gamma + (v[lo] + c.h_gamma) / c.dh_gamma
-        if np.any(mid):
-            out[mid] = self._inner_inverse(v[mid])
-        return out
+        inside = np.clip(v, -c.h_gamma, c.h_gamma)
+        return self._inner_inverse(inside) + (v - inside) / c.dh_gamma
 
     def _inner_inverse(self, v: np.ndarray) -> np.ndarray:
         if self.base.inner_inverse is not None:

@@ -14,7 +14,6 @@ Conventions
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from hashlib import sha256
@@ -113,7 +112,7 @@ class WeightedGraph:
     @cached_property
     def tree(self) -> tuple[list[int], list[int], list[int]]:
         """Parents, parent edges and BFS order of the spanning tree from node 0."""
-        return _tree_paths(self, spanning_tree(self))
+        return _bfs(self, 0, set(spanning_tree(self)))
 
     def tree_flow(self, p) -> np.ndarray:
         """The flow balancing p (B f = p) that uses tree edges only; O(n)."""
@@ -295,13 +294,11 @@ class CycleBasis:
         return sha256(payload.encode()).hexdigest()[:16]
 
     def validate(self) -> None:
-        B = self.graph.incidence
         if self.size != self.graph.cycle_space_dim:
             raise RankError("wrong number of basis cycles")
-        for c in self.cycles:
-            bv = B.astype(np.int64) @ c.vector
-            if np.any(bv != 0):
-                raise RankError(f"cycle vector of {c.nodes} is not in Ker(B)")
+        bad = np.flatnonzero(np.any(self.graph.incidence @ self.matrix.T != 0, axis=0))
+        if bad.size:
+            raise RankError(f"cycle vector of {self.cycles[bad[0]].nodes} is not in Ker(B)")
         s = np.linalg.svd(self.matrix, compute_uv=False)
         if s.size == 0 or s[-1] <= RANK_RTOL * s[0]:
             raise RankError("cycle vectors are not linearly independent")
@@ -315,16 +312,18 @@ def explicit_cycle_basis(g: WeightedGraph, node_sequences: Iterable[Sequence[int
     return basis
 
 
-def _tree_paths(g: WeightedGraph, tree: Sequence[int]):
-    """parent/parent-edge arrays and BFS order for the tree, rooted at node 0."""
-    in_tree = set(tree)
+def _bfs(g: WeightedGraph, root: int, edges: set[int] | None = None):
+    """parent/parent-edge arrays and BFS order from root, over all edges or
+    only those in `edges`; neighbours are scanned in edge input order."""
     parent = [-1] * g.n
     parent_edge = [-1] * g.n
-    order = [0]
+    seen = [False] * g.n
+    seen[root] = True
+    order = [root]
     for v in order:
         for e, w in g.adjacency[v]:
-            # In a tree the only edge back to a visited node is the parent edge.
-            if e in in_tree and e != parent_edge[v]:
+            if not seen[w] and (edges is None or e in edges):
+                seen[w] = True
                 parent[w] = v
                 parent_edge[w] = e
                 order.append(w)
@@ -380,29 +379,7 @@ def fundamental_cycle_basis(g: WeightedGraph) -> CycleBasis:
     return basis
 
 
-def _bfs_parents(g: WeightedGraph, source: int):
-    dist = [-1] * g.n
-    parent = [-1] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for _, w in g.adjacency[v]:
-            if dist[w] == -1:
-                dist[w] = dist[v] + 1
-                parent[w] = v
-                queue.append(w)
-    return dist, parent
-
-
-def _path_to_root(parent: list[int], v: int) -> list[int]:
-    out = [v]
-    while parent[out[-1]] != -1:
-        out.append(parent[out[-1]])
-    return out
-
-
-def _orient_cycle_nodes(g: WeightedGraph, edge_set: frozenset[int]) -> list[int]:
+def _orient_cycle_nodes(g: WeightedGraph, edge_set: Iterable[int]) -> list[int]:
     """Deterministic node sequence for a simple-cycle edge set."""
     touch: dict[int, list[int]] = {}
     for e in edge_set:
@@ -424,43 +401,39 @@ def _orient_cycle_nodes(g: WeightedGraph, edge_set: frozenset[int]) -> list[int]
 def minimum_cycle_basis(g: WeightedGraph) -> CycleBasis:
     """Minimum-length cycle basis via Horton's candidate set.
 
-    Candidates are the cycles C(v, e) formed by shortest paths from v to the
-    endpoints of e; the shortest candidates are kept greedily under GF(2)
-    independence.  Unweighted cycle length is the objective.
+    Candidates are the cycles C(v, e) closing the BFS-tree paths from v to
+    the endpoints x, y of e.  C(v, e) is simple exactly when x and y lie in
+    different branches of v (the child of v whose subtree holds them, v
+    itself for v) and e is not the parent edge of x or y.  Candidates are
+    ordered by (length, root, sorted edge indices) and the shortest are
+    kept greedily under GF(2) independence; a repeated edge set reduces to
+    zero, so only its first copy can be kept.  Unweighted cycle length is
+    the objective.
     """
     k = g.cycle_space_dim
     if k < 1:
         raise AcyclicGraphError("acyclic graph has an empty cycle basis")
-    edge_index = {}
-    for e, (i, j) in enumerate(g.edges):
-        edge_index[(i, j)] = e
-        edge_index[(j, i)] = e
-
-    candidates: dict[frozenset[int], tuple] = {}
+    candidates = []
     for v in range(g.n):
-        dist, parent = _bfs_parents(g, v)
+        parent, parent_edge, order = _bfs(g, v)
+        branch = [v] * g.n
+        for w in order[1:]:
+            branch[w] = w if parent[w] == v else branch[parent[w]]
         for e, (x, y) in enumerate(g.edges):
-            px = _path_to_root(parent, x)
-            py = _path_to_root(parent, y)
-            if set(px) & set(py) != {v}:
+            if branch[x] == branch[y] or e == parent_edge[x] or e == parent_edge[y]:
                 continue
-            edges = {e}
-            for path in (px, py):
-                for a, b in zip(path, path[1:]):
-                    edges.add(edge_index[(a, b)])
-            length = dist[x] + dist[y] + 1
-            if len(edges) != length:
-                continue
-            key = frozenset(edges)
-            entry = (length, v, tuple(sorted(key)))
-            if key not in candidates or entry < candidates[key]:
-                candidates[key] = entry
+            edges = [e]
+            for w in (x, y):
+                while w != v:
+                    edges.append(parent_edge[w])
+                    w = parent[w]
+            candidates.append((len(edges), v, tuple(sorted(edges))))
 
-    ordered = sorted(candidates.items(), key=lambda kv: kv[1])
-    picked: list[frozenset[int]] = []
+    candidates.sort()
+    picked: list[tuple[int, ...]] = []
     pivots: dict[int, int] = {}  # pivot edge -> row index into reduced
     reduced: list[int] = []  # GF(2) rows as bitmasks
-    for key, _ in ordered:
+    for _, _, key in candidates:
         row = 0
         for e in key:
             row |= 1 << e

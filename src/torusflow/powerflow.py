@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import GammaError, InputError, MissingDataError, UnknownCaseError
 from .flows import (
+    DEFAULT_RHO,
     FlowFunction,
     FlowNetworkProblem,
     Solution,
@@ -161,7 +162,7 @@ def ptc(
     u,
     gamma: float,
     tol: float = 1e-6,
-    rho: float = 1e-10,
+    rho: float = DEFAULT_RHO,
     basis: CycleBasis | None = None,
     curve_points: int = 9,
 ) -> SweepResult:

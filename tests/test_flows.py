@@ -109,9 +109,14 @@ class TestExtendedInverse:
         assert extended_inverse(ext, v) == pytest.approx(1.3, abs=1e-12)
 
     def test_round_trip_everywhere(self, rng):
-        for fn in (FlowFunction.sin_family(), FlowFunction.fourier([1.0, 0.1])):
+        for fn in (
+            FlowFunction.sin_family(),
+            FlowFunction.fourier([1.0, 0.1]),
+            FlowFunction.linear(2.0),
+        ):
             ext = ExtendedFlowFunction(fn, 1.2)
-            v = rng.uniform(-3.0, 3.0, 200)
+            h_gamma = ext.cert.h_gamma
+            v = np.concatenate([rng.uniform(-3.0, 3.0, 200), [-h_gamma, h_gamma]])
             y = ext.inverse(v)
             assert np.max(np.abs(ext.evaluate(y) - v)) < 1e-12
 

@@ -33,6 +33,36 @@ from torusflow import (
 )
 
 
+def _lattice(side):
+    """Unit side x side square lattice, edges in the bench's order."""
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            v = r * side + c
+            if c + 1 < side:
+                edges.append((v, v + 1))
+            if r + 1 < side:
+                edges.append((v, v + side))
+    return WeightedGraph.from_edges(side * side, edges)
+
+
+def _seeded_graph(seed):
+    rng = np.random.default_rng(seed)
+    return random_connected_graph(rng, 5 + seed % 10, extra_edges=2 + seed % 9)
+
+
+# Minimum-basis fingerprints of _seeded_graph(0..23), recorded with the
+# earlier path-intersection implementation of Horton's candidates.
+SEEDED_FINGERPRINTS = (
+    "db42ee8360355f1e", "a6b19664c18d8832", "7995e1bb411775fb", "1d65c096e11bed20",
+    "497c4912454e77a2", "19b256f8fdc80548", "bf98c84d98fb3037", "99000b818bd3119c",
+    "d5c4bd2ee2f7cc88", "c9ee169b3db3c2db", "daae3c3768fa167e", "4bcb33defbaae39c",
+    "7b84448a6e95840b", "dd297cb39129fea1", "26e51ed7c710c941", "f43457b97430b492",
+    "b88410e730815622", "8522ca695b749a12", "80f98160f2f9d5e3", "47428fd62cf9b912",
+    "fdc2ccd4eebcd918", "83d7e4e8910d9787", "608f7159f522833b", "3609f38cd32a2ab5",
+)
+
+
 class TestWeightedGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(InputError):
@@ -116,6 +146,24 @@ class TestSpanningTree:
     def test_deterministic(self, rng):
         g = random_connected_graph(rng, 9)
         assert spanning_tree(g) == spanning_tree(g)
+
+    def test_tree_pinned(self):
+        # (parent, parent edge, BFS order); edge (3, 4) is off the lattice tree
+        assert _lattice(3).tree == (
+            [-1, 0, 1, 0, 1, 2, 3, 4, 5],
+            [-1, 0, 2, 1, 3, 4, 6, 8, 9],
+            [0, 1, 3, 2, 4, 6, 5, 7, 8],
+        )
+        assert _seeded_graph(7).tree == (
+            [-1, 0, 1, 1, 2, 4, 3, 5, 6, 2, 0, 3],
+            [-1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+            [0, 1, 10, 2, 3, 4, 9, 6, 11, 5, 8, 7],
+        )
+        assert _seeded_graph(16).tree == (
+            [-1, 0, 1, 1, 3, 2, 4, 0, 4, 3, 0],
+            [-1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9],
+            [0, 1, 7, 10, 2, 3, 5, 4, 9, 6, 8],
+        )
 
     def test_tree_flow_and_phases(self, rng):
         for _ in range(10):
@@ -212,6 +260,18 @@ class TestMinimumBasis:
         basis = minimum_cycle_basis(square_with_diagonal())
         supports = {frozenset(c.nodes) for c in basis.cycles}
         assert supports == {frozenset({0, 1, 3}), frozenset({1, 2, 3})}
+
+    @pytest.mark.parametrize(
+        "side, fingerprint", [(6, "c16e039b685655f7"), (14, "9961f2f21fbf5919")]
+    )
+    def test_lattice_fingerprint_pinned(self, side, fingerprint):
+        basis = minimum_cycle_basis(_lattice(side))
+        assert basis.lengths == (4,) * (side - 1) ** 2
+        assert basis.fingerprint == fingerprint
+
+    def test_seeded_fingerprints_pinned(self):
+        for seed, expected in enumerate(SEEDED_FINGERPRINTS):
+            assert minimum_cycle_basis(_seeded_graph(seed)).fingerprint == expected, seed
 
     def test_never_longer_than_fundamental(self, rng):
         for _ in range(8):

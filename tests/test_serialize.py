@@ -100,6 +100,7 @@ class TestProblemDocuments:
         }
         prob = problem_from_dict(doc)
         assert prob.flow_functions[1].name == "linear"
+        assert prob.flow_functions[0] is prob.flow_functions[2]
 
     def test_missing_field(self):
         with pytest.raises(InputError):
