@@ -1,8 +1,9 @@
 """Every solution of the unit pentagon flow network, cell by cell.
 
-Shows the candidate winding box, the contraction iteration inside each
-cell, feasibility filtering, phase recovery, and the certification report
-that accompanies every returned solution.
+Shows the candidate winding box, the paper's contraction iteration inside
+each cell next to the certified Newton solve that replaces it in
+solve_all, feasibility filtering, phase recovery, and the certification
+report that accompanies every returned solution.
 """
 import math
 
@@ -20,6 +21,7 @@ from torusflow import (
     projection_iteration,
     solve_all,
 )
+from torusflow.flows import decide_cell
 
 pentagon = WeightedGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
 problem = FlowNetworkProblem.single_family(
@@ -38,8 +40,12 @@ for u in feasible_winding_vectors(basis, problem.gamma):
     flow, report = projection_iteration(problem, basis, u)
     feasible, margins = check_feasibility(problem, flow)
     tag = "feasible" if feasible else f"infeasible (margin {margins.min():+.4f})"
+    _, newton = decide_cell(problem, basis, u)
     print(f"  u = {int(u[0]):+d}: {report.iterations:3d} iterations, "
           f"final step {report.final_step:.1e}, {tag}")
+    print(f"          Newton: {newton.iterations} steps, certified error bound "
+          f"{newton.error_bound:.1e}, verdict "
+          f"{'feasible' if newton.feasible else 'infeasible' if newton.decided else 'undecided'}")
 
 print("\n=== certified solutions ===")
 solutions = solve_all(problem, rho=1e-10, basis=basis)

@@ -2,8 +2,8 @@
 
 Chained pentagons (s rings sharing single nodes) have 3^s solutions at
 gamma in [2*pi/5, pi/2): each ring independently carries loop flow
--1, 0, or +1.  The solver's work is one contraction run per candidate,
-so its runtime scales with 3^s while each run stays cheap.
+-1, 0, or +1.  The solver's work is one certified Newton solve per
+candidate, so its runtime scales with 3^s while each solve stays cheap.
 """
 import time
 

@@ -1,6 +1,7 @@
 """torusflow: all solutions of flow and elastic network problems whose
 nodal variables live on the n-torus, localized by winding vectors and
-computed by a certified contraction iteration."""
+computed in each winding cell by a Newton solve certified with the
+paper's contraction map."""
 
 from .elastic import (
     ElasticEnergy,

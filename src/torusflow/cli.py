@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("input", nargs="?", help="problem JSON file")
             p.add_argument("--case", help="built-in case name instead of a file")
         p.add_argument("--gamma", type=float, default=None, help="angle bound")
-        p.add_argument("--rho", type=float, default=DEFAULT_RHO, help="flow tolerance")
+        p.add_argument("--rho", type=float, default=DEFAULT_RHO, help="certified flow tolerance per edge")
         p.add_argument(
             "--basis",
             choices=("fundamental", "minimum"),
@@ -299,7 +299,7 @@ def _cmd_decompose(args) -> int:
         "f_cut": list(f_cut),
         "f_cyc": list(f_cyc),
         "balance_residual": float(
-            np.max(np.abs(problem.graph.incidence @ f - problem.p))
+            np.max(np.abs(problem.graph.divergence(f) - problem.p))
         ),
     }
     if problem.graph.cycle_space_dim > 0:

@@ -150,7 +150,7 @@ def gradient(problem: ElasticNetworkProblem, theta) -> np.ndarray:
     h_vals = np.empty(g.m)
     for first, idx in identity_groups(problem.energies):
         h_vals[idx] = problem.energies[first].derivative(delta[idx])
-    return g.incidence @ (g.weight_vector * h_vals)
+    return g.divergence(g.weight_vector * h_vals)
 
 
 def solve_elastic(

@@ -46,7 +46,7 @@ class BalanceError(TorusFlowError):
 
 
 class ConvergenceBudgetError(TorusFlowError):
-    """The projection iteration exceeded twice its analytic budget."""
+    """The projection iteration or Newton solve exceeded twice its analytic budget."""
 
 
 class FeasibilityError(TorusFlowError):

@@ -3,7 +3,8 @@
 Implements the flow-function model with its monotonicity certificate, the
 linearly-extended flow function and its inverse, the acyclic closed-form
 solver, the winding fixed-point map, the contraction (projection)
-iteration, the complete multi-solution solver, and flow decomposition.
+iteration, the certified Newton solve and three-way verdict per winding
+cell, the complete multi-solution solver, and flow decomposition.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ BALANCE_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
 FEASIBILITY_SLACK = 1e-9
 DEFAULT_RHO = 1e-10
+TIGHT_RHO = 1e-15  # below any reachable bound: a solve to the rounding floor
 CERT_GRID = 1001
 
 
@@ -79,8 +81,16 @@ class FlowFunction:
         if np.max(np.abs(vals + vals[::-1])) > 1e-12:
             raise InputError(f"flow function {self.name!r} is not odd")
         slopes = np.asarray(self.derivative(grid), dtype=float)
-        lmin = float(np.min(slopes))
-        lmax = float(np.max(slopes))
+        # The endpoints are sampled, and an interior extremum y* of h' has
+        # h''(y*) = 0.  A grid point lies within half the spacing D of y*, so
+        # as |h'''| <= sum k^3 |b_k| its slope is within sum k^3 |b_k| D^2 / 8.
+        gap = 0.0
+        if "fourier" in self.params and gamma > 0:
+            b = np.abs(np.asarray(self.params["fourier"], dtype=float))
+            spacing = 2.0 * gamma / (CERT_GRID - 1)
+            gap = float(np.arange(1, b.size + 1) ** 3 @ b) * spacing**2 / 8.0
+        lmin = float(np.min(slopes)) - gap
+        lmax = float(np.max(slopes)) + gap
         if lmax < 0.0:
             raise GammaError(
                 f"flow function {self.name!r} is strictly decreasing on "
@@ -293,6 +303,15 @@ class FlowNetworkProblem:
             out[idx] = self.extended[first].inverse(v[idx])
         return out
 
+    def inverse_slopes(self, delta: np.ndarray) -> np.ndarray:
+        """1 / (a_ij h_e'(clip(delta_e, +-gamma))): the derivative of
+        h_gamma^{-1}(A^{-1} f) in f at the point whose differences are delta."""
+        inside = np.clip(np.asarray(delta, dtype=float), -self.gamma, self.gamma)
+        out = np.empty_like(inside)
+        for first, idx in self._edge_groups:
+            out[idx] = self.flow_functions[first].derivative(inside[idx])
+        return 1.0 / (self.graph.weight_vector * out)
+
     def edge_flows(self, delta: np.ndarray) -> np.ndarray:
         """a_ij h_e(delta_e) for a vector of edge differences."""
         delta = np.asarray(delta, dtype=float)
@@ -302,9 +321,15 @@ class FlowNetworkProblem:
         return self.graph.weight_vector * out
 
     def weighted_norm(self, v: np.ndarray) -> float:
-        """The Lmin A weighted 2-norm used by the contraction bound."""
+        """The Lmin A weighted 2-norm that `projection_iteration` reports."""
         la = self.lmin * self.graph.weight_vector
         return float(np.sqrt(np.sum(la * np.asarray(v) ** 2)))
+
+    def map_norm(self, v: np.ndarray) -> float:
+        """The (Lmin A)^{-1} weighted 2-norm.  P_D is orthogonal in it, so on
+        balanced flows T_u contracts by `contraction_rate` in this norm."""
+        la = self.lmin * self.graph.weight_vector
+        return float(np.sqrt(np.sum(np.asarray(v) ** 2 / la)))
 
 
 def identity_groups(items: Sequence) -> list[tuple[int, np.ndarray]]:
@@ -329,7 +354,12 @@ def _map_factor(problem: FlowNetworkProblem, basis: CycleBasis) -> np.ndarray:
 
 @dataclass
 class IterationReport:
-    """Convergence record of one projection-iteration run."""
+    """Convergence record of one projection-iteration or Newton run.
+
+    `error_bound` is the certified per-edge distance of the returned flow
+    from the cell's fixed point.  A cell is decided when it is `feasible`
+    or has `infeasible_edges`; otherwise it is undecided.
+    """
 
     iterations: int
     final_step: float
@@ -339,6 +369,11 @@ class IterationReport:
     contraction_verified: bool = True
     initial_step: float = 0.0
     weighted_steps: tuple[float, ...] = ()
+    error_bound: float = 0.0
+
+    @property
+    def decided(self) -> bool:
+        return self.feasible or bool(self.infeasible_edges)
 
 
 @dataclass
@@ -381,7 +416,7 @@ class Solution:
 def winding_fixed_point_map(problem: FlowNetworkProblem, basis: CycleBasis, u, f) -> np.ndarray:
     """One application of T_u; preserves the balance constraint B f = p."""
     f = np.asarray(f, dtype=float)
-    residual = float(np.max(np.abs(problem.graph.incidence @ f - problem.p)))
+    residual = float(np.max(np.abs(problem.graph.divergence(f) - problem.p)))
     if residual >= BALANCE_TOL:
         raise BalanceError(f"f is not balanced: ||Bf - p||_inf = {residual:.3e}")
     return _apply_map(problem, basis, np.asarray(u, dtype=float), f)
@@ -391,6 +426,21 @@ def _apply_map(problem, basis, u, f):
     # T_u f = f - P_D Lmin A (delta - 2pi C^+ u) = f - K (C delta - 2pi u).
     K = _map_factor(problem, basis)
     return f - K @ (basis.matrix @ problem.inverse_differences(f) - TWO_PI * u)
+
+
+def _step_budget(rate: float, ratio: float) -> int:
+    """T_u steps that shrink a distance by the factor `ratio`, plus 10."""
+    if ratio >= 1.0 or rate == 0.0:
+        return 11
+    return math.ceil(math.log(ratio) / math.log(rate)) + 10
+
+
+def _report(rate: float, steps: list[float], **fields) -> IterationReport:
+    """A run's report; its contraction is checked on the weighted steps."""
+    verified = not any(b > rate * a + 1e-12 for a, b in zip(steps, steps[1:]))
+    return IterationReport(
+        rate=rate, contraction_verified=verified, initial_step=steps[0], weighted_steps=tuple(steps), **fields
+    )
 
 
 def projection_iteration(
@@ -416,17 +466,11 @@ def projection_iteration(
     nxt = _apply_map(problem, basis, u, f)
     step_inf = float(np.max(np.abs(nxt - f))) if f.size else 0.0
     d0 = problem.weighted_norm(nxt - f)
-    if d0 == 0.0 or rate == 0.0:
-        budget = 11
-    else:
-        target = rho * sqrt_la_min / d0
-        budget = 11 if target >= 1.0 else math.ceil(math.log(target) / math.log(rate)) + 10
+    budget = _step_budget(rate, rho * sqrt_la_min / d0 if d0 > 0.0 else math.inf)
 
     steps = [d0]
-    contraction_ok = True
-    iterations = 1
     while step_inf >= rho:
-        if iterations > 2 * budget:
+        if len(steps) > 2 * budget:
             raise ConvergenceBudgetError(
                 f"projection iteration exceeded 2x its budget of {budget} "
                 f"iterations (last step {step_inf:.3e})"
@@ -434,21 +478,97 @@ def projection_iteration(
         f = nxt
         nxt = _apply_map(problem, basis, u, f)
         step_inf = float(np.max(np.abs(nxt - f)))
-        d = problem.weighted_norm(nxt - f)
-        if d > rate * steps[-1] + 1e-12:
-            contraction_ok = False
-        steps.append(d)
-        iterations += 1
+        steps.append(problem.weighted_norm(nxt - f))
 
-    report = IterationReport(
-        iterations=iterations,
-        final_step=step_inf,
-        rate=rate,
-        contraction_verified=contraction_ok,
-        initial_step=d0,
-        weighted_steps=tuple(steps),
+    return nxt, _report(rate, steps, iterations=len(steps), final_step=step_inf)
+
+
+def decide_cell(
+    problem: FlowNetworkProblem, basis: CycleBasis, u, rho: float = DEFAULT_RHO
+) -> tuple[np.ndarray, IterationReport]:
+    """Certified damped Newton solve of cell u, and its three-way verdict.
+
+    In cell u the fixed point f* = f0 + C^T c* of T_u (f0 the cutset flow)
+    minimises the strictly convex loop-flow potential Psi_u(c), whose
+    gradient is g = C h_gamma^{-1}(A^{-1} f) - 2pi u and whose Hessian is
+    C diag(1 / (a h'(clip(delta)))) C^T; a step solves that k x k system.
+    A Newton point f - t N (t = 1, 1/2, 1/4, ... while t >= 1 - rate) is
+    taken when its T_u step is at most `rate` times the current one in the
+    `map_norm`; failing that the plain T_u step is, so no step contracts
+    less than T_u does.
+
+    The certified per-edge distance of f from f* is the report's
+    `error_bound` b = ||T_u f - f|| sqrt(max Lmin A) / (1 - rate).  With
+    s = FEASIBILITY_SLACK the cell is feasible when every margin - b >= -s,
+    and infeasible on the edges whose margin + b < -s.  The loop stops once
+    b < rho and the cell is one or the other, or when even T_u no longer
+    contracts (the rounding floor); a cell that is then neither is undecided.
+    `iterations` counts the steps taken.
+    """
+    if rho <= 0.0:
+        raise InputError("rho must be positive")
+    u = np.asarray(u, dtype=float)
+    rate = problem.contraction_rate
+    C = basis.matrix
+    K = _map_factor(problem, basis)
+    # |x_e| <= sqrt(Lmin_e a_e) ||x||, and the contraction adds 1 / (1 - rate).
+    to_bound = math.sqrt(float(np.max(problem.lmin * problem.graph.weight_vector))) / (1.0 - rate)
+
+    def at(f):
+        delta = problem.inverse_differences(f)
+        grad = C @ delta - TWO_PI * u
+        step = K @ grad
+        return delta, grad, step, problem.map_norm(step)
+
+    f = problem.cutset_flow
+    delta, grad, step, d = at(f)
+    # No step contracts less than T_u, so this many reach the rounding floor.
+    budget = _step_budget(rate, TIGHT_RHO / (d * to_bound) if d > 0.0 else math.inf)
+    steps = [d]
+    floor = False
+    while True:
+        bound = d * to_bound
+        margins = check_feasibility(problem, f)[1]
+        feasible = bool(np.all(margins - bound >= -FEASIBILITY_SLACK))
+        infeasible = np.flatnonzero(margins + bound < -FEASIBILITY_SLACK)
+        if floor or (bound < rho and (feasible or infeasible.size)):
+            break
+        if len(steps) > 2 * budget:
+            raise ConvergenceBudgetError(
+                f"Newton solve exceeded 2x its budget of {budget} steps "
+                f"(certified distance {bound:.3e})"
+            )
+        hessian = (C * problem.inverse_slopes(delta)) @ C.T
+        newton = C.T @ np.linalg.solve(hessian, grad)
+        t = 1.0
+        while True:
+            trial = f - t * newton
+            state = at(trial)
+            if state[3] <= rate * d:
+                break
+            t /= 2.0
+            if t < 1.0 - rate:
+                # To first order a step of length t shrinks d by the factor
+                # 1 - t, so no shorter one can match the plain T_u step.
+                trial = f - step
+                state = at(trial)
+                break
+        if not state[3] < d:
+            break  # no progress at all: f stays, with its verdict
+        # T_u contracts by rate; a step that shrinks d less is at the rounding floor.
+        floor = state[3] > rate * d
+        f, (delta, grad, step, d) = trial, state
+        steps.append(d)
+
+    return f, _report(
+        rate,
+        steps,
+        iterations=len(steps) - 1,
+        final_step=float(np.max(np.abs(step))) if step.size else 0.0,
+        feasible=feasible,
+        infeasible_edges=tuple(int(e) for e in infeasible),
+        error_bound=bound,
     )
-    return nxt, report
 
 
 def check_feasibility(problem: FlowNetworkProblem, f) -> tuple[bool, np.ndarray]:
@@ -475,7 +595,7 @@ def recover_phases(problem: FlowNetworkProblem, basis: CycleBasis, u, f) -> np.n
     delta = problem.inverse_differences(np.asarray(f, dtype=float))
     delta -= basis.weighted_pinv @ (basis.matrix @ delta - TWO_PI * u)
     theta = g.tree_phases(delta)
-    if np.max(np.abs(wrap(g.incidence.T @ theta - delta))) > TWO_PI * WINDING_INT_TOL:
+    if np.max(np.abs(wrap(g.differences(theta) - delta))) > TWO_PI * WINDING_INT_TOL:
         raise NonIntegerWindingError(f"no integer shift for u={u.tolist()}: cell is empty")
     return canonical_rotation(theta)
 
@@ -492,7 +612,7 @@ def verify_solution(
     f = np.asarray(f, dtype=float)
     theta = np.asarray(theta, dtype=float)
     delta = edge_differences(g, theta)
-    balance = float(np.max(np.abs(g.incidence @ f - problem.p)))
+    balance = float(np.max(np.abs(g.divergence(f) - problem.p)))
     physics = float(np.max(np.abs(f - problem.edge_flows(delta))))
     margin = problem.gamma - (float(np.max(np.abs(delta))) if g.m else 0.0)
     if basis is not None and basis.size:
@@ -533,11 +653,13 @@ def acyclic_solve(problem: FlowNetworkProblem) -> Solution | None:
 
 
 def _solve_one_winding(problem, basis, u, rho):
-    f, it = projection_iteration(problem, basis, u, rho)
-    feasible, margins = check_feasibility(problem, f)
-    it.feasible = feasible
-    it.infeasible_edges = tuple(int(e) for e in np.nonzero(margins < -FEASIBILITY_SLACK)[0])
-    if not feasible:
+    f, it = decide_cell(problem, basis, u, rho)
+    if not it.decided:
+        raise TorusFlowError(
+            f"winding vector {np.asarray(u).tolist()} is undecided: a margin lies "
+            f"within the certified error bound {it.error_bound:.3e} of the slack"
+        )
+    if not it.feasible:
         return None
     try:
         theta = recover_phases(problem, basis, u, f)
@@ -560,10 +682,12 @@ def solve_all(
 ) -> list[Solution]:
     """All solutions of the flow network problem, sorted by winding vector.
 
-    Enumerates the candidate winding box, runs the projection iteration in
-    each cell, keeps the feasible fixed points, and certifies every
-    returned solution independently.  `jobs` is accepted and ignored: the
-    cells are solved in order in the calling thread.
+    Enumerates the candidate winding box and decides each cell with
+    `decide_cell` (certified Newton plus the three-way verdict), keeps the
+    feasible fixed points, and certifies every returned solution
+    independently.  An undecided cell raises TorusFlowError naming its u.
+    `jobs` is accepted and ignored: the cells are solved in order in the
+    calling thread.
     """
     if problem.graph.cycle_space_dim == 0:
         sol = acyclic_solve(problem)

@@ -144,6 +144,24 @@ class WeightedGraph:
             adj[j].append((e, i))
         return adj
 
+    @cached_property
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """First and second node of every edge, as index arrays."""
+        idx = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        return idx[:, 0], idx[:, 1]
+
+    def differences(self, x) -> np.ndarray:
+        """B^T x, i.e. x_i - x_j per edge (i, j); O(m)."""
+        i, j = self.ends
+        x = np.asarray(x, dtype=float)
+        return x[i] - x[j]
+
+    def divergence(self, f) -> np.ndarray:
+        """B f, the net outflow at every node; O(m)."""
+        i, j = self.ends
+        f = np.asarray(f, dtype=float)
+        return np.bincount(i, f, self.n) - np.bincount(j, f, self.n)
+
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -236,19 +254,14 @@ class Cycle:
             nodes = nodes[:-1]
         if len(nodes) < 3:
             raise InputError("a cycle needs at least three nodes")
-        index = {}
-        for e, (i, j) in enumerate(g.edges):
-            index[(i, j)] = (e, 1)
-            index[(j, i)] = (e, -1)
         vec = np.zeros(g.m, dtype=np.int64)
         for a, b in zip(nodes, nodes[1:] + nodes[:1]):
-            try:
-                e, sign = index[(a, b)]
-            except KeyError:
+            e = next((e for e, w in g.adjacency.get(a, ()) if w == b), None)
+            if e is None:
                 raise InputError(f"no edge between consecutive nodes {a}, {b}")
             if vec[e] != 0:
                 raise InputError("cycle repeats an edge")
-            vec[e] = sign
+            vec[e] = 1 if g.edges[e][0] == a else -1
         return cls(nodes=tuple(nodes), vector=vec)
 
 

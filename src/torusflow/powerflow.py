@@ -20,8 +20,7 @@ from .flows import (
     FlowFunction,
     FlowNetworkProblem,
     Solution,
-    check_feasibility,
-    projection_iteration,
+    decide_cell,
 )
 from .graphs import CycleBasis, WeightedGraph, fundamental_cycle_basis
 
@@ -152,9 +151,13 @@ class SweepResult:
 
 
 def _existence_probe(problem, basis, u, rho):
-    flow, _ = projection_iteration(problem, basis, u, rho)
-    feasible, _ = check_feasibility(problem, flow)
-    return feasible, flow
+    """Whether cell u is certified feasible (`decide_cell`), and its flow.
+
+    An undecided cell counts as not feasible, so a probe that says yes is
+    feasible at the certified error bound.
+    """
+    flow, it = decide_cell(problem, basis, u, rho)
+    return it.feasible, flow
 
 
 def ptc(
@@ -168,8 +171,10 @@ def ptc(
 ) -> SweepResult:
     """Largest scale P of the case's profile with a winding-u solution.
 
-    Bisection on P with certified brackets: existence holds at the
-    returned value and fails at most tol above it.  Assumes a single
+    Bisection on P with certified brackets: each probe is a certified
+    Newton solve of cell u with the three-way verdict, and an undecided
+    probe counts as no solution, so existence is certified at the returned
+    value and fails or is undecided at most tol above it.  Assumes a single
     existence interval [0, PTC], as the incremental sweep it replaces did.
     """
     if tol <= 0.0:

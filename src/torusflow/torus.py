@@ -62,8 +62,7 @@ def edge_differences(g: WeightedGraph, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (g.n,):
         raise InputError(f"theta must have length {g.n}")
-    idx = np.asarray(g.edges, dtype=int)
-    delta = wrap(theta[idx[:, 0]] - theta[idx[:, 1]])
+    delta = wrap(g.differences(theta))
     if np.any(np.abs(delta + math.pi) < BOUNDARY_TOL):
         bad = int(np.argmin(np.abs(delta + math.pi)))
         raise PuncturedTorusError(

@@ -93,6 +93,31 @@ class TestFlowFunction:
             math.sin(0.3) + 0.15 * math.sin(0.6)
         )
 
+    def test_fourier_slope_bounds_hold_between_grid_points(self):
+        # h'(y) = cos y - 0.21 cos 7y has an interior minimum near y* = 0.9836;
+        # gamma puts y* halfway between two points of the certificate grid.
+        from torusflow.flows import CERT_GRID
+
+        fn = FlowFunction.fourier([1.0, 0, 0, 0, 0, 0, -0.03])
+        y = np.linspace(0.97, 1.0, 300001)
+        y_star = float(y[np.argmin(fn.derivative(y))])
+        gamma = y_star / (1819 / (CERT_GRID - 1) - 1)
+        true_min = float(fn.derivative(np.array(y_star)))
+        dense = fn.derivative(np.linspace(-gamma, gamma, 400001))
+        assert float(np.min(fn.derivative(np.linspace(-gamma, gamma, CERT_GRID)))) > true_min + 1e-6
+        cert = fn.certify(gamma)
+        assert cert.lmin <= min(true_min, float(np.min(dense)))
+        assert cert.lmax >= float(np.max(dense))
+        assert cert.lmin > 0.999 * true_min  # widened by sum k^3 |b_k| * spacing^2 / 8 only
+
+    def test_fourier_minimum_at_the_endpoint_is_not_widened_away(self):
+        # h' = cos is least at the endpoint gamma, which the grid samples:
+        # lmin = sin(0.001) must still clear MIN_SLOPE after the widening.
+        gamma = np.pi / 2 - 0.001
+        cert = FlowFunction.fourier([1.0]).certify(gamma)
+        assert cert.lmin == pytest.approx(np.sin(0.001), rel=1e-2)
+        assert cert.lmax == pytest.approx(1.0, abs=1e-5)
+
 
 class TestExtendedInverse:
     def test_zero(self):

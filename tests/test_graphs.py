@@ -101,6 +101,17 @@ class TestIncidence:
         x = np.array([0.0, 1.0, 3.0])
         assert np.allclose(g.incidence.T @ x, [-1.0, -2.0])
 
+    def test_edge_index_operators_match_dense_incidence(self, rng):
+        single = WeightedGraph.from_edges(1, [])
+        assert single.differences([0.5]).shape == (0,)
+        assert np.array_equal(single.divergence(np.zeros(0)), [0.0])
+        for n in (2, 5, 9, 14):
+            g = random_connected_graph(rng, n)
+            x = rng.normal(size=g.n)
+            f = rng.normal(size=g.m)
+            assert np.max(np.abs(g.differences(x) - g.incidence.T @ x), initial=0.0) <= 1e-12
+            assert np.max(np.abs(g.divergence(f) - g.incidence @ f)) <= 1e-12
+
 
 class TestLaplacianPinv:
     def test_unit_triangle_closed_form(self):

@@ -1,0 +1,251 @@
+"""The certified Newton solve per winding cell, against the projection
+iteration it replaced on the solve path, and its three-way verdict."""
+import math
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import torusflow.flows as flows
+from conftest import balanced_vector, random_connected_graph, ring_graph, sin_problem
+from torusflow import (
+    ElasticEnergy,
+    FlowFunction,
+    FlowNetworkProblem,
+    NonIntegerWindingError,
+    TorusFlowError,
+    WeightedGraph,
+    builtin_case,
+    case_to_problem,
+    check_feasibility,
+    feasible_winding_vectors,
+    fundamental_cycle_basis,
+    minimum_cycle_basis,
+    projection_iteration,
+    ptc,
+    recover_phases,
+    solve_all,
+    solve_elastic,
+    winding_fixed_point_map,
+)
+from torusflow.flows import FEASIBILITY_SLACK, decide_cell
+from torusflow.powerflow import _existence_probe
+
+NEAR_LIMIT = math.pi / 2 - 0.01
+
+
+def _projection_solutions(problem, basis):
+    """u -> flow of every feasible, non-empty cell, by the projection iteration."""
+    out = {}
+    for u in feasible_winding_vectors(basis, problem.gamma):
+        f, _ = projection_iteration(problem, basis, u, rho=1e-12)
+        if not check_feasibility(problem, f)[0]:
+            continue
+        try:
+            recover_phases(problem, basis, u, f)
+        except NonIntegerWindingError:
+            continue
+        out[tuple(u.tolist())] = f
+    return out
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 8),
+    extra=st.integers(1, 3),
+    gamma=st.sampled_from([1.0, 1.4, NEAR_LIMIT]),
+    scale=st.sampled_from([0.0, 0.2, 0.6]),
+    mixed=st.booleans(),
+)
+def test_newton_matches_projection_on_random_meshes(seed, n, extra, gamma, scale, mixed):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, extra_edges=extra)
+    if g.cycle_space_dim == 0:
+        return
+    if mixed:
+        funcs = tuple(
+            FlowFunction.sin_family() if rng.random() < 0.5 else FlowFunction.linear(s)
+            for s in rng.choice([0.5, 1.0, 2.0], size=g.m)
+        )
+    else:
+        funcs = (FlowFunction.sin_family(),) * g.m
+    problem = FlowNetworkProblem(graph=g, flow_functions=funcs, p=balanced_vector(rng, n, scale), gamma=gamma)
+    for basis in (fundamental_cycle_basis(g), minimum_cycle_basis(g)):
+        ref = _projection_solutions(problem, basis)
+        sols = solve_all(problem, basis=basis)
+        assert [tuple(s.u.tolist()) for s in sols] == sorted(ref)
+        for sol in sols:
+            assert np.max(np.abs(sol.f - ref[tuple(sol.u.tolist())])) <= 1e-9
+
+
+def _near_limit_cases():
+    ring = case_to_problem(builtin_case("ring12-asym"), NEAR_LIMIT)
+    return [
+        sin_problem(ring_graph(5), np.zeros(5), NEAR_LIMIT),
+        case_to_problem(builtin_case("expo(3)"), NEAR_LIMIT),
+        ring,
+        ring.with_supply(1.5 * ring.p),
+    ]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_feasible_verdicts_clear_their_error_bound(index):
+    problem = _near_limit_cases()[index]
+    basis = fundamental_cycle_basis(problem.graph)
+    sols = solve_all(problem, basis=basis)
+    assert sols
+    for sol in sols:
+        it = sol.iteration
+        margin = float(np.min(problem.capacity - np.abs(sol.f)))
+        assert it.feasible and it.decided
+        assert margin - it.error_bound >= -FEASIBILITY_SLACK
+        assert 0.0 <= it.error_bound < flows.DEFAULT_RHO
+        assert it.contraction_verified
+        # The bound holds against the same cell solved to the rounding floor.
+        tight, tight_it = decide_cell(problem, basis, sol.u, flows.TIGHT_RHO)
+        assert np.max(np.abs(sol.f - tight)) <= it.error_bound + tight_it.error_bound
+
+
+def _two_cycles_weights_apart():
+    """A square with one diagonal: two cycles, weights 100x apart, sine and
+    slope-2 linear edges, so Lmin A spans 0.01 to 200."""
+    g = WeightedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], [1.0, 1.0, 100.0, 100.0, 100.0])
+    sine, linear = FlowFunction.sin_family(), FlowFunction.linear(2.0)
+    p = np.array([-11.1629803, 6.00244749, 11.01571215, -5.85517934])
+    return FlowNetworkProblem(graph=g, flow_functions=(sine, sine, linear, linear, sine), p=p, gamma=NEAR_LIMIT)
+
+
+def test_map_contracts_in_map_norm_only():
+    problem = _two_cycles_weights_apart()
+    basis = fundamental_cycle_basis(problem.graph)
+    rate = problem.contraction_rate
+    rng = np.random.default_rng(0)
+    worst_map = worst_weighted = 0.0
+    for _ in range(300):
+        f, g = (problem.cutset_flow + basis.matrix.T @ (rng.normal(size=2) * s) for s in rng.choice([0.01, 1, 100], 2))
+        tf, tg = (winding_fixed_point_map(problem, basis, [0, 0], x) for x in (f, g))
+        worst_map = max(worst_map, problem.map_norm(tf - tg) / problem.map_norm(f - g))
+        worst_weighted = max(worst_weighted, problem.weighted_norm(tf - tg) / problem.weighted_norm(f - g))
+    assert worst_map <= rate * (1 + 1e-12)
+    # In the Lmin A norm T_u is no contraction here: the certificate needs map_norm.
+    assert worst_weighted > 1.0
+
+
+@pytest.mark.parametrize("rho", [1.0, 1e-2, 1e-4, flows.DEFAULT_RHO])
+def test_error_bound_covers_distance_with_weights_apart(rho):
+    problem = _two_cycles_weights_apart()
+    basis = fundamental_cycle_basis(problem.graph)
+    for u in feasible_winding_vectors(basis, problem.gamma):
+        f, it = decide_cell(problem, basis, u, rho)
+        tight, tight_it = decide_cell(problem, basis, u, flows.TIGHT_RHO)
+        assert it.decided and it.contraction_verified
+        assert it.error_bound < rho
+        assert np.max(np.abs(f - tight)) <= it.error_bound + tight_it.error_bound
+
+
+def test_rounding_floor_ends_the_solve():
+    # Linear flows give rate 0: T_u is exact, so one step reaches the fixed
+    # point, and the next, which shrinks the step by less than the rate, is
+    # at the rounding floor.  The solve stops there instead of crawling on.
+    g = WeightedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], [100.0, 100.0, 100.0, 1.0, 100.0])
+    funcs = tuple(FlowFunction.linear(s) for s in (0.5, 0.5, 0.5, 10.0, 2.0))
+    p = np.array([-15.17876928, 46.51896682, 22.28365998, -53.62385751])
+    problem = FlowNetworkProblem(graph=g, flow_functions=funcs, p=p - p.mean(), gamma=1.0)
+    basis = fundamental_cycle_basis(g)
+    for rho in (flows.DEFAULT_RHO, flows.TIGHT_RHO):
+        _, it = decide_cell(problem, basis, [0, 0], rho)
+        assert it.rate == 0.0 and it.iterations == 1 and it.decided
+        assert it.error_bound < flows.DEFAULT_RHO
+
+
+@pytest.mark.parametrize("index", [0, 3])
+def test_newton_takes_few_steps_near_the_limit(index):
+    # From the zero start a full Newton step overshoots the pentagon's splay
+    # cell into the linear tail, so the step is halved before it is taken.
+    problem = _near_limit_cases()[index]
+    basis = fundamental_cycle_basis(problem.graph)
+    f, it = decide_cell(problem, basis, [1])
+    ref, ref_it = projection_iteration(problem, basis, [1])
+    assert it.iterations <= 15 < ref_it.iterations
+    assert it.rate == pytest.approx(0.99, abs=1e-3)
+    for a, b in zip(it.weighted_steps, it.weighted_steps[1:]):
+        assert b <= it.rate * a + 1e-12
+    assert np.max(np.abs(f - ref)) <= it.error_bound + 1e-8
+
+
+def test_three_way_verdict():
+    problem = sin_problem(ring_graph(5), np.zeros(5), 1.4)
+    basis = fundamental_cycle_basis(problem.graph)
+    _, it = decide_cell(problem, basis, [1])
+    assert it.feasible and it.decided and it.infeasible_edges == ()
+    _, it = decide_cell(problem, basis, [3])
+    assert not it.feasible and it.decided and it.infeasible_edges == (0, 1, 2, 3, 4)
+
+
+def test_undecided_cell_keeps_iterating_past_rho():
+    problem = sin_problem(ring_graph(5), np.zeros(5), 1.4)
+    basis = fundamental_cycle_basis(problem.graph)
+    f, it = decide_cell(problem, basis, [1], 0.3)
+    margin = float(np.min(problem.capacity - np.abs(f)))  # 0.034
+    bounds = np.array(it.weighted_steps) * (it.error_bound / it.weighted_steps[-1])
+    # The first bound below rho is above the margin, so the cell is not yet
+    # decided there; the solve goes on from that point until it is.
+    assert margin < bounds[bounds < 0.3][0]
+    assert it.feasible and it.error_bound <= margin
+
+
+def _with_error_bound(monkeypatch, bound):
+    """Make every Newton solve stop at the given certified error bound, by
+    flooring the T_u step it measures at bound / (error bound per unit step)."""
+    original = FlowNetworkProblem.map_norm
+
+    def floored(self, v):
+        per_step = math.sqrt(float(np.max(self.lmin * self.graph.weight_vector))) / (1.0 - self.contraction_rate)
+        return max(original(self, v), bound / per_step)
+
+    monkeypatch.setattr(FlowNetworkProblem, "map_norm", floored)
+
+
+def test_undecided_cell_is_reported(monkeypatch):
+    problem = sin_problem(ring_graph(5), np.zeros(5), 1.4)
+    basis = fundamental_cycle_basis(problem.graph)
+    # The splay flow sin(2pi/5) is 0.034 under capacity sin(1.4).
+    _with_error_bound(monkeypatch, 0.05)
+    _, it = decide_cell(problem, basis, [1])
+    assert not it.feasible and not it.infeasible_edges and not it.decided
+    with pytest.raises(TorusFlowError, match=r"winding vector \[-1\] is undecided"):
+        solve_all(problem, basis=basis)
+    assert _existence_probe(problem, basis, [1], 1e-10)[0] is False
+    # At gamma = 1.2 the same flow is 0.019 over capacity: within the bound.
+    over = sin_problem(ring_graph(5), np.zeros(5), 1.2)
+    _, it = decide_cell(over, basis, [1])
+    assert not it.feasible and not it.infeasible_edges
+
+
+def test_ptc_counts_undecided_probes_as_infeasible(monkeypatch):
+    exact = ptc(builtin_case("ring12-asym"), [1], NEAR_LIMIT, tol=1e-6).ptc
+    _with_error_bound(monkeypatch, 1e-3)
+    loose = ptc(builtin_case("ring12-asym"), [1], NEAR_LIMIT, tol=1e-6).ptc
+    assert loose < exact - 1e-4
+
+
+def test_solve_path_never_calls_projection_iteration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("projection_iteration called on the solve path")
+
+    for mod_name, mod in list(sys.modules.items()):
+        if (mod_name == "torusflow" or mod_name.startswith("torusflow.")) and hasattr(mod, "projection_iteration"):
+            monkeypatch.setattr(mod, "projection_iteration", refuse)
+
+    assert len(solve_all(sin_problem(ring_graph(5), np.zeros(5), 1.4))) == 3
+    expo = case_to_problem(builtin_case("expo(2)"), 1.4)
+    assert len(solve_all(expo, basis=minimum_cycle_basis(expo.graph))) == 9
+    rng = np.random.default_rng(3)
+    g = random_connected_graph(rng, 8, extra_edges=3)
+    solve_all(sin_problem(g, balanced_vector(rng, 8), 1.4))
+    assert len(solve_elastic(ring_graph(5), ElasticEnergy.spacing_potential(), np.zeros(5), 1.4)) == 3
+    res = ptc(builtin_case("ring12-asym"), [1], NEAR_LIMIT, tol=1e-6)
+    assert res.ptc is not None and res.curve[0].exists

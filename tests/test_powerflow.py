@@ -164,6 +164,7 @@ class TestPtc:
             assert res.ptc == pytest.approx(oracle, abs=1e-4)
 
     def test_bracket_certified(self):
+        from torusflow.flows import FEASIBILITY_SLACK, decide_cell
         from torusflow.powerflow import _existence_probe
 
         case = builtin_case("ring12-sym")
@@ -176,6 +177,10 @@ class TestPtc:
             base.with_supply((res.ptc + 2 * tol) * base.p), basis, [1], 1e-10
         )
         assert ok_lo and not ok_hi
+        # lo is feasible at the certified error bound of its Newton solve.
+        f, it = decide_cell(base.with_supply(res.ptc * base.p), basis, [1])
+        margin = float(np.min(base.capacity - np.abs(f)))
+        assert it.feasible and margin - it.error_bound >= -FEASIBILITY_SLACK
 
     def test_curve_shape(self):
         res = ptc(builtin_case("ring12-sym"), [0], GAMMA, tol=1e-5, curve_points=5)
