@@ -59,7 +59,6 @@ from .graphs import (
     incidence_matrix,
     integer_cycle_shift,
     integer_shift_solve,
-    laplacian_pinv,
     minimum_cycle_basis,
     spanning_tree,
 )

@@ -34,7 +34,7 @@ from .flows import (
     verify_solution,
 )
 from .graphs import WeightedGraph, fundamental_cycle_basis, minimum_cycle_basis
-from .powerflow import PowerCase, builtin_case, case_to_problem, ptc
+from .powerflow import PTC_TOL, PowerCase, builtin_case, case_to_problem, ptc
 from .torus import (
     count_feasible_winding_vectors,
     feasible_winding_bounds,
@@ -101,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="PTC/congestion sweep over windings")
     common(p_sweep)
-    p_sweep.add_argument("--tol", type=float, default=1e-6, help="PTC bisection tolerance")
+    p_sweep.add_argument("--tol", type=float, default=PTC_TOL, help="PTC bisection tolerance")
     p_sweep.add_argument("--case-data", help="external data file for rts24-mod")
 
     p_dec = sub.add_parser("decompose", help="cutset/cycle decomposition of a flow")

@@ -32,7 +32,7 @@ from .torus import (
     canonical_rotation,
     edge_differences,
     feasible_winding_vectors,
-    wrap,
+    integrate_differences,
 )
 
 MIN_SLOPE = 1e-9
@@ -280,16 +280,9 @@ class FlowNetworkProblem:
 
     @cached_property
     def cutset_flow(self) -> np.ndarray:
-        """The balanced flow A B^T L^+ p, the iteration's starting point.
-
-        The tree flow minus its A^{-1}-orthogonal cycle part C^T G^T f, G the
-        weighted pinv of any basis: the map's last one, else the fundamental.
-        """
-        f = self.graph.tree_flow(self.p)
-        if self.graph.cycle_space_dim == 0:
-            return f
-        basis = self._cell[0] if "_cell" in self.__dict__ else fundamental_cycle_basis(self.graph)
-        return f - basis.matrix.T @ (basis.weighted_pinv.T @ f)
+        """The balanced flow A B^T L^+ p, the iteration's start (taken with
+        the map's last basis, else the fundamental one)."""
+        return self.graph.cutset_flow(self.p, self.__dict__.get("_cell", (None,))[0])
 
     @cached_property
     def _edge_groups(self) -> list[tuple[int, np.ndarray]]:
@@ -320,16 +313,16 @@ class FlowNetworkProblem:
             out[idx] = self.flow_functions[first].evaluate(delta[idx])
         return self.graph.weight_vector * out
 
-    def weighted_norm(self, v: np.ndarray) -> float:
-        """The Lmin A weighted 2-norm that `projection_iteration` reports."""
-        la = self.lmin * self.graph.weight_vector
-        return float(np.sqrt(np.sum(la * np.asarray(v) ** 2)))
-
     def map_norm(self, v: np.ndarray) -> float:
         """The (Lmin A)^{-1} weighted 2-norm.  P_D is orthogonal in it, so on
         balanced flows T_u contracts by `contraction_rate` in this norm."""
         la = self.lmin * self.graph.weight_vector
         return float(np.sqrt(np.sum(np.asarray(v) ** 2 / la)))
+
+    @cached_property
+    def map_norm_to_edge(self) -> float:
+        """sqrt(max Lmin a): every |x_e| <= map_norm(x) * this."""
+        return math.sqrt(float(np.max(self.lmin * self.graph.weight_vector)))
 
 
 def identity_groups(items: Sequence) -> list[tuple[int, np.ndarray]]:
@@ -436,7 +429,7 @@ def _step_budget(rate: float, ratio: float) -> int:
 
 
 def _report(rate: float, steps: list[float], **fields) -> IterationReport:
-    """A run's report; its contraction is checked on the weighted steps."""
+    """A run's report; its contraction is checked on the map-norm steps."""
     verified = not any(b > rate * a + 1e-12 for a, b in zip(steps, steps[1:]))
     return IterationReport(
         rate=rate, contraction_verified=verified, initial_step=steps[0], weighted_steps=tuple(steps), **fields
@@ -451,6 +444,7 @@ def projection_iteration(
 ) -> tuple[np.ndarray, IterationReport]:
     """Iterate T_u from the cutset flow until the step falls below rho.
 
+    Steps are measured in the `map_norm`, where T_u contracts by `rate`.
     The iteration count is bounded by the geometric convergence estimate
     plus a safety margin of 10; exceeding twice that budget raises
     ConvergenceBudgetError (it signals violated preconditions).
@@ -459,14 +453,14 @@ def projection_iteration(
         raise InputError("rho must be positive")
     u = np.asarray(u, dtype=float)
     rate = problem.contraction_rate
-    sqrt_la_min = math.sqrt(float(np.min(problem.lmin * problem.graph.weight_vector)))
+    to_edge = problem.map_norm_to_edge
 
     _map_factor(problem, basis)  # so that a start not yet computed is taken with this basis
     f = problem.cutset_flow
     nxt = _apply_map(problem, basis, u, f)
     step_inf = float(np.max(np.abs(nxt - f))) if f.size else 0.0
-    d0 = problem.weighted_norm(nxt - f)
-    budget = _step_budget(rate, rho * sqrt_la_min / d0 if d0 > 0.0 else math.inf)
+    d0 = problem.map_norm(nxt - f)
+    budget = _step_budget(rate, rho / (d0 * to_edge) if d0 > 0.0 else math.inf)
 
     steps = [d0]
     while step_inf >= rho:
@@ -478,7 +472,7 @@ def projection_iteration(
         f = nxt
         nxt = _apply_map(problem, basis, u, f)
         step_inf = float(np.max(np.abs(nxt - f)))
-        steps.append(problem.weighted_norm(nxt - f))
+        steps.append(problem.map_norm(nxt - f))
 
     return nxt, _report(rate, steps, iterations=len(steps), final_step=step_inf)
 
@@ -512,7 +506,7 @@ def decide_cell(
     C = basis.matrix
     K = _map_factor(problem, basis)
     # |x_e| <= sqrt(Lmin_e a_e) ||x||, and the contraction adds 1 / (1 - rate).
-    to_bound = math.sqrt(float(np.max(problem.lmin * problem.graph.weight_vector))) / (1.0 - rate)
+    to_bound = problem.map_norm_to_edge / (1.0 - rate)
 
     def at(f):
         delta = problem.inverse_differences(f)
@@ -582,22 +576,17 @@ def recover_phases(problem: FlowNetworkProblem, basis: CycleBasis, u, f) -> np.n
 
     Fits delta = h_gamma^{-1}(A^{-1}f) to C delta = 2pi u by A-weighted
     least squares (giving B^T x + 2pi C^+ u for the polytope coordinate x)
-    and integrates it along the spanning tree.  On non-tree edges the phases
-    then differ from the fit by 2pi z, C z = u; z not integral means u has no
-    integer shift, so its winding cell is empty: NonIntegerWindingError.
+    and integrates it with `integrate_differences`, which raises
+    NonIntegerWindingError when the cell is empty.
     """
     feasible, margins = check_feasibility(problem, f)
     if not feasible:
         bad = [int(e) for e in np.nonzero(margins < -FEASIBILITY_SLACK)[0]]
         raise FeasibilityError(f"flow exceeds capacity on edges {bad}")
-    g = problem.graph
     u = np.asarray(u, dtype=np.int64)
     delta = problem.inverse_differences(np.asarray(f, dtype=float))
     delta -= basis.weighted_pinv @ (basis.matrix @ delta - TWO_PI * u)
-    theta = g.tree_phases(delta)
-    if np.max(np.abs(wrap(g.differences(theta) - delta))) > TWO_PI * WINDING_INT_TOL:
-        raise NonIntegerWindingError(f"no integer shift for u={u.tolist()}: cell is empty")
-    return canonical_rotation(theta)
+    return canonical_rotation(integrate_differences(problem.graph, delta, u))
 
 
 def verify_solution(
@@ -701,9 +690,10 @@ def solve_all(
 
 
 def decompose_flow(g: WeightedGraph, f) -> tuple[np.ndarray, np.ndarray]:
-    """Unique split f = cutset part + cycle part (the latter in Ker B)."""
+    """Unique split f = cutset part + cycle part (the latter in Ker B); the
+    cutset part A B^T L^+ B f is the cutset flow of f's divergence."""
     f = np.asarray(f, dtype=float)
-    f_cut = g.weight_vector * (g.incidence.T @ (g.laplacian_pinv @ (g.incidence @ f)))
+    f_cut = g.cutset_flow(g.divergence(f))
     return f_cut, f - f_cut
 
 

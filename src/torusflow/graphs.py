@@ -1,6 +1,7 @@
-"""Weighted-graph algebra: incidence and Laplacian machinery, the spanning
-tree (tree flows, integration of edge differences), cycle bases, the
-cycle-edge matrix, and the D-weighted cycle projection.
+"""Weighted-graph algebra on the edge list and the spanning tree (edge
+differences, divergences, tree and cutset flows, tree integration), cycle
+bases and the cycle-edge matrix.  The dense incidence, pseudoinverse,
+integer-shift and cycle-projection routines are references for the tests.
 
 Conventions
 -----------
@@ -95,21 +96,6 @@ class WeightedGraph:
         return np.array(self.weights)
 
     @cached_property
-    def laplacian(self) -> np.ndarray:
-        B = self.incidence
-        return (B * self.weight_vector) @ B.T
-
-    @cached_property
-    def laplacian_pinv(self) -> np.ndarray:
-        return deflated_pinv(self.laplacian)
-
-    @cached_property
-    def unit_laplacian_pinv(self) -> np.ndarray:
-        """(B B^T)^+, the pseudoinverse ignoring edge weights."""
-        B = self.incidence
-        return deflated_pinv(B @ B.T)
-
-    @cached_property
     def tree(self) -> tuple[list[int], list[int], list[int]]:
         """Parents, parent edges and BFS order of the spanning tree from node 0."""
         return _bfs(self, 0, set(spanning_tree(self)))
@@ -124,6 +110,16 @@ class WeightedGraph:
             f[e] = subtree[v] if self.edges[e][0] == v else -subtree[v]
             subtree[parent[v]] += subtree[v]
         return f
+
+    def cutset_flow(self, p, basis: CycleBasis | None = None) -> np.ndarray:
+        """The balanced flow A B^T L^+ p: the tree flow f of p minus its
+        A^{-1}-orthogonal cycle part C^T G^T f, G = `basis.weighted_pinv`."""
+        f = self.tree_flow(p)
+        if self.cycle_space_dim == 0:
+            return f
+        if basis is None:
+            basis = fundamental_cycle_basis(self)
+        return f - basis.matrix.T @ (basis.weighted_pinv.T @ f)
 
     def tree_phases(self, delta) -> np.ndarray:
         """Phases with theta_0 = 0 whose tree-edge differences equal delta."""
@@ -198,11 +194,6 @@ def deflated_pinv(lap: np.ndarray) -> np.ndarray:
 def incidence_matrix(g: WeightedGraph) -> np.ndarray:
     """Signed incidence matrix of g (columns sum to zero)."""
     return g.incidence
-
-
-def laplacian_pinv(g: WeightedGraph) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of the weighted Laplacian B A B^T."""
-    return g.laplacian_pinv
 
 
 def spanning_tree(g: WeightedGraph) -> tuple[int, ...]:
@@ -288,7 +279,9 @@ class CycleBasis:
 
     @cached_property
     def pinv(self) -> np.ndarray:
-        return cycle_edge_pinv(self)
+        """C^T (C C^T)^{-1}: the Moore-Penrose right inverse of C."""
+        C = self.matrix
+        return np.linalg.solve(C @ C.T, C).T
 
     @cached_property
     def weighted_pinv(self) -> np.ndarray:
@@ -307,12 +300,19 @@ class CycleBasis:
         return sha256(payload.encode()).hexdigest()[:16]
 
     def validate(self) -> None:
-        if self.size != self.graph.cycle_space_dim:
+        g = self.graph
+        if self.size != g.cycle_space_dim:
             raise RankError("wrong number of basis cycles")
-        bad = np.flatnonzero(np.any(self.graph.incidence @ self.matrix.T != 0, axis=0))
+        # C B^T, the divergence of every cycle row, from the nonzeros of C.
+        C = self.matrix
+        rows, e = np.nonzero(C)
+        div = np.zeros((self.size, g.n))
+        np.add.at(div, (rows, g.ends[0][e]), C[rows, e])
+        np.subtract.at(div, (rows, g.ends[1][e]), C[rows, e])
+        bad = np.flatnonzero(np.any(div != 0, axis=1))
         if bad.size:
             raise RankError(f"cycle vector of {self.cycles[bad[0]].nodes} is not in Ker(B)")
-        s = np.linalg.svd(self.matrix, compute_uv=False)
+        s = np.linalg.svd(C, compute_uv=False)
         if s.size == 0 or s[-1] <= RANK_RTOL * s[0]:
             raise RankError("cycle vectors are not linearly independent")
 

@@ -26,6 +26,7 @@ from .graphs import CycleBasis, WeightedGraph, fundamental_cycle_basis
 
 REBALANCE_LIMIT = 0.01
 GAMMA_LIMIT = math.pi / 2 - 1e-9
+PTC_TOL = 1e-6  # default width of the PTC bisection bracket
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,7 @@ def ptc(
     case: PowerCase,
     u,
     gamma: float,
-    tol: float = 1e-6,
+    tol: float = PTC_TOL,
     rho: float = DEFAULT_RHO,
     basis: CycleBasis | None = None,
     curve_points: int = 9,
@@ -194,9 +195,9 @@ def ptc(
     if not exists0:
         return SweepResult(u=u, ptc=None, curve=())
 
-    cap = base.capacity
-    incident = np.abs(base.graph.incidence)  # n x m, 1 where edge touches node
-    node_caps = incident @ cap
+    # A node passes at most the capacity of the edges that touch it.
+    cap, (i, j), n = base.capacity, base.graph.ends, base.graph.n
+    node_caps = np.bincount(i, cap, n) + np.bincount(j, cap, n)
     mask = np.abs(p_hat) > 0.0
     hi = float(np.min(node_caps[mask] / np.abs(p_hat[mask]))) * (1.0 + 1e-9) + tol
     exists_hi, _ = probe(hi)

@@ -20,7 +20,7 @@ from .errors import (
     PolytopeMembershipError,
     PuncturedTorusError,
 )
-from .graphs import Cycle, CycleBasis, WeightedGraph, integer_cycle_shift
+from .graphs import Cycle, CycleBasis, WeightedGraph
 
 TWO_PI = 2.0 * math.pi
 BOUNDARY_TOL = 1e-12
@@ -132,6 +132,18 @@ def feasible_winding_vectors(basis: CycleBasis, gamma: float) -> Iterator[np.nda
         yield np.array(combo, dtype=np.int64)
 
 
+def integrate_differences(g: WeightedGraph, delta, u) -> np.ndarray:
+    """Phases (theta_0 = 0) integrating delta, C delta = 2pi u, along the
+    spanning tree.  Off the tree they differ from delta by 2pi z, C z = u; z
+    not integral means u has no integer cycle shift, so its winding cell is
+    empty: NonIntegerWindingError."""
+    theta = g.tree_phases(delta)
+    if np.max(np.abs(wrap(g.differences(theta) - delta)), initial=0.0) > TWO_PI * WINDING_INT_TOL:
+        u = np.asarray(u, dtype=np.int64)
+        raise NonIntegerWindingError(f"no integer shift for u={u.tolist()}: cell is empty")
+    return theta
+
+
 def torus_to_polytope(basis: CycleBasis, theta) -> tuple[np.ndarray, np.ndarray]:
     """Map theta to its polytope coordinate: (x in 1^perp, winding vector u).
 
@@ -140,16 +152,14 @@ def torus_to_polytope(basis: CycleBasis, theta) -> tuple[np.ndarray, np.ndarray]
     g = basis.graph
     delta = edge_differences(g, theta)
     u = winding_vector_from_differences(basis, delta)
-    B = g.incidence
-    x = g.unit_laplacian_pinv @ (B @ (delta - TWO_PI * basis.pinv @ u))
-    return x, u
+    x = g.tree_phases(delta - TWO_PI * (basis.pinv @ u))
+    return x - np.mean(x), u
 
 
 def polytope_to_torus(basis: CycleBasis, x, u) -> np.ndarray:
-    """Phases whose wrapped differences equal B^T x + 2pi C^+ u.
+    """Phases whose wrapped differences equal B^T x + 2pi C^+ u, mean zero.
 
-    The construction shifts x by 2pi alpha where B^T alpha = z - C^+ u and
-    z is an integer solution of C z = u, then wraps.
+    Raises NonIntegerWindingError when u has no integer cycle shift.
     """
     g = basis.graph
     x = np.asarray(x, dtype=float)
@@ -158,14 +168,13 @@ def polytope_to_torus(basis: CycleBasis, x, u) -> np.ndarray:
         raise InputError(f"x must have length {g.n}")
     if abs(float(np.sum(x))) > 1e-9 * max(1.0, float(np.max(np.abs(x)))):
         raise PolytopeMembershipError("x is not orthogonal to the all-ones vector")
-    target = g.incidence.T @ x + TWO_PI * (basis.pinv @ u)
+    target = g.differences(x) + TWO_PI * (basis.pinv @ u)
     if np.max(np.abs(target)) >= math.pi:
         raise PolytopeMembershipError(
             "B^T x + 2pi C^+ u leaves the open cube (-pi, pi)^m"
         )
-    z = integer_cycle_shift(basis, u)
-    alpha = g.unit_laplacian_pinv @ (g.incidence @ (z - basis.pinv @ u))
-    return wrap(x - TWO_PI * alpha)
+    theta = integrate_differences(g, target, u)
+    return wrap(theta - np.mean(theta))
 
 
 def phases_equal_mod_rotation(a, b, tol: float = 1e-9) -> bool:

@@ -14,6 +14,26 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
+def incidence(g) -> np.ndarray:
+    """Dense n x m incidence matrix: +1 at an edge's first node, -1 at its second."""
+    B = np.zeros((g.n, g.m))
+    for e, (i, j) in enumerate(g.edges):
+        B[i, e] = 1.0
+        B[j, e] = -1.0
+    return B
+
+
+def laplacian(g) -> np.ndarray:
+    """Dense weighted Laplacian B A B^T."""
+    B = incidence(g)
+    return (B * np.array(g.weights)) @ B.T
+
+
+def laplacian_pinv(g) -> np.ndarray:
+    """Moore-Penrose pseudoinverse of the weighted Laplacian, by SVD."""
+    return np.linalg.pinv(laplacian(g))
+
+
 def arc_difference(alpha: float, beta: float) -> float:
     """Signed shortest-arc difference by candidate enumeration."""
     best = None
@@ -124,7 +144,7 @@ def grid_cell_minima(problem, basis, steps: int = 400):
     flows = np.empty_like(delta)
     for e, fn in enumerate(problem.flow_functions):
         flows[:, e] = g.weights[e] * np.asarray(fn.evaluate(delta[:, e]), dtype=float)
-    residual = np.max(np.abs(flows @ g.incidence.T - problem.p), axis=1)
+    residual = np.max(np.abs(flows @ incidence(g).T - problem.p), axis=1)
 
     raw = delta @ basis.matrix.T / TWO_PI
     cells = np.rint(raw).astype(int)

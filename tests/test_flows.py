@@ -1,5 +1,7 @@
+import itertools
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from torusflow import (
     GammaError,
     InputError,
     NonIntegerWindingError,
+    PolytopeMembershipError,
     acyclic_solve,
     builtin_case,
     case_to_problem,
@@ -39,7 +42,6 @@ from torusflow import (
     feasible_winding_vectors,
     fundamental_cycle_basis,
     integer_cycle_shift,
-    laplacian_pinv,
     loop_flow,
     minimum_cycle_basis,
     phases_equal_mod_rotation,
@@ -48,6 +50,7 @@ from torusflow import (
     ptc,
     recover_phases,
     solve_all,
+    torus_to_polytope,
     verify_solution,
     winding_fixed_point_map,
     winding_vector,
@@ -468,6 +471,17 @@ class TestDecomposeAndLoopFlow:
         assert np.allclose(f_cut + f_cyc, f, atol=1e-12)
         assert np.max(np.abs(g.incidence @ f_cyc)) < 1e-10
 
+    def test_matches_dense_laplacian_formula(self, rng):
+        # Weights in [0.5, 2]: the cutset part is A-weighted, not orthogonal.
+        for _ in range(15):
+            g = random_connected_graph(rng, int(rng.integers(2, 12)))
+            f = rng.normal(size=g.m)
+            B = oracles.incidence(g)
+            ref = g.weight_vector * (B.T @ (oracles.laplacian_pinv(g) @ (B @ f)))
+            f_cut, f_cyc = decompose_flow(g, f)
+            assert np.max(np.abs(f_cut - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+            assert np.max(np.abs(f_cyc - (f - ref))) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
     def test_pentagon_splay_is_pure_cycle_flow(self):
         prob = sin_problem(ring_graph(5), np.zeros(5), 1.4)
         sols = solve_all(prob)
@@ -552,7 +566,7 @@ class TestCycleSpaceAgainstDenseReference:
         for _ in range(15):
             g = random_connected_graph(rng, int(rng.integers(2, 10)))
             prob = _mixed_problem(rng, g)
-            ref = g.weight_vector * (g.incidence.T @ (laplacian_pinv(g) @ prob.p))
+            ref = g.weight_vector * (g.incidence.T @ (oracles.laplacian_pinv(g) @ prob.p))
             assert np.max(np.abs(prob.cutset_flow - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
             if g.cycle_space_dim:
                 # A start computed after the map ran is taken with the map's basis.
@@ -569,7 +583,7 @@ class TestCycleSpaceAgainstDenseReference:
                 for sol in solve_all(prob, basis=basis):
                     delta = prob.inverse_differences(sol.f)
                     shifted = delta - TWO_PI * (cycle_edge_pinv(basis) @ sol.u)
-                    x = laplacian_pinv(g) @ (g.incidence @ (g.weight_vector * shifted))
+                    x = oracles.laplacian_pinv(g) @ (g.incidence @ (g.weight_vector * shifted))
                     ref = polytope_to_torus(basis, x, sol.u)
                     theta = recover_phases(prob, basis, sol.u, sol.f)
                     assert phases_equal_mod_rotation(theta, ref, 1e-10)
@@ -604,6 +618,31 @@ class TestEmptyWindingCells:
                     integer_cycle_shift(basis, u)  # the dense reference agrees
         assert len(empty) == 6
 
+    def test_polytope_to_torus_agrees_with_integer_shift(self):
+        # At x = 0 the target differences are 2pi C^+ u.  The dense reference
+        # checks the open cube, then looks for an integer cycle shift.
+        g, basis, _ = self._setup()
+        outcomes = Counter()
+        for u in itertools.product((-1, 0, 1), repeat=3):
+            target = TWO_PI * (cycle_edge_pinv(basis) @ np.array(u))
+            want = None
+            if np.max(np.abs(target)) >= math.pi:
+                want = PolytopeMembershipError
+            else:
+                try:
+                    integer_cycle_shift(basis, u)
+                except NonIntegerWindingError:
+                    want = NonIntegerWindingError
+            outcomes[want] += 1
+            if want is not None:
+                with pytest.raises(want):
+                    polytope_to_torus(basis, np.zeros(4), u)
+                continue
+            theta = polytope_to_torus(basis, np.zeros(4), u)
+            assert np.max(np.abs(edge_differences(g, theta) - target)) < 1e-12
+            assert np.array_equal(winding_vector(basis, theta), u)
+        assert outcomes == {NonIntegerWindingError: 6, PolytopeMembershipError: 20, None: 1}
+
     def test_solution_set_matches_fundamental_basis(self):
         g, basis, prob = self._setup()
         by_explicit = solve_all(prob, basis=basis)
@@ -613,23 +652,25 @@ class TestEmptyWindingCells:
             assert any(phases_equal_mod_rotation(a.theta, b.theta, 1e-10) for b in by_fund)
 
 
-def test_solve_path_forms_no_dense_matrix(monkeypatch):
-    """With the dense m x m / n x n routines stubbed out everywhere, every
-    solve path still runs."""
-    from torusflow import WeightedGraph
+def test_solve_path_forms_no_dense_matrix(monkeypatch, tmp_path):
+    """With the dense reference routines stubbed out everywhere and the
+    graph's incidence matrix refused, every library path still runs: the
+    solves, ptc, decomposition, the polytope maps and the cycle bases."""
+    from torusflow import WeightedGraph, cli, serialize
 
     def refuse(*args, **kwargs):
-        raise AssertionError("dense reference routine called on the solve path")
+        raise AssertionError("dense reference routine called on a library path")
 
     names = (
-        "laplacian_pinv", "deflated_pinv", "cycle_projection",
-        "cycle_edge_pinv", "integer_cycle_shift", "polytope_to_torus",
+        "deflated_pinv", "cycle_projection", "cycle_edge_pinv",
+        "integer_cycle_shift", "integer_shift_solve", "incidence_matrix",
     )
     for mod_name, mod in list(sys.modules.items()):
         if mod_name == "torusflow" or mod_name.startswith("torusflow."):
             for name in names:
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, refuse)
+    monkeypatch.setattr(WeightedGraph, "incidence", property(refuse))
 
     expo = case_to_problem(builtin_case("expo(2)"), 1.4)
     assert len(solve_all(expo, basis=fundamental_cycle_basis(expo.graph))) == 9
@@ -644,3 +685,21 @@ def test_solve_path_forms_no_dense_matrix(monkeypatch):
     assert len(solve_all(sin_problem(_path_graph(4), [0.3, 0.0, -0.1, -0.2], 1.0))) == 1
     res = ptc(builtin_case("ring12-asym"), [1], math.pi / 2 - 0.01, tol=1e-4)
     assert res.ptc == pytest.approx(oracles.ring_two_path_ptc(12, 11, 2, 1, math.pi / 2 - 0.01), abs=1e-3)
+
+    f = rng.normal(size=lattice.m)
+    f_cut, f_cyc = decompose_flow(lattice, f)
+    assert np.max(np.abs(lattice.divergence(f_cyc))) < 1e-10
+    assert np.max(np.abs(lattice.divergence(f_cut) - lattice.divergence(f))) < 1e-10
+    ring = ring_graph(5)
+    for basis, theta in (
+        (minimum_cycle_basis(ring), splay_state(5)),
+        (minimum_cycle_basis(lattice), rng.uniform(-math.pi, math.pi, L * L)),
+    ):
+        x, u = torus_to_polytope(basis, theta)
+        assert phases_equal_mod_rotation(polytope_to_torus(basis, x, u), theta, 1e-9)
+    assert explicit_cycle_basis(square_with_diagonal(), [(0, 1, 3), (1, 2, 3)]).size == 2
+
+    problem_path, sol_path, out = tmp_path / "expo.json", tmp_path / "sol.json", tmp_path / "dec.json"
+    problem_path.write_text(serialize.dumps_canonical(serialize.problem_to_dict(expo)))
+    sol_path.write_text(serialize.dumps_canonical(serialize.solution_to_dict(solve_all(expo)[0])))
+    assert cli.main(["decompose", str(problem_path), str(sol_path), "--basis", "minimum", "--out", str(out)]) == 0

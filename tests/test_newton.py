@@ -122,16 +122,42 @@ def test_map_contracts_in_map_norm_only():
     problem = _two_cycles_weights_apart()
     basis = fundamental_cycle_basis(problem.graph)
     rate = problem.contraction_rate
+    la = problem.lmin * problem.graph.weight_vector
+
+    def lmin_a_norm(v):
+        return float(np.sqrt(np.sum(la * v**2)))
+
     rng = np.random.default_rng(0)
     worst_map = worst_weighted = 0.0
     for _ in range(300):
         f, g = (problem.cutset_flow + basis.matrix.T @ (rng.normal(size=2) * s) for s in rng.choice([0.01, 1, 100], 2))
         tf, tg = (winding_fixed_point_map(problem, basis, [0, 0], x) for x in (f, g))
         worst_map = max(worst_map, problem.map_norm(tf - tg) / problem.map_norm(f - g))
-        worst_weighted = max(worst_weighted, problem.weighted_norm(tf - tg) / problem.weighted_norm(f - g))
+        worst_weighted = max(worst_weighted, lmin_a_norm(tf - tg) / lmin_a_norm(f - g))
     assert worst_map <= rate * (1 + 1e-12)
     # In the Lmin A norm T_u is no contraction here: the certificate needs map_norm.
     assert worst_weighted > 1.0
+
+
+def test_projection_iteration_verifies_its_contraction_in_map_norm():
+    # Squares with a diagonal, weights 1 or 100 and sine or slope-2 edges at
+    # random: Lmin A is far from uniform, where a step measured in the
+    # Lmin A norm can grow (27 of these 150 runs read False that way).
+    rng = np.random.default_rng(3)
+    sine, linear = FlowFunction.sin_family(), FlowFunction.linear(2.0)
+    runs = 0
+    for _ in range(75):
+        weights = rng.choice([1.0, 100.0], size=5)
+        g = WeightedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], weights)
+        funcs = tuple(sine if rng.random() < 0.5 else linear for _ in range(5))
+        p = rng.normal(size=4)
+        p = (p - p.mean()) * rng.uniform(0.1, 1.0) * weights.min()
+        for gamma in (1.4, NEAR_LIMIT):
+            problem = FlowNetworkProblem(graph=g, flow_functions=funcs, p=p, gamma=gamma)
+            _, it = projection_iteration(problem, fundamental_cycle_basis(g), [0, 0], 1e-6)
+            assert it.contraction_verified
+            runs += 1
+    assert runs == 150
 
 
 @pytest.mark.parametrize("rho", [1.0, 1e-2, 1e-4, flows.DEFAULT_RHO])
