@@ -2,7 +2,8 @@
 
 Subcommands: solve | windings | basis | sweep | decompose | check | gen.
 Exit codes: 0 solutions found / success, 1 input error, 2 internal or
-numerical error, 3 no solution, 4 verification failure.
+numerical error (and, from argparse, a usage error such as a flag the
+subcommand does not take), 3 no solution, 4 verification failure.
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,7 @@ from .errors import (
 )
 from .flows import (
     DEFAULT_RHO,
+    FlowFunction,
     FlowNetworkProblem,
     decompose_flow,
     solve_all,
@@ -63,7 +66,36 @@ _INPUT_ERRORS = (
 )
 
 
+def _problem_source(p) -> None:
+    p.add_argument("input", nargs="?", help="problem JSON file")
+    p.add_argument("--case", help="built-in case name instead of a file")
+    p.add_argument("--gamma", type=float, default=None, help="angle bound")
+
+
+def _rho(p) -> None:
+    p.add_argument(
+        "--rho", type=float, default=DEFAULT_RHO, help="certified flow tolerance per edge"
+    )
+
+
+def _basis(p) -> None:
+    p.add_argument(
+        "--basis",
+        choices=("fundamental", "minimum"),
+        default="fundamental",
+        help="cycle basis kind",
+    )
+
+
+def _format(p) -> None:
+    p.add_argument(
+        "--format", choices=("json", "csv"), default="json", help="output format"
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """Each subcommand registers exactly the flags its handler reads, and
+    solve also --jobs, which it accepts and ignores."""
     parser = argparse.ArgumentParser(
         prog="torusflow",
         description="Compute, localize, and certify all solutions of flow "
@@ -71,49 +103,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", nargs="?", help="problem JSON file")
-            p.add_argument("--case", help="built-in case name instead of a file")
-        p.add_argument("--gamma", type=float, default=None, help="angle bound")
-        p.add_argument("--rho", type=float, default=DEFAULT_RHO, help="certified flow tolerance per edge")
-        p.add_argument(
-            "--basis",
-            choices=("fundamental", "minimum"),
-            default="fundamental",
-            help="cycle basis kind",
-        )
-        p.add_argument(
-            "--format", choices=("json", "csv"), default="json", help="output format"
-        )
-        p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
+    def add(name, help, *flags):
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            flag(p)
         p.add_argument("--out", help="output path (default: stdout)")
+        return p
 
-    p_solve = sub.add_parser("solve", help="compute all solutions with certificates")
-    common(p_solve)
+    p_solve = add(
+        "solve", "compute all solutions with certificates", _problem_source, _rho, _basis, _format
+    )
     p_solve.add_argument("--scale", type=float, default=1.0, help="scale the supply vector")
+    p_solve.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
 
-    p_wind = sub.add_parser("windings", help="list feasible winding vectors")
-    common(p_wind)
+    add("windings", "list feasible winding vectors", _problem_source, _basis, _format)
+    add("basis", "emit the cycle basis", _problem_source, _basis)
 
-    p_basis = sub.add_parser("basis", help="emit the cycle basis")
-    common(p_basis)
-
-    p_sweep = sub.add_parser("sweep", help="PTC/congestion sweep over windings")
-    common(p_sweep)
+    p_sweep = add(
+        "sweep", "PTC/congestion sweep over windings", _problem_source, _rho, _basis, _format
+    )
     p_sweep.add_argument("--tol", type=float, default=PTC_TOL, help="PTC bisection tolerance")
     p_sweep.add_argument("--case-data", help="external data file for rts24-mod")
 
-    p_dec = sub.add_parser("decompose", help="cutset/cycle decomposition of a flow")
-    common(p_dec)
+    p_dec = add("decompose", "cutset/cycle decomposition of a flow", _problem_source, _basis)
     p_dec.add_argument("solution", help="solution JSON file")
 
-    p_check = sub.add_parser("check", help="re-verify a solution file")
-    common(p_check)
+    p_check = add("check", "re-verify a solution file", _problem_source, _basis)
     p_check.add_argument("solution", help="solution JSON file")
 
-    p_gen = sub.add_parser("gen", help="generate a problem JSON file")
-    common(p_gen, with_input=False)
+    p_gen = add("gen", "generate a problem JSON file")
+    p_gen.add_argument("--gamma", type=float, default=None, help="angle bound (default 1.4)")
     p_gen.add_argument("--gen-case", help="built-in case to convert to a problem")
     p_gen.add_argument("--nodes", type=int, default=6, help="random graph size")
     p_gen.add_argument("--extra-edges", type=int, default=2, help="edges beyond a tree")
@@ -132,7 +151,7 @@ def _write(text: str, out: str | None) -> None:
 def _load_problem(args) -> FlowNetworkProblem:
     gamma = args.gamma
     if args.case:
-        case = builtin_case(args.case, data_path=getattr(args, "case_data", None))
+        case = builtin_case(args.case)
         if gamma is None:
             raise InputError("--gamma is required with --case")
         return case_to_problem(case, gamma)
@@ -141,12 +160,7 @@ def _load_problem(args) -> FlowNetworkProblem:
     doc = json.loads(Path(args.input).read_text())
     problem = serialize.problem_from_dict(doc)
     if gamma is not None and gamma != problem.gamma:
-        problem = FlowNetworkProblem(
-            graph=problem.graph,
-            flow_functions=problem.flow_functions,
-            p=problem.p,
-            gamma=gamma,
-        )
+        problem = replace(problem, gamma=gamma)
     return problem
 
 
@@ -305,7 +319,7 @@ def _cmd_decompose(args) -> int:
     if problem.graph.cycle_space_dim > 0:
         basis = _make_basis(problem.graph, args.basis)
         doc["basis_fingerprint"] = basis.fingerprint
-        doc["loop_flows"] = [float(c.vector @ f) for c in basis.cycles]
+        doc["loop_flows"] = basis.matrix @ f
     _write(serialize.dumps_canonical(doc), args.out)
     return EXIT_OK
 
@@ -362,7 +376,7 @@ def _cmd_gen(args) -> int:
         p = rng.normal(size=n)
         p = args.p_scale * (p - p.mean())
         problem = FlowNetworkProblem.single_family(
-            graph, serialize.flow_family_from_dict({"family": "sin"}), p, gamma
+            graph, FlowFunction.sin_family(), p, gamma
         )
     _write(serialize.dumps_canonical(serialize.problem_to_dict(problem)), args.out)
     return EXIT_OK

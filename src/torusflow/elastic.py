@@ -23,11 +23,12 @@ FD_TOL = 1e-5
 
 @dataclass(frozen=True, eq=False)
 class ElasticEnergy:
-    """Even 2pi-periodic edge energy H_e with its analytic derivative.
+    """Even 2pi-periodic edge energy H_e with its analytic derivatives.
 
-    The derivative must be supplied: the monotonicity certificate of the
-    derived flow problem needs trustworthy slope bounds, so purely
-    numerical differentiation is refused by construction.
+    H' and H'' must be supplied (H'' may be omitted when H' is np.sin,
+    whose exact sine family is used): the monotonicity certificate of the
+    derived flow problem needs trustworthy slope bounds, so numerical
+    differentiation is refused by construction.
     """
 
     energy: Callable[[np.ndarray], np.ndarray]
@@ -53,10 +54,13 @@ class ElasticEnergy:
             )
 
     def flow_function(self) -> FlowFunction:
-        ddv = self.second_derivative or _numeric_second_derivative(self.derivative)
+        if self.second_derivative is None:
+            raise InputError(
+                f"elastic energy {self.name!r} needs an analytic second_derivative"
+            )
         return FlowFunction(
             evaluate=self.derivative,
-            derivative=ddv,
+            derivative=self.second_derivative,
             name=f"d/dy {self.name}",
             params=dict(self.params),
         )
@@ -70,17 +74,6 @@ class ElasticEnergy:
             second_derivative=np.cos,
             name="spacing",
         )
-
-
-def _numeric_second_derivative(h: Callable) -> Callable:
-    def ddv(y):
-        y = np.asarray(y, dtype=float)
-        return (
-            np.asarray(h(y + FD_STEP), dtype=float)
-            - np.asarray(h(y - FD_STEP), dtype=float)
-        ) / (2 * FD_STEP)
-
-    return ddv
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,16 +153,14 @@ def solve_elastic(
     gamma: float,
     rho: float = DEFAULT_RHO,
     basis: CycleBasis | None = None,
-    jobs: int = 1,
 ) -> list[np.ndarray]:
     """All critical points of the constrained elastic problem.
 
     Builds the derived flow problem and returns the phase vectors of its
-    solutions (canonical representatives modulo rotation).  `jobs` is
-    accepted and ignored, as in `solve_all`.
+    solutions (canonical representatives modulo rotation).
     """
     problem = ElasticNetworkProblem(graph=graph, energies=energies, tau=tau, gamma=gamma)
     solutions: list[Solution] = solve_all(
-        problem.derived_flow_problem(), rho=rho, basis=basis, jobs=jobs
+        problem.derived_flow_problem(), rho=rho, basis=basis
     )
     return [s.theta for s in solutions]

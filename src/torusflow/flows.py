@@ -667,7 +667,6 @@ def solve_all(
     problem: FlowNetworkProblem,
     rho: float = DEFAULT_RHO,
     basis: CycleBasis | None = None,
-    jobs: int = 1,
 ) -> list[Solution]:
     """All solutions of the flow network problem, sorted by winding vector.
 
@@ -675,8 +674,6 @@ def solve_all(
     `decide_cell` (certified Newton plus the three-way verdict), keeps the
     feasible fixed points, and certifies every returned solution
     independently.  An undecided cell raises TorusFlowError naming its u.
-    `jobs` is accepted and ignored: the cells are solved in order in the
-    calling thread.
     """
     if problem.graph.cycle_space_dim == 0:
         sol = acyclic_solve(problem)

@@ -218,7 +218,7 @@ def ptc(
     for scale in np.linspace(0.0, lo, curve_points):
         exists, flow = probe(float(scale))
         loading = float(np.max(np.abs(flow / base.graph.weight_vector)))
-        loops = tuple(float(c.vector @ flow) for c in basis.cycles)
+        loops = tuple((basis.matrix @ flow).tolist())
         curve.append(
             SweepSample(
                 scale=float(scale),

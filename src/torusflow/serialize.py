@@ -1,7 +1,10 @@
-"""Canonical JSON/CSV emission and the problem/solution wire formats.
+"""JSON/CSV emission and the problem/solution wire formats.
 
-All floats are written with 17 significant digits so identical inputs
-produce byte-identical reports regardless of parallelism.
+Documents are written by the standard JSON encoder with two-space indent.
+Floats, in JSON and CSV alike, are Python's shortest round-trip text, so
+they read back to the same double and identical inputs produce
+byte-identical reports; non-finite floats are spelled NaN, Infinity and
+-Infinity.
 """
 from __future__ import annotations
 
@@ -11,72 +14,26 @@ from typing import Any
 import numpy as np
 
 from .errors import InputError
-from .flows import FlowFunction, FlowNetworkProblem, Solution
+from .flows import FlowFunction, FlowNetworkProblem, Solution, check_feasibility
 from .graphs import CycleBasis, WeightedGraph
 
-FLOAT_FMT = ".17g"
+
+def _numpy_to_python(obj: Any) -> Any:
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _fmt_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x in (float("inf"), float("-inf")):
-        return "Infinity" if x > 0 else "-Infinity"
-    out = format(float(x), FLOAT_FMT)
-    # Keep integral floats recognizably floats.
-    if "e" not in out and "." not in out and "n" not in out and "N" not in out:
-        out += ".0"
-    return out
-
-
-def dumps_canonical(obj: Any, indent: int = 2) -> str:
-    """Deterministic JSON with fixed-precision floats."""
-    pieces: list[str] = []
-    _emit(obj, pieces, indent, 0)
-    return "".join(pieces) + "\n"
-
-
-def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    closing = " " * (indent * level)
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for k, (key, val) in enumerate(obj.items()):
-            out.append(f"{pad}{json.dumps(str(key))}: ")
-            _emit(val, out, indent, level + 1)
-            out.append(",\n" if k < len(obj) - 1 else "\n")
-        out.append(closing + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        if not items:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for k, val in enumerate(items):
-            out.append(pad)
-            _emit(val, out, indent, level + 1)
-            out.append(",\n" if k < len(items) - 1 else "\n")
-        out.append(closing + "]")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(float(obj)))
-    elif obj is None:
-        out.append("null")
-    else:
-        out.append(json.dumps(str(obj)))
+def dumps_canonical(obj: Any) -> str:
+    """Deterministic JSON, numpy arrays and scalars included."""
+    return json.dumps(obj, indent=2, default=_numpy_to_python) + "\n"
 
 
 def csv_line(fields) -> str:
     cells = []
     for f in fields:
         if isinstance(f, (float, np.floating)):
-            cells.append(_fmt_float(float(f)))
+            cells.append(json.dumps(float(f)))
         elif isinstance(f, (bool, np.bool_)):
             cells.append("true" if f else "false")
         elif f is None:
@@ -204,14 +161,12 @@ def solutions_csv(
     )
     lines = [csv_line(header)]
     for sol in solutions:
-        loops = [float(c.vector @ sol.f) for c in basis.cycles]
-        margins = list(problem.capacity - np.abs(sol.f))
         row = (
             [int(x) for x in sol.u]
             + list(sol.f)
             + list(sol.theta)
-            + loops
-            + margins
+            + list(basis.matrix @ sol.f)
+            + list(check_feasibility(problem, sol.f)[1])
         )
         lines.append(csv_line(row))
     return "\n".join(lines) + "\n"

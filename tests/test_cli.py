@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import ring_graph, sin_problem
+from torusflow import cli
 from torusflow.cli import main
 from torusflow.serialize import dumps_canonical, problem_to_dict
 
@@ -225,3 +227,76 @@ class TestGen:
 
     def test_unknown_case_exit_1(self):
         assert run(["gen", "--gen-case", "nonsense"]) == 1
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records the attributes read from it."""
+
+    def __init__(self):
+        object.__setattr__(self, "_reads", set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestFlags:
+    """Each subcommand registers exactly the flags its handler reads."""
+
+    @pytest.fixture
+    def runs(self, pentagon_file, tmp_path):
+        sols = tmp_path / "sols.json"
+        assert run(["solve", pentagon_file, "--out", sols]) == 0
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps(json.loads(sols.read_text())["solutions"][0]))
+        ring = tmp_path / "ring.json"
+        ring.write_text(json.dumps({
+            "buses": [{"v": 1.0, "p": p} for p in (1.0, -1.0, 0.0, 0.0)],
+            "branches": [[i, (i + 1) % 4, 1.0] for i in range(4)],
+        }))
+        # Between them the runs of a subcommand take every branch that reads a flag.
+        return {
+            "solve": [[pentagon_file]],
+            "windings": [[pentagon_file]],
+            "basis": [[pentagon_file]],
+            "sweep": [[ring, "--tol", 1e-3], ["--case", "ring12-sym", "--gamma", 0.0, "--tol", 1e-3]],
+            "decompose": [[pentagon_file, sol]],
+            "check": [[pentagon_file, sol]],
+            "gen": [["--nodes", 4]],
+        }
+
+    def test_registered_flags_are_read(self, runs, tmp_path):
+        out = tmp_path / "out"
+        parser = cli._build_parser()
+        assert set(runs) == set(cli._DISPATCH)
+        registered_total = 0
+        for command, argvs in runs.items():
+            read = set()
+            for argv in argvs:
+                args = parser.parse_args(
+                    [command, *map(str, argv), "--out", str(out)], namespace=_ReadRecorder()
+                )
+                registered = set(vars(args)) - {"command", "_reads"}
+                args._reads.clear()
+                assert cli._DISPATCH[command](args) == 0
+                read |= args._reads
+            ignored = {"jobs"} if command == "solve" else set()
+            assert registered == read | ignored, command
+            registered_total += len(registered)
+        assert registered_total == 48
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["basis", "--case", "pentagon", "--gamma", "1.4", "--format", "csv"],
+            ["windings", "--case", "pentagon", "--gamma", "1.4", "--rho", "1e-6"],
+            ["sweep", "--case", "ring12-sym", "--jobs", "2"],
+            ["gen", "--basis", "minimum"],
+        ],
+    )
+    def test_unread_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

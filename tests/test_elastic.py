@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,16 @@ TWO_PI = 2 * math.pi
 def spacing_problem(graph, tau, gamma):
     return ElasticNetworkProblem.single_energy(
         graph, ElasticEnergy.spacing_potential(), tau, gamma
+    )
+
+
+def quartic_energy():
+    """Spacing plus a second harmonic; H'' > 0 for |y| < 1.38."""
+    return ElasticEnergy(
+        energy=lambda y: 1 - np.cos(y) + 0.05 * (1 - np.cos(2 * y)),
+        derivative=lambda y: np.sin(y) + 0.1 * np.sin(2 * y),
+        second_derivative=lambda y: np.cos(y) + 0.2 * np.cos(2 * y),
+        name="quartic",
     )
 
 
@@ -97,12 +108,7 @@ class TestMixedEnergies:
     """Edges grouped by energy identity, against the per-edge scalar loop."""
 
     def _problem(self, rng):
-        quartic = ElasticEnergy(
-            energy=lambda y: 1 - np.cos(y) + 0.05 * (1 - np.cos(2 * y)),
-            derivative=lambda y: np.sin(y) + 0.1 * np.sin(2 * y),
-            second_derivative=lambda y: np.cos(y) + 0.2 * np.cos(2 * y),
-            name="quartic",
-        )
+        quartic = quartic_energy()
         spacing = ElasticEnergy.spacing_potential()
         g = random_connected_graph(rng, 7)
         energies = tuple(spacing if e % 3 else quartic for e in range(g.m))
@@ -159,6 +165,25 @@ class TestSolveElastic:
         prob = spacing_problem(g, tau, 1.3)
         for theta in crit:
             assert np.max(np.abs(gradient(prob, theta) - tau)) < 1e-7
+
+    def test_quartic_energy_solves(self, rng):
+        assert len(solve_elastic(ring_graph(5), quartic_energy(), np.zeros(5), 1.3)) == 3
+        g = random_connected_graph(rng, 6)
+        tau = balanced_vector(rng, 6, 0.1)
+        crit = solve_elastic(g, quartic_energy(), tau, 1.2)
+        assert crit
+        prob = ElasticNetworkProblem.single_energy(g, quartic_energy(), tau, 1.2)
+        for theta in crit:
+            assert np.max(np.abs(gradient(prob, theta) - tau)) < 1e-7
+
+    def test_second_derivative_required(self):
+        # Slope certificates come from an analytic H'', never a finite difference.
+        no_slope = replace(quartic_energy(), second_derivative=None)
+        with pytest.raises(InputError, match="second_derivative"):
+            solve_elastic(ring_graph(5), no_slope, np.zeros(5), 1.3)
+        # A sine derivative needs none: the exact sine family is used.
+        sine = ElasticEnergy(energy=lambda y: 1.0 - np.cos(y), derivative=np.sin)
+        assert len(solve_elastic(ring_graph(5), sine, np.zeros(5), 1.4)) == 3
 
     def test_matches_flow_solver(self, rng):
         g = ring_graph(6)

@@ -410,16 +410,6 @@ class TestSolveAll:
             assert sol.report.winding_deviation < 1e-6
             assert sol.iteration.contraction_verified
 
-    def test_parallel_equals_serial(self, rng):
-        prob = sin_problem(ring_graph(6), balanced_vector(rng, 6, 0.2), 1.45)
-        serial = solve_all(prob, jobs=1)
-        parallel = solve_all(prob, jobs=8)
-        assert len(serial) == len(parallel)
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a.u, b.u)
-            assert np.array_equal(a.f, b.f)
-            assert np.array_equal(a.theta, b.theta)
-
     def test_minimum_basis_gives_same_solution_set(self, rng):
         from torusflow import minimum_cycle_basis
 

@@ -160,6 +160,26 @@ def test_projection_iteration_verifies_its_contraction_in_map_norm():
     assert runs == 150
 
 
+def test_step_budgets_read_steps_per_edge(monkeypatch):
+    # Both budgets count the rate-contractions that take the first map-norm
+    # step d0, read per edge through sqrt(max Lmin a) (about 14 here), below
+    # the target; a budget taken in the map norm itself would be too small.
+    problem = _two_cycles_weights_apart()
+    basis = fundamental_cycle_basis(problem.graph)
+    u, rho, rate = np.zeros(2), 1e-6, problem.contraction_rate
+    to_edge = math.sqrt(float(np.max(problem.lmin * problem.graph.weight_vector)))
+    assert to_edge > 10.0
+    f0 = problem.cutset_flow
+    d0 = problem.map_norm(winding_fixed_point_map(problem, basis, u, f0) - f0)
+    ratios = []
+    budget = flows._step_budget
+    monkeypatch.setattr(flows, "_step_budget", lambda r, ratio: ratios.append(ratio) or budget(r, ratio))
+    projection_iteration(problem, basis, u, rho)
+    decide_cell(problem, basis, u, rho)
+    expected = [rho / (d0 * to_edge), flows.TIGHT_RHO * (1.0 - rate) / (d0 * to_edge)]
+    assert ratios == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
 @pytest.mark.parametrize("rho", [1.0, 1e-2, 1e-4, flows.DEFAULT_RHO])
 def test_error_bound_covers_distance_with_weights_apart(rho):
     problem = _two_cycles_weights_apart()

@@ -26,9 +26,48 @@ from torusflow.serialize import (
 
 class TestCanonicalJson:
     def test_fixed_precision_floats(self):
-        text = dumps_canonical({"x": 1.0 / 3.0, "y": 2.0})
-        assert "0.33333333333333331" in text
+        # Python's shortest round-trip text, not a fixed 17 digits.
+        text = dumps_canonical({"x": 1.0 / 3.0, "y": 2.0, "gamma": 1.4})
+        assert '"x": 0.3333333333333333,' in text
         assert '"y": 2.0' in text
+        assert '"gamma": 1.4\n' in text
+        assert csv_line([1.0 / 3.0, 1.4, 2.0]) == "0.3333333333333333,1.4,2.0"
+
+    def test_layout(self):
+        doc = {
+            "a": [1, 2.5],
+            "empty_list": [],
+            "empty_dict": {},
+            "nested": {"u": np.array([-1, 0])},
+            "bad": [float("nan"), float("inf"), -float("inf")],
+            "none": None,
+        }
+        assert dumps_canonical(doc) == (
+            "{\n"
+            '  "a": [\n'
+            "    1,\n"
+            "    2.5\n"
+            "  ],\n"
+            '  "empty_list": [],\n'
+            '  "empty_dict": {},\n'
+            '  "nested": {\n'
+            '    "u": [\n'
+            "      -1,\n"
+            "      0\n"
+            "    ]\n"
+            "  },\n"
+            '  "bad": [\n'
+            "    NaN,\n"
+            "    Infinity,\n"
+            "    -Infinity\n"
+            "  ],\n"
+            '  "none": null\n'
+            "}\n"
+        )
+        assert dumps_canonical([]) == "[]\n"
+        assert csv_line([float("nan"), np.float64("inf"), -float("inf"), -0.0]) == (
+            "NaN,Infinity,-Infinity,-0.0"
+        )
 
     def test_parseable_and_exact(self):
         doc = {"values": [math.pi, 1e-17, -2.5e300, 7]}
