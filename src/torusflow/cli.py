@@ -8,6 +8,7 @@ subcommand does not take), 3 no solution, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -70,6 +71,7 @@ def _problem_source(p) -> None:
     p.add_argument("input", nargs="?", help="problem JSON file")
     p.add_argument("--case", help="built-in case name instead of a file")
     p.add_argument("--gamma", type=float, default=None, help="angle bound")
+    p.add_argument("--case-data", help="external data file for rts24-mod")
 
 
 def _rho(p) -> None:
@@ -93,9 +95,11 @@ def _format(p) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """Each subcommand registers exactly the flags its handler reads, and
-    solve also --jobs, which it accepts and ignores."""
+    solve also --jobs, which it accepts and ignores.  Built once: every
+    parse_args call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="torusflow",
         description="Compute, localize, and certify all solutions of flow "
@@ -123,7 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep", "PTC/congestion sweep over windings", _problem_source, _rho, _basis, _format
     )
     p_sweep.add_argument("--tol", type=float, default=PTC_TOL, help="PTC bisection tolerance")
-    p_sweep.add_argument("--case-data", help="external data file for rts24-mod")
 
     p_dec = add("decompose", "cutset/cycle decomposition of a flow", _problem_source, _basis)
     p_dec.add_argument("solution", help="solution JSON file")
@@ -134,6 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen = add("gen", "generate a problem JSON file")
     p_gen.add_argument("--gamma", type=float, default=None, help="angle bound (default 1.4)")
     p_gen.add_argument("--gen-case", help="built-in case to convert to a problem")
+    p_gen.add_argument("--case-data", help="external data file for rts24-mod")
     p_gen.add_argument("--nodes", type=int, default=6, help="random graph size")
     p_gen.add_argument("--extra-edges", type=int, default=2, help="edges beyond a tree")
     p_gen.add_argument("--seed", type=int, default=0, help="generation seed")
@@ -148,10 +152,19 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _builtin_case(name: str | None, data_path: str | None) -> PowerCase | None:
+    """The named built-in case, or None without a name; a data file needs a name."""
+    if name:
+        return builtin_case(name, data_path=data_path)
+    if data_path is not None:
+        raise InputError("--case-data is read only with a built-in case name")
+    return None
+
+
 def _load_problem(args) -> FlowNetworkProblem:
     gamma = args.gamma
-    if args.case:
-        case = builtin_case(args.case)
+    case = _builtin_case(args.case, args.case_data)
+    if case is not None:
         if gamma is None:
             raise InputError("--gamma is required with --case")
         return case_to_problem(case, gamma)
@@ -244,9 +257,8 @@ def _cmd_basis(args) -> int:
 def _cmd_sweep(args) -> int:
     if not args.case and not args.input:
         raise InputError("sweep needs --case NAME or a case JSON file")
-    if args.case:
-        case = builtin_case(args.case, data_path=args.case_data)
-    else:
+    case = _builtin_case(args.case, args.case_data)
+    if case is None:
         case = PowerCase.from_dict(json.loads(Path(args.input).read_text()))
     gamma = args.gamma
     if gamma is None:
@@ -355,8 +367,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_gen(args) -> int:
     gamma = args.gamma if args.gamma is not None else 1.4
-    if args.gen_case:
-        case = builtin_case(args.gen_case)
+    case = _builtin_case(args.gen_case, args.case_data)
+    if case is not None:
         problem = case_to_problem(case, gamma)
     else:
         rng = np.random.default_rng(args.seed)

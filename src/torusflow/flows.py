@@ -4,10 +4,12 @@ Implements the flow-function model with its monotonicity certificate, the
 linearly-extended flow function and its inverse, the acyclic closed-form
 solver, the winding fixed-point map, the contraction (projection)
 iteration, the certified Newton solve and three-way verdict per winding
-cell, the complete multi-solution solver, and flow decomposition.
+cell (batched over a stack of cells), the complete multi-solution solver,
+and flow decomposition.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -42,6 +44,7 @@ FEASIBILITY_SLACK = 1e-9
 DEFAULT_RHO = 1e-10
 TIGHT_RHO = 1e-15  # below any reachable bound: a solve to the rounding floor
 CERT_GRID = 1001
+CHUNK_ROWS = 256  # winding cells solve_all decides in one stacked Newton solve
 
 
 @dataclass(frozen=True)
@@ -128,7 +131,7 @@ class FlowFunction:
         return FlowFunction(
             evaluate=np.sin,
             derivative=np.cos,
-            inner_inverse=lambda v: np.arcsin(np.clip(v, -1.0, 1.0)),
+            inner_inverse=lambda v: np.arcsin(np.asarray(v, dtype=float).clip(-1.0, 1.0)),
             name="sin",
         )
 
@@ -192,13 +195,13 @@ class ExtendedFlowFunction:
     def inverse(self, v):
         v = np.asarray(v, dtype=float)
         c = self.cert
-        inside = np.clip(v, -c.h_gamma, c.h_gamma)
+        inside = v.clip(-c.h_gamma, c.h_gamma)
         return self._inner_inverse(inside) + (v - inside) / c.dh_gamma
 
     def _inner_inverse(self, v: np.ndarray) -> np.ndarray:
         if self.base.inner_inverse is not None:
             y = np.asarray(self.base.inner_inverse(v), dtype=float)
-            return np.clip(y, -self.gamma, self.gamma)
+            return y.clip(-self.gamma, self.gamma)
         lo = np.full_like(v, -self.gamma)
         hi = np.full_like(v, self.gamma)
         for _ in range(60):
@@ -288,41 +291,51 @@ class FlowNetworkProblem:
     def _edge_groups(self) -> list[tuple[int, np.ndarray]]:
         return identity_groups(self.flow_functions)
 
-    def inverse_differences(self, f: np.ndarray) -> np.ndarray:
-        """h_gamma^{-1}(A^{-1} f), vectorized over edges."""
-        v = np.asarray(f, dtype=float) / self.graph.weight_vector
-        out = np.empty_like(v)
-        for first, idx in self._edge_groups:
-            out[idx] = self.extended[first].inverse(v[idx])
+    def _per_edge(self, pick, x: np.ndarray) -> np.ndarray:
+        """pick(e) applied to the entries of edge e along x's last axis, with
+        one call on a 1-D array per group of edges sharing a function."""
+        groups = self._edge_groups
+        if len(groups) == 1:
+            return np.asarray(pick(0)(x.ravel()), dtype=float).reshape(x.shape)
+        out = np.empty_like(x)
+        for first, idx in groups:
+            part = x[..., idx]
+            out[..., idx] = np.asarray(pick(first)(part.ravel()), dtype=float).reshape(part.shape)
         return out
+
+    def inverse_differences(self, f: np.ndarray) -> np.ndarray:
+        """h_gamma^{-1}(A^{-1} f), vectorized over edges (the last axis)."""
+        v = np.asarray(f, dtype=float) / self.graph.weight_vector
+        return self._per_edge(lambda e: self.extended[e].inverse, v)
 
     def inverse_slopes(self, delta: np.ndarray) -> np.ndarray:
         """1 / (a_ij h_e'(clip(delta_e, +-gamma))): the derivative of
         h_gamma^{-1}(A^{-1} f) in f at the point whose differences are delta."""
-        inside = np.clip(np.asarray(delta, dtype=float), -self.gamma, self.gamma)
-        out = np.empty_like(inside)
-        for first, idx in self._edge_groups:
-            out[idx] = self.flow_functions[first].derivative(inside[idx])
+        inside = np.asarray(delta, dtype=float).clip(-self.gamma, self.gamma)
+        out = self._per_edge(lambda e: self.flow_functions[e].derivative, inside)
         return 1.0 / (self.graph.weight_vector * out)
 
     def edge_flows(self, delta: np.ndarray) -> np.ndarray:
         """a_ij h_e(delta_e) for a vector of edge differences."""
         delta = np.asarray(delta, dtype=float)
-        out = np.empty_like(delta)
-        for first, idx in self._edge_groups:
-            out[idx] = self.flow_functions[first].evaluate(delta[idx])
+        out = self._per_edge(lambda e: self.flow_functions[e].evaluate, delta)
         return self.graph.weight_vector * out
 
-    def map_norm(self, v: np.ndarray) -> float:
-        """The (Lmin A)^{-1} weighted 2-norm.  P_D is orthogonal in it, so on
-        balanced flows T_u contracts by `contraction_rate` in this norm."""
-        la = self.lmin * self.graph.weight_vector
-        return float(np.sqrt(np.sum(np.asarray(v) ** 2 / la)))
+    def map_norm(self, v: np.ndarray):
+        """The (Lmin A)^{-1} weighted 2-norm, row-wise along the last axis (a
+        float for a vector).  P_D is orthogonal in it, so on balanced flows
+        T_u contracts by `contraction_rate` in this norm."""
+        norm = np.sqrt((np.asarray(v) ** 2 / self._lmin_a).sum(axis=-1))
+        return float(norm) if norm.ndim == 0 else norm
+
+    @cached_property
+    def _lmin_a(self) -> np.ndarray:
+        return self.lmin * self.graph.weight_vector
 
     @cached_property
     def map_norm_to_edge(self) -> float:
         """sqrt(max Lmin a): every |x_e| <= map_norm(x) * this."""
-        return math.sqrt(float(np.max(self.lmin * self.graph.weight_vector)))
+        return math.sqrt(float(np.max(self._lmin_a)))
 
 
 def identity_groups(items: Sequence) -> list[tuple[int, np.ndarray]]:
@@ -477,10 +490,11 @@ def projection_iteration(
     return nxt, _report(rate, steps, iterations=len(steps), final_step=step_inf)
 
 
-def decide_cell(
-    problem: FlowNetworkProblem, basis: CycleBasis, u, rho: float = DEFAULT_RHO
-) -> tuple[np.ndarray, IterationReport]:
-    """Certified damped Newton solve of cell u, and its three-way verdict.
+def decide_cells(
+    problem: FlowNetworkProblem, basis: CycleBasis, U, rho: float = DEFAULT_RHO
+) -> tuple[np.ndarray, list[IterationReport]]:
+    """Certified damped Newton solves of a (B, k) stack of cells U, each with
+    its three-way verdict: the (B, m) flows and one report per row.
 
     In cell u the fixed point f* = f0 + C^T c* of T_u (f0 the cutset flow)
     minimises the strictly convex loop-flow potential Psi_u(c), whose
@@ -494,75 +508,144 @@ def decide_cell(
     The certified per-edge distance of f from f* is the report's
     `error_bound` b = ||T_u f - f|| sqrt(max Lmin A) / (1 - rate).  With
     s = FEASIBILITY_SLACK the cell is feasible when every margin - b >= -s,
-    and infeasible on the edges whose margin + b < -s.  The loop stops once
-    b < rho and the cell is one or the other, or when even T_u no longer
-    contracts (the rounding floor); a cell that is then neither is undecided.
-    `iterations` counts the steps taken.
+    and infeasible on the edges whose margin + b < -s.  A row stops once
+    b < rho and the cell is one or the other, when even T_u no longer
+    contracts (the rounding floor), or when a step makes no progress; a
+    cell that is then neither is undecided.  `iterations` counts the steps
+    taken.
+
+    Every row runs exactly this per-cell solve; the rows only share their
+    array operations (one stacked Hessian solve per step), and a row leaves
+    the stack when its verdict is final.
     """
     if rho <= 0.0:
         raise InputError("rho must be positive")
-    u = np.asarray(u, dtype=float)
     rate = problem.contraction_rate
     C = basis.matrix
-    K = _map_factor(problem, basis)
+    Kt = _map_factor(problem, basis).T
     # |x_e| <= sqrt(Lmin_e a_e) ||x||, and the contraction adds 1 / (1 - rate).
     to_bound = problem.map_norm_to_edge / (1.0 - rate)
+    twopi_u = TWO_PI * np.asarray(U, dtype=float).reshape(-1, basis.size)
+    rows = np.arange(twopi_u.shape[0])
+    if not rows.size:
+        return np.empty((0, basis.graph.m)), []
 
-    def at(f):
-        delta = problem.inverse_differences(f)
-        grad = C @ delta - TWO_PI * u
-        step = K @ grad
+    def at(F, twopi_u):
+        delta = problem.inverse_differences(F)
+        grad = delta @ C.T - twopi_u
+        step = grad @ Kt
         return delta, grad, step, problem.map_norm(step)
 
-    f = problem.cutset_flow
-    delta, grad, step, d = at(f)
+    def verdict(F, bound):
+        margins = problem.capacity - np.abs(F)
+        feasible = (margins - bound[:, None] >= -FEASIBILITY_SLACK).all(axis=1)
+        return feasible, margins + bound[:, None] < -FEASIBILITY_SLACK
+
+    # Every row starts from the cutset flow.
+    f0 = problem.cutset_flow
+    delta0 = problem.inverse_differences(f0)
+    F = f0[None, :].repeat(rows.size, axis=0)
+    D = delta0[None, :].repeat(rows.size, axis=0)
+    G = C @ delta0 - twopi_u
+    S = G @ Kt
+    d = problem.map_norm(S)
+    steps = [[x] for x in d.tolist()]
     # No step contracts less than T_u, so this many reach the rounding floor.
-    budget = _step_budget(rate, TIGHT_RHO / (d * to_bound) if d > 0.0 else math.inf)
-    steps = [d]
-    floor = False
+    budget = np.array([
+        _step_budget(rate, TIGHT_RHO / (x * to_bound) if x > 0.0 else math.inf) for x in d.tolist()
+    ])
+    first_limit = 2 * int(budget.min())
+    floor = np.zeros(rows.size, dtype=bool)
+    flows = np.empty_like(F)
+    reports = [None] * rows.size
+
+    def finish(rows, F, S, bound, feasible, infeasible):
+        """Record finished rows: their flows, steps, bounds and verdicts."""
+        flows[rows] = F
+        for r, b, last, ok, bad in zip(
+            rows.tolist(), bound.tolist(), np.abs(S).max(axis=1).tolist(), feasible.tolist(), infeasible
+        ):
+            reports[r] = _report(
+                rate,
+                steps[r],
+                iterations=len(steps[r]) - 1,
+                final_step=last,
+                feasible=ok,
+                infeasible_edges=tuple(bad.nonzero()[0].tolist()),
+                error_bound=b,
+            )
+
+    taken = 1  # map-norm steps recorded so far, the same for every row in the stack
     while True:
         bound = d * to_bound
-        margins = check_feasibility(problem, f)[1]
-        feasible = bool(np.all(margins - bound >= -FEASIBILITY_SLACK))
-        infeasible = np.flatnonzero(margins + bound < -FEASIBILITY_SLACK)
-        if floor or (bound < rho and (feasible or infeasible.size)):
-            break
-        if len(steps) > 2 * budget:
-            raise ConvergenceBudgetError(
-                f"Newton solve exceeded 2x its budget of {budget} steps "
-                f"(certified distance {bound:.3e})"
-            )
-        hessian = (C * problem.inverse_slopes(delta)) @ C.T
-        newton = C.T @ np.linalg.solve(hessian, grad)
-        t = 1.0
-        while True:
-            trial = f - t * newton
-            state = at(trial)
-            if state[3] <= rate * d:
+        near = floor | (bound < rho)
+        if near.any():
+            feasible, infeasible = verdict(F, bound)
+            done = floor | (near & (feasible | infeasible.any(axis=1)))
+            if done.all():
+                finish(rows, F, S, bound, feasible, infeasible)
                 break
+            if done.any():
+                finish(rows[done], F[done], S[done], bound[done], feasible[done], infeasible[done])
+                keep = ~done
+                F, D, G, S, d, bound = F[keep], D[keep], G[keep], S[keep], d[keep], bound[keep]
+                twopi_u, rows, budget = twopi_u[keep], rows[keep], budget[keep]
+        if taken > first_limit and (late := taken > 2 * budget).any():
+            i = int(late.argmax())
+            raise ConvergenceBudgetError(
+                f"Newton solve exceeded 2x its budget of {budget[i]} steps "
+                f"(certified distance {bound[i]:.3e})"
+            )
+        hessians = (C * problem.inverse_slopes(D)[:, None, :]) @ C.T
+        newton = np.linalg.solve(hessians, G[:, :, None])[:, :, 0] @ C
+        trial = F - newton
+        state = at(trial, twopi_u)
+        slow = state[3] > rate * d
+        pending = slow.nonzero()[0] if slow.any() else ()
+        t = 1.0
+        while len(pending):
             t /= 2.0
             if t < 1.0 - rate:
                 # To first order a step of length t shrinks d by the factor
                 # 1 - t, so no shorter one can match the plain T_u step.
-                trial = f - step
-                state = at(trial)
+                trial[pending] = F[pending] - S[pending]
+            else:
+                trial[pending] = F[pending] - t * newton[pending]
+            part = at(trial[pending], twopi_u[pending])
+            for whole, value in zip(state, part):
+                whole[pending] = value
+            if t < 1.0 - rate:
                 break
-        if not state[3] < d:
-            break  # no progress at all: f stays, with its verdict
+            pending = pending[part[3] > rate * d[pending]]
+        new_d = state[3]
+        progress = new_d < d
+        if not progress.all():
+            # No progress at all: f stays, with its verdict.
+            stalled = ~progress
+            finish(rows[stalled], F[stalled], S[stalled], bound[stalled], *verdict(F[stalled], bound[stalled]))
+            if not progress.any():
+                break
+            keep = progress
+            trial, state, d = trial[keep], tuple(x[keep] for x in state), d[keep]
+            twopi_u, rows, budget = twopi_u[keep], rows[keep], budget[keep]
+            new_d = state[3]
         # T_u contracts by rate; a step that shrinks d less is at the rounding floor.
-        floor = state[3] > rate * d
-        f, (delta, grad, step, d) = trial, state
-        steps.append(d)
+        floor = new_d > rate * d
+        F, (D, G, S, d) = trial, state
+        for r, x in zip(rows.tolist(), d.tolist()):
+            steps[r].append(x)
+        taken += 1
 
-    return f, _report(
-        rate,
-        steps,
-        iterations=len(steps) - 1,
-        final_step=float(np.max(np.abs(step))) if step.size else 0.0,
-        feasible=feasible,
-        infeasible_edges=tuple(int(e) for e in infeasible),
-        error_bound=bound,
-    )
+    return flows, reports
+
+
+def decide_cell(
+    problem: FlowNetworkProblem, basis: CycleBasis, u, rho: float = DEFAULT_RHO
+) -> tuple[np.ndarray, IterationReport]:
+    """Certified damped Newton solve of cell u, and its three-way verdict:
+    `decide_cells` on the single row u."""
+    flows, (report,) = decide_cells(problem, basis, np.asarray(u, dtype=float)[None, :], rho)
+    return flows[0], report
 
 
 def check_feasibility(problem: FlowNetworkProblem, f) -> tuple[bool, np.ndarray]:
@@ -641,8 +724,8 @@ def acyclic_solve(problem: FlowNetworkProblem) -> Solution | None:
     return Solution(f=f, theta=theta, u=np.zeros(0, dtype=np.int64), report=report, iteration=it)
 
 
-def _solve_one_winding(problem, basis, u, rho):
-    f, it = decide_cell(problem, basis, u, rho)
+def _certified_solution(problem, basis, u, f, it):
+    """The Solution of a decided cell, or None when the cell holds none."""
     if not it.decided:
         raise TorusFlowError(
             f"winding vector {np.asarray(u).tolist()} is undecided: a margin lies "
@@ -670,10 +753,12 @@ def solve_all(
 ) -> list[Solution]:
     """All solutions of the flow network problem, sorted by winding vector.
 
-    Enumerates the candidate winding box and decides each cell with
-    `decide_cell` (certified Newton plus the three-way verdict), keeps the
-    feasible fixed points, and certifies every returned solution
-    independently.  An undecided cell raises TorusFlowError naming its u.
+    Streams the candidate winding box in lexicographic order, in chunks of
+    at most CHUNK_ROWS cells, and decides each chunk with one
+    `decide_cells` call (certified Newton plus the three-way verdict per
+    cell).  The feasible fixed points then have their phases recovered and
+    every returned solution is certified independently, cell by cell in
+    box order.  The first undecided cell raises TorusFlowError naming its u.
     """
     if problem.graph.cycle_space_dim == 0:
         sol = acyclic_solve(problem)
@@ -681,7 +766,12 @@ def solve_all(
     if basis is None:
         basis = fundamental_cycle_basis(problem.graph)
     cells = feasible_winding_vectors(basis, problem.gamma)
-    solutions = [s for u in cells if (s := _solve_one_winding(problem, basis, u, rho))]
+    solutions = []
+    while chunk := list(itertools.islice(cells, CHUNK_ROWS)):
+        flows, reports = decide_cells(problem, basis, np.array(chunk), rho)
+        for u, f, it in zip(chunk, flows, reports):
+            if sol := _certified_solution(problem, basis, u, f.copy(), it):
+                solutions.append(sol)
     solutions.sort(key=lambda s: tuple(s.u.tolist()))
     return solutions
 

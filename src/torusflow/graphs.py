@@ -15,6 +15,7 @@ Conventions
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from hashlib import sha256
@@ -312,8 +313,13 @@ class CycleBasis:
         bad = np.flatnonzero(np.any(div != 0, axis=1))
         if bad.size:
             raise RankError(f"cycle vector of {self.cycles[bad[0]].nodes} is not in Ker(B)")
-        s = np.linalg.svd(C, compute_uv=False)
-        if s.size == 0 or s[-1] <= RANK_RTOL * s[0]:
+        # A row in Ker(B) is fixed by its entries off the spanning tree, so the
+        # rows are independent exactly when that k x k block is nonsingular.
+        # Its determinant is an integer: nonzero means at least 1 in size.
+        off_tree = np.ones(g.m, dtype=bool)
+        off_tree[g.tree[1][1:]] = False
+        sign, logdet = np.linalg.slogdet(C[:, off_tree])
+        if self.size == 0 or sign == 0 or logdet < math.log(0.5):
             raise RankError("cycle vectors are not linearly independent")
 
 

@@ -54,6 +54,22 @@ class TestSolve:
         assert run(["solve", "--case", "pentagon", "--gamma", 1.4, "--out", out]) == 0
         assert json.loads(out.read_text())["solution_count"] == 3
 
+    def test_rts24_with_case_data(self, tmp_path, capsys):
+        data = tmp_path / "rts.json"
+        data.write_text(json.dumps({
+            "buses": [{"v": 1.0} for _ in range(24)],
+            "branches": [[i, i + 1, 1.0] for i in range(23)] + [[23, 0, 1.0]],
+        }))
+        out = tmp_path / "out.json"
+        argv = ["--case", "rts24-mod", "--case-data", data, "--gamma", 1.4]
+        assert run(["solve", *argv, "--scale", 0.1, "--out", out]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["problem"]["graph"]["n"] == 24 and doc["solution_count"] >= 1
+        assert run(["gen", "--gen-case", "rts24-mod", "--case-data", data, "--out", out]) == 0
+        assert json.loads(out.read_text())["graph"]["n"] == 24
+        assert run(["solve", out, "--case-data", data]) == 1
+        assert "--case-data" in capsys.readouterr().err
+
     def test_csv_format(self, pentagon_file, tmp_path):
         out = tmp_path / "sol.csv"
         assert run(["solve", pentagon_file, "--format", "csv", "--out", out]) == 0
@@ -284,7 +300,7 @@ class TestFlags:
             ignored = {"jobs"} if command == "solve" else set()
             assert registered == read | ignored, command
             registered_total += len(registered)
-        assert registered_total == 48
+        assert registered_total == 54
 
     @pytest.mark.parametrize(
         "argv",

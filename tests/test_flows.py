@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+import torusflow.flows as flows_module
 from conftest import (
     balanced_vector,
     complete_graph,
@@ -29,6 +30,7 @@ from torusflow import (
     InputError,
     NonIntegerWindingError,
     PolytopeMembershipError,
+    WeightedGraph,
     acyclic_solve,
     builtin_case,
     case_to_problem,
@@ -422,6 +424,36 @@ class TestSolveAll:
             assert any(
                 phases_equal_mod_rotation(a.theta, b.theta, 1e-8) for b in by_min
             )
+
+    def test_chunk_boundaries_do_not_change_solutions(self, monkeypatch):
+        # expo(3) has 27 feasible cells; the mesh's 135-cell box holds one solution.
+        rng = np.random.default_rng(1)
+        mesh = random_connected_graph(rng, 16, extra_edges=4)
+        problems = [
+            case_to_problem(builtin_case("expo(3)"), 1.4),
+            _mixed_problem(rng, mesh, gamma=1.5),
+        ]
+        default = [solve_all(prob) for prob in problems]
+        monkeypatch.setattr(flows_module, "CHUNK_ROWS", 7)
+        for prob, want in zip(problems, default):
+            got = solve_all(prob)
+            assert [s.u.tolist() for s in got] == [s.u.tolist() for s in want]
+            for a, b in zip(got, want):
+                assert np.max(np.abs(a.f - b.f)) <= 1e-12
+                assert a.iteration.iterations == b.iteration.iterations
+        assert len(default[0]) == 27 and default[1]
+
+    def test_more_than_64_cycles(self):
+        # numpy arrays stop at 64 dimensions; the box must not be one array axis per cycle.
+        side = 14
+        edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
+        edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
+        g = WeightedGraph.from_edges(side * side, edges)
+        p = balanced_vector(np.random.default_rng(2), g.n, 0.05)
+        basis = minimum_cycle_basis(g)
+        assert basis.size == 169
+        sols = solve_all(sin_problem(g, p, 1.4), basis=basis)
+        assert len(sols) == 1 and not sols[0].u.any()
 
     def test_brute_force_completeness_small(self, rng):
         prob = sin_problem(triangle(), balanced_vector(rng, 3, 0.3), 1.45)

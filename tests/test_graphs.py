@@ -326,6 +326,14 @@ class TestCycleEdgePinv:
         with pytest.raises(RankError):
             explicit_cycle_basis(g, [(0, 1, 3), (0, 1, 3)])
 
+    def test_rank_error_on_distinct_dependent_cycles(self):
+        # In K4 the 4-cycle is the oriented sum of two triangles; any three
+        # triangles are independent.
+        g = complete_graph(4)
+        explicit_cycle_basis(g, [(0, 1, 2), (0, 2, 3), (0, 1, 3)])
+        with pytest.raises(RankError, match="not linearly independent"):
+            explicit_cycle_basis(g, [(0, 1, 2), (0, 2, 3), (0, 1, 2, 3)])
+
     def test_rank_error_names_a_vector_outside_the_kernel(self):
         # Raw Cycle vectors bypass from_nodes: the second one has a wrong sign.
         g = square_with_diagonal()

@@ -30,7 +30,7 @@ from torusflow import (
     solve_elastic,
     winding_fixed_point_map,
 )
-from torusflow.flows import FEASIBILITY_SLACK, decide_cell
+from torusflow.flows import FEASIBILITY_SLACK, decide_cell, decide_cells
 from torusflow.powerflow import _existence_probe
 
 NEAR_LIMIT = math.pi / 2 - 0.01
@@ -250,7 +250,7 @@ def _with_error_bound(monkeypatch, bound):
 
     def floored(self, v):
         per_step = math.sqrt(float(np.max(self.lmin * self.graph.weight_vector))) / (1.0 - self.contraction_rate)
-        return max(original(self, v), bound / per_step)
+        return np.maximum(original(self, v), bound / per_step)
 
     monkeypatch.setattr(FlowNetworkProblem, "map_norm", floored)
 
@@ -295,3 +295,121 @@ def test_solve_path_never_calls_projection_iteration(monkeypatch):
     assert len(solve_elastic(ring_graph(5), ElasticEnergy.spacing_potential(), np.zeros(5), 1.4)) == 3
     res = ptc(builtin_case("ring12-asym"), [1], NEAR_LIMIT, tol=1e-6)
     assert res.ptc is not None and res.curve[0].exists
+
+
+def _reference_decide_cell(problem, basis, u, rho=flows.DEFAULT_RHO):
+    """The per-cell Newton loop that `decide_cells` stacks, written for one
+    cell with scalar bookkeeping: the reference its rows must reproduce."""
+    u = np.asarray(u, dtype=float)
+    rate = problem.contraction_rate
+    C = basis.matrix
+    K = flows._map_factor(problem, basis)
+    to_bound = problem.map_norm_to_edge / (1.0 - rate)
+
+    def at(f):
+        delta = problem.inverse_differences(f)
+        grad = C @ delta - flows.TWO_PI * u
+        step = K @ grad
+        return delta, grad, step, problem.map_norm(step)
+
+    f = problem.cutset_flow
+    delta, grad, step, d = at(f)
+    budget = flows._step_budget(rate, flows.TIGHT_RHO / (d * to_bound) if d > 0.0 else math.inf)
+    steps, floor = [d], False
+    while True:
+        bound = d * to_bound
+        margins = check_feasibility(problem, f)[1]
+        feasible = bool(np.all(margins - bound >= -FEASIBILITY_SLACK))
+        infeasible = np.flatnonzero(margins + bound < -FEASIBILITY_SLACK)
+        if floor or (bound < rho and (feasible or infeasible.size)):
+            break
+        assert len(steps) <= 2 * budget
+        newton = C.T @ np.linalg.solve((C * problem.inverse_slopes(delta)) @ C.T, grad)
+        t = 1.0
+        while True:
+            trial = f - t * newton
+            state = at(trial)
+            if state[3] <= rate * d:
+                break
+            t /= 2.0
+            if t < 1.0 - rate:
+                trial = f - step
+                state = at(trial)
+                break
+        if not state[3] < d:
+            break
+        floor = state[3] > rate * d
+        f, (delta, grad, step, d) = trial, state
+        steps.append(d)
+    return f, flows._report(
+        rate,
+        steps,
+        iterations=len(steps) - 1,
+        final_step=float(np.max(np.abs(step))),
+        feasible=feasible,
+        infeasible_edges=tuple(int(e) for e in infeasible),
+        error_bound=bound,
+    )
+
+
+# Edge families shared across examples, so that equal entries form one group.
+_FAMILIES = (
+    FlowFunction.sin_family(),
+    FlowFunction.linear(0.5),
+    FlowFunction.linear(2.0),
+    FlowFunction.fourier([1.0, -0.1]),
+    # No inner_inverse: inverted by bisection.
+    FlowFunction(evaluate=np.sin, derivative=np.cos, name="custom"),
+)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(8, 14),
+    chords=st.integers(1, 3),
+    gamma=st.sampled_from([1.0, 1.4, NEAR_LIMIT]),
+    scale=st.sampled_from([0.0, 0.3, 0.8]),
+    bisect=st.booleans(),
+)
+def test_stacked_cells_match_single_cells(seed, n, chords, gamma, scale, bisect):
+    # A ring with chords has long cycles, so its winding box holds many cells.
+    rng = np.random.default_rng(seed)
+    edges = {(i, (i + 1) % n) for i in range(n)}
+    while len(edges) < n + chords:
+        a, b = sorted(rng.choice(n, size=2, replace=False).tolist())
+        if (a, b) not in edges and (b, a) not in edges:
+            edges.add((a, b))
+    g = WeightedGraph.from_edges(n, sorted(edges), rng.uniform(0.5, 2.0, size=len(edges)))
+    families = _FAMILIES if bisect else _FAMILIES[:-1]
+    funcs = tuple(families[i] for i in rng.integers(len(families), size=g.m))
+    problem = FlowNetworkProblem(graph=g, flow_functions=funcs, p=balanced_vector(rng, n, scale), gamma=gamma)
+    for basis in (fundamental_cycle_basis(g), minimum_cycle_basis(g)):
+        box = np.array(list(feasible_winding_vectors(basis, gamma)))
+        stacked, reports = decide_cells(problem, basis, box)
+        assert stacked.shape == (len(box), g.m) and len(reports) == len(box)
+        for u, f, it in zip(box, stacked, reports):
+            for single, ref in (decide_cell(problem, basis, u), _reference_decide_cell(problem, basis, u)):
+                assert (it.feasible, it.infeasible_edges, it.iterations, it.contraction_verified) == (
+                    ref.feasible, ref.infeasible_edges, ref.iterations, ref.contraction_verified
+                )
+                assert np.max(np.abs(f - single)) <= 1e-12
+                assert abs(it.error_bound - ref.error_bound) <= 1e-12
+
+
+def test_map_norm_is_row_wise():
+    problem = _two_cycles_weights_apart()
+    rows = np.random.default_rng(5).normal(size=(4, problem.graph.m))
+    norms = problem.map_norm(rows)
+    assert norms.shape == (4,)
+    for row, norm in zip(rows, norms):
+        single = problem.map_norm(row)
+        assert isinstance(single, float) and single == pytest.approx(norm, rel=1e-15)
+
+
+def test_stacked_solve_raises_on_a_row_over_budget(monkeypatch):
+    problem = sin_problem(ring_graph(5), np.zeros(5), 1.4)
+    basis = fundamental_cycle_basis(problem.graph)
+    monkeypatch.setattr(flows, "_step_budget", lambda rate, ratio: 0)
+    with pytest.raises(flows.ConvergenceBudgetError, match="budget of 0 steps"):
+        decide_cells(problem, basis, np.array([[-1], [0], [1]]))
