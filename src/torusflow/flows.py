@@ -364,7 +364,8 @@ class IterationReport:
 
     `error_bound` is the certified per-edge distance of the returned flow
     from the cell's fixed point.  A cell is decided when it is `feasible`
-    or has `infeasible_edges`; otherwise it is undecided.
+    or has `infeasible_edges`; otherwise it is undecided.  For a Newton
+    solve this is the one-row view `CellVerdicts[r]` of its stack's record.
     """
 
     iterations: int
@@ -380,6 +381,38 @@ class IterationReport:
     @property
     def decided(self) -> bool:
         return self.feasible or bool(self.infeasible_edges)
+
+
+@dataclass(eq=False)
+class CellVerdicts:
+    """Verdicts of a (B, k) stack of Newton-solved cells, one array per field:
+    `infeasible` is the (B, m) mask of the edges that prove a cell infeasible,
+    `steps` holds each row's map-norm steps, NaN after its last.  The row view
+    `verdicts[r]` is row r's `IterationReport`, built on demand."""
+
+    rate: float
+    feasible: np.ndarray
+    infeasible: np.ndarray
+    error_bound: np.ndarray
+    final_step: np.ndarray
+    iterations: np.ndarray
+    steps: np.ndarray
+
+    def __len__(self) -> int:
+        return self.feasible.size
+
+    def __getitem__(self, r: int) -> IterationReport:
+        # An index past the end raises IndexError, which also ends iteration.
+        taken = self.iterations.item(r)
+        return _report(
+            self.rate,
+            self.steps[r, : taken + 1].tolist(),
+            iterations=taken,
+            final_step=self.final_step.item(r),
+            feasible=self.feasible.item(r),
+            infeasible_edges=tuple(self.infeasible[r].nonzero()[0].tolist()),
+            error_bound=self.error_bound.item(r),
+        )
 
 
 @dataclass
@@ -492,9 +525,10 @@ def projection_iteration(
 
 def decide_cells(
     problem: FlowNetworkProblem, basis: CycleBasis, U, rho: float = DEFAULT_RHO
-) -> tuple[np.ndarray, list[IterationReport]]:
+) -> tuple[np.ndarray, CellVerdicts]:
     """Certified damped Newton solves of a (B, k) stack of cells U, each with
-    its three-way verdict: the (B, m) flows and one report per row.
+    its three-way verdict: the (B, m) flows and one `CellVerdicts` record
+    of B rows, whose row view `verdicts[r]` is row r's `IterationReport`.
 
     In cell u the fixed point f* = f0 + C^T c* of T_u (f0 the cutset flow)
     minimises the strictly convex loop-flow potential Psi_u(c), whose
@@ -505,8 +539,8 @@ def decide_cells(
     `map_norm`; failing that the plain T_u step is, so no step contracts
     less than T_u does.
 
-    The certified per-edge distance of f from f* is the report's
-    `error_bound` b = ||T_u f - f|| sqrt(max Lmin A) / (1 - rate).  With
+    The certified per-edge distance of f from f* is the row's `error_bound`
+    b = ||T_u f - f|| sqrt(max Lmin A) / (1 - rate).  With
     s = FEASIBILITY_SLACK the cell is feasible when every margin - b >= -s,
     and infeasible on the edges whose margin + b < -s.  A row stops once
     b < rho and the cell is one or the other, when even T_u no longer
@@ -516,7 +550,8 @@ def decide_cells(
 
     Every row runs exactly this per-cell solve; the rows only share their
     array operations (one stacked Hessian solve per step), and a row leaves
-    the stack when its verdict is final.
+    the stack when its verdict is final.  Its results are stored in the
+    record's arrays, and the step history grows by one column per step.
     """
     if rho <= 0.0:
         raise InputError("rho must be positive")
@@ -527,8 +562,12 @@ def decide_cells(
     to_bound = problem.map_norm_to_edge / (1.0 - rate)
     twopi_u = TWO_PI * np.asarray(U, dtype=float).reshape(-1, basis.size)
     rows = np.arange(twopi_u.shape[0])
-    if not rows.size:
-        return np.empty((0, basis.graph.m)), []
+    flows = np.empty((rows.size, basis.graph.m))
+    feasible = np.empty(rows.size, dtype=bool)
+    infeasible = np.empty(flows.shape, dtype=bool)
+    error_bound = np.empty(rows.size)
+    final_step = np.empty(rows.size)
+    iterations = np.empty(rows.size, dtype=int)
 
     def at(F, twopi_u):
         delta = problem.inverse_differences(F)
@@ -538,8 +577,8 @@ def decide_cells(
 
     def verdict(F, bound):
         margins = problem.capacity - np.abs(F)
-        feasible = (margins - bound[:, None] >= -FEASIBILITY_SLACK).all(axis=1)
-        return feasible, margins + bound[:, None] < -FEASIBILITY_SLACK
+        ok = (margins - bound[:, None] >= -FEASIBILITY_SLACK).all(axis=1)
+        return ok, margins + bound[:, None] < -FEASIBILITY_SLACK
 
     # Every row starts from the cutset flow.
     f0 = problem.cutset_flow
@@ -549,48 +588,37 @@ def decide_cells(
     G = C @ delta0 - twopi_u
     S = G @ Kt
     d = problem.map_norm(S)
-    steps = [[x] for x in d.tolist()]
+    history = [(rows, d)]  # per step taken: the stack's rows and their map-norm steps
     # No step contracts less than T_u, so this many reach the rounding floor.
     budget = np.array([
         _step_budget(rate, TIGHT_RHO / (x * to_bound) if x > 0.0 else math.inf) for x in d.tolist()
     ])
-    first_limit = 2 * int(budget.min())
+    first_limit = 2 * int(budget.min()) if rows.size else 0
     floor = np.zeros(rows.size, dtype=bool)
-    flows = np.empty_like(F)
-    reports = [None] * rows.size
 
-    def finish(rows, F, S, bound, feasible, infeasible):
-        """Record finished rows: their flows, steps, bounds and verdicts."""
+    def finish(bound, ok, bad):
+        """Record every stack row; a row's last record, made as it leaves, is final."""
         flows[rows] = F
-        for r, b, last, ok, bad in zip(
-            rows.tolist(), bound.tolist(), np.abs(S).max(axis=1).tolist(), feasible.tolist(), infeasible
-        ):
-            reports[r] = _report(
-                rate,
-                steps[r],
-                iterations=len(steps[r]) - 1,
-                final_step=last,
-                feasible=ok,
-                infeasible_edges=tuple(bad.nonzero()[0].tolist()),
-                error_bound=b,
-            )
+        feasible[rows] = ok
+        infeasible[rows] = bad
+        error_bound[rows] = bound
+        final_step[rows] = np.abs(S).max(axis=1)
+        iterations[rows] = len(history) - 1
 
-    taken = 1  # map-norm steps recorded so far, the same for every row in the stack
-    while True:
+    while rows.size:
         bound = d * to_bound
         near = floor | (bound < rho)
         if near.any():
-            feasible, infeasible = verdict(F, bound)
-            done = floor | (near & (feasible | infeasible.any(axis=1)))
-            if done.all():
-                finish(rows, F, S, bound, feasible, infeasible)
-                break
-            if done.any():
-                finish(rows[done], F[done], S[done], bound[done], feasible[done], infeasible[done])
+            ok, bad = verdict(F, bound)
+            done = floor | (near & (ok | bad.any(axis=1)))
+            if leaving := np.count_nonzero(done):
+                finish(bound, ok, bad)
+                if leaving == rows.size:
+                    break
                 keep = ~done
                 F, D, G, S, d, bound = F[keep], D[keep], G[keep], S[keep], d[keep], bound[keep]
                 twopi_u, rows, budget = twopi_u[keep], rows[keep], budget[keep]
-        if taken > first_limit and (late := taken > 2 * budget).any():
+        if len(history) > first_limit and (late := len(history) > 2 * budget).any():
             i = int(late.argmax())
             raise ConvergenceBudgetError(
                 f"Newton solve exceeded 2x its budget of {budget[i]} steps "
@@ -600,8 +628,7 @@ def decide_cells(
         newton = np.linalg.solve(hessians, G[:, :, None])[:, :, 0] @ C
         trial = F - newton
         state = at(trial, twopi_u)
-        slow = state[3] > rate * d
-        pending = slow.nonzero()[0] if slow.any() else ()
+        pending = (state[3] > rate * d).nonzero()[0]
         t = 1.0
         while len(pending):
             t /= 2.0
@@ -617,35 +644,32 @@ def decide_cells(
             if t < 1.0 - rate:
                 break
             pending = pending[part[3] > rate * d[pending]]
-        new_d = state[3]
-        progress = new_d < d
+        progress = state[3] < d
         if not progress.all():
             # No progress at all: f stays, with its verdict.
-            stalled = ~progress
-            finish(rows[stalled], F[stalled], S[stalled], bound[stalled], *verdict(F[stalled], bound[stalled]))
+            finish(bound, *verdict(F, bound))
             if not progress.any():
                 break
-            keep = progress
-            trial, state, d = trial[keep], tuple(x[keep] for x in state), d[keep]
-            twopi_u, rows, budget = twopi_u[keep], rows[keep], budget[keep]
-            new_d = state[3]
+            trial, state, d = trial[progress], tuple(x[progress] for x in state), d[progress]
+            twopi_u, rows, budget = twopi_u[progress], rows[progress], budget[progress]
         # T_u contracts by rate; a step that shrinks d less is at the rounding floor.
-        floor = new_d > rate * d
+        floor = state[3] > rate * d
         F, (D, G, S, d) = trial, state
-        for r, x in zip(rows.tolist(), d.tolist()):
-            steps[r].append(x)
-        taken += 1
+        history.append((rows, d))
 
-    return flows, reports
+    steps = np.full((len(flows), len(history)), np.nan)
+    for j, (at_rows, column) in enumerate(history):
+        steps[:, j][at_rows] = column
+    return flows, CellVerdicts(rate, feasible, infeasible, error_bound, final_step, iterations, steps)
 
 
 def decide_cell(
     problem: FlowNetworkProblem, basis: CycleBasis, u, rho: float = DEFAULT_RHO
 ) -> tuple[np.ndarray, IterationReport]:
     """Certified damped Newton solve of cell u, and its three-way verdict:
-    `decide_cells` on the single row u."""
-    flows, (report,) = decide_cells(problem, basis, np.asarray(u, dtype=float)[None, :], rho)
-    return flows[0], report
+    `decide_cells` on the single row u, read through its row view."""
+    flows, verdicts = decide_cells(problem, basis, np.asarray(u, dtype=float)[None, :], rho)
+    return flows[0], verdicts[0]
 
 
 def check_feasibility(problem: FlowNetworkProblem, f) -> tuple[bool, np.ndarray]:
@@ -724,28 +748,6 @@ def acyclic_solve(problem: FlowNetworkProblem) -> Solution | None:
     return Solution(f=f, theta=theta, u=np.zeros(0, dtype=np.int64), report=report, iteration=it)
 
 
-def _certified_solution(problem, basis, u, f, it):
-    """The Solution of a decided cell, or None when the cell holds none."""
-    if not it.decided:
-        raise TorusFlowError(
-            f"winding vector {np.asarray(u).tolist()} is undecided: a margin lies "
-            f"within the certified error bound {it.error_bound:.3e} of the slack"
-        )
-    if not it.feasible:
-        return None
-    try:
-        theta = recover_phases(problem, basis, u, f)
-    except NonIntegerWindingError:
-        # u admits no integer cycle shift, so its winding cell is empty.
-        return None
-    report = verify_solution(problem, basis, f, theta, u)
-    if report.failures():
-        raise TorusFlowError(
-            f"certification failed for winding vector {np.asarray(u).tolist()}: {report}"
-        )
-    return Solution(f=f, theta=theta, u=np.asarray(u, dtype=np.int64), report=report, iteration=it)
-
-
 def solve_all(
     problem: FlowNetworkProblem,
     rho: float = DEFAULT_RHO,
@@ -756,9 +758,9 @@ def solve_all(
     Streams the candidate winding box in lexicographic order, in chunks of
     at most CHUNK_ROWS cells, and decides each chunk with one
     `decide_cells` call (certified Newton plus the three-way verdict per
-    cell).  The feasible fixed points then have their phases recovered and
-    every returned solution is certified independently, cell by cell in
-    box order.  The first undecided cell raises TorusFlowError naming its u.
+    cell).  The first undecided cell raises TorusFlowError naming its u.
+    Only the feasible rows then get a report, have their phases recovered
+    and are certified independently, in box order.
     """
     if problem.graph.cycle_space_dim == 0:
         sol = acyclic_solve(problem)
@@ -768,11 +770,25 @@ def solve_all(
     cells = feasible_winding_vectors(basis, problem.gamma)
     solutions = []
     while chunk := list(itertools.islice(cells, CHUNK_ROWS)):
-        flows, reports = decide_cells(problem, basis, np.array(chunk), rho)
-        for u, f, it in zip(chunk, flows, reports):
-            if sol := _certified_solution(problem, basis, u, f.copy(), it):
-                solutions.append(sol)
-    solutions.sort(key=lambda s: tuple(s.u.tolist()))
+        flows, verdicts = decide_cells(problem, basis, np.array(chunk), rho)
+        undecided = ~(verdicts.feasible | verdicts.infeasible.any(axis=1))
+        if undecided.any():
+            r = int(undecided.argmax())
+            raise TorusFlowError(
+                f"winding vector {chunk[r].tolist()} is undecided: a margin lies "
+                f"within the certified error bound {verdicts.error_bound[r]:.3e} of the slack"
+            )
+        for r in verdicts.feasible.nonzero()[0].tolist():
+            u, f, it = chunk[r], flows[r].copy(), verdicts[r]
+            try:
+                theta = recover_phases(problem, basis, u, f)
+            except NonIntegerWindingError:
+                # u admits no integer cycle shift, so its winding cell is empty.
+                continue
+            report = verify_solution(problem, basis, f, theta, u)
+            if report.failures():
+                raise TorusFlowError(f"certification failed for winding vector {u.tolist()}: {report}")
+            solutions.append(Solution(f=f, theta=theta, u=u, report=report, iteration=it))
     return solutions
 
 

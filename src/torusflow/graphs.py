@@ -86,9 +86,8 @@ class WeightedGraph:
     def incidence(self) -> np.ndarray:
         """n x m incidence matrix B with (B^T x)_e = x_i - x_j."""
         B = np.zeros((self.n, self.m))
-        for e, (i, j) in enumerate(self.edges):
-            B[i, e] = 1.0
-            B[j, e] = -1.0
+        B[self.ends[0], np.arange(self.m)] = 1.0
+        B[self.ends[1], np.arange(self.m)] = -1.0
         return B
 
     @cached_property

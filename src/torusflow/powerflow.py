@@ -151,16 +151,6 @@ class SweepResult:
     curve: tuple[SweepSample, ...]
 
 
-def _existence_probe(problem, basis, u, rho):
-    """Whether cell u is certified feasible (`decide_cell`), and its flow.
-
-    An undecided cell counts as not feasible, so a probe that says yes is
-    feasible at the certified error bound.
-    """
-    flow, it = decide_cell(problem, basis, u, rho)
-    return it.feasible, flow
-
-
 def ptc(
     case: PowerCase,
     u,
@@ -189,7 +179,10 @@ def ptc(
         raise InputError("the case profile is identically zero; nothing to scale")
 
     def probe(scale: float):
-        return _existence_probe(base.with_supply(scale * p_hat), basis, u, rho)
+        # An undecided cell counts as not feasible, so a probe that says yes
+        # is feasible at the certified error bound.
+        flow, it = decide_cell(base.with_supply(scale * p_hat), basis, u, rho)
+        return it.feasible, flow
 
     exists0, flow0 = probe(0.0)
     if not exists0:

@@ -87,11 +87,6 @@ def winding_number(cycle: Cycle, theta) -> int:
     return int(w)
 
 
-def winding_bound(cycle_length: int) -> int:
-    """Largest possible |w| for a cycle of the given length."""
-    return (cycle_length + 1) // 2 - 1
-
-
 def winding_vector(basis: CycleBasis, theta) -> np.ndarray:
     """Componentwise winding numbers along the basis cycles."""
     delta = edge_differences(basis.graph, theta)
@@ -117,11 +112,7 @@ def feasible_winding_bounds(basis: CycleBasis, gamma: float) -> tuple[int, ...]:
 
 
 def count_feasible_winding_vectors(basis: CycleBasis, gamma: float) -> int:
-    bounds = feasible_winding_bounds(basis, gamma)
-    out = 1
-    for b in bounds:
-        out *= 2 * b + 1
-    return out
+    return math.prod(2 * b + 1 for b in feasible_winding_bounds(basis, gamma))
 
 
 def feasible_winding_vectors(basis: CycleBasis, gamma: float) -> Iterator[np.ndarray]:

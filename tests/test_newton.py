@@ -20,6 +20,7 @@ from torusflow import (
     builtin_case,
     case_to_problem,
     check_feasibility,
+    count_feasible_winding_vectors,
     feasible_winding_vectors,
     fundamental_cycle_basis,
     minimum_cycle_basis,
@@ -31,7 +32,6 @@ from torusflow import (
     winding_fixed_point_map,
 )
 from torusflow.flows import FEASIBILITY_SLACK, decide_cell, decide_cells
-from torusflow.powerflow import _existence_probe
 
 NEAR_LIMIT = math.pi / 2 - 0.01
 
@@ -264,7 +264,7 @@ def test_undecided_cell_is_reported(monkeypatch):
     assert not it.feasible and not it.infeasible_edges and not it.decided
     with pytest.raises(TorusFlowError, match=r"winding vector \[-1\] is undecided"):
         solve_all(problem, basis=basis)
-    assert _existence_probe(problem, basis, [1], 1e-10)[0] is False
+    assert decide_cell(problem, basis, [1], 1e-10)[1].feasible is False
     # At gamma = 1.2 the same flow is 0.019 over capacity: within the bound.
     over = sin_problem(ring_graph(5), np.zeros(5), 1.2)
     _, it = decide_cell(over, basis, [1])
@@ -386,15 +386,21 @@ def test_stacked_cells_match_single_cells(seed, n, chords, gamma, scale, bisect)
     problem = FlowNetworkProblem(graph=g, flow_functions=funcs, p=balanced_vector(rng, n, scale), gamma=gamma)
     for basis in (fundamental_cycle_basis(g), minimum_cycle_basis(g)):
         box = np.array(list(feasible_winding_vectors(basis, gamma)))
-        stacked, reports = decide_cells(problem, basis, box)
-        assert stacked.shape == (len(box), g.m) and len(reports) == len(box)
-        for u, f, it in zip(box, stacked, reports):
+        stacked, verdicts = decide_cells(problem, basis, box)
+        assert stacked.shape == (len(box), g.m) and len(verdicts) == len(box)
+        # Feasible, infeasible on some edge and undecided partition the rows.
+        infeasible = verdicts.infeasible.any(axis=1)
+        undecided = ~(verdicts.feasible | infeasible)
+        assert np.all(verdicts.feasible.astype(int) + infeasible + undecided == 1)
+        for u, f, it in zip(box, stacked, verdicts):
             for single, ref in (decide_cell(problem, basis, u), _reference_decide_cell(problem, basis, u)):
                 assert (it.feasible, it.infeasible_edges, it.iterations, it.contraction_verified) == (
                     ref.feasible, ref.infeasible_edges, ref.iterations, ref.contraction_verified
                 )
                 assert np.max(np.abs(f - single)) <= 1e-12
                 assert abs(it.error_bound - ref.error_bound) <= 1e-12
+                assert abs(it.final_step - ref.final_step) <= 1e-12
+                assert np.max(np.abs(np.subtract(it.weighted_steps, ref.weighted_steps))) <= 1e-12
 
 
 def test_map_norm_is_row_wise():
@@ -413,3 +419,26 @@ def test_stacked_solve_raises_on_a_row_over_budget(monkeypatch):
     monkeypatch.setattr(flows, "_step_budget", lambda rate, ratio: 0)
     with pytest.raises(flows.ConvergenceBudgetError, match="budget of 0 steps"):
         decide_cells(problem, basis, np.array([[-1], [0], [1]]))
+
+
+def test_empty_stack_gives_an_empty_record():
+    problem = sin_problem(ring_graph(5), np.zeros(5), 1.4)
+    stacked, verdicts = decide_cells(problem, fundamental_cycle_basis(problem.graph), np.empty((0, 1)))
+    assert stacked.shape == (0, 5) and len(verdicts) == 0 and list(verdicts) == []
+
+
+def test_solve_all_builds_reports_for_feasible_rows_only(monkeypatch):
+    # A seeded mesh whose 81-cell box holds one feasible cell.
+    rng = np.random.default_rng(0)
+    while True:
+        g = random_connected_graph(rng, int(rng.integers(14, 21)), extra_edges=int(rng.integers(5, 9)))
+        basis = fundamental_cycle_basis(g)
+        if count_feasible_winding_vectors(basis, 1.4) == 81:
+            break
+    problem = sin_problem(g, balanced_vector(rng, g.n), 1.4)
+    _, verdicts = decide_cells(problem, basis, np.array(list(feasible_winding_vectors(basis, 1.4))))
+    calls = []
+    report = flows._report
+    monkeypatch.setattr(flows, "_report", lambda *args, **kw: calls.append(args) or report(*args, **kw))
+    solve_all(problem, basis=basis)
+    assert 0 < len(calls) == int(verdicts.feasible.sum()) < len(verdicts)

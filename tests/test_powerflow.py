@@ -165,17 +165,16 @@ class TestPtc:
 
     def test_bracket_certified(self):
         from torusflow.flows import FEASIBILITY_SLACK, decide_cell
-        from torusflow.powerflow import _existence_probe
 
         case = builtin_case("ring12-sym")
         tol = 1e-5
         res = ptc(case, [1], GAMMA, tol=tol)
         base = case_to_problem(case, GAMMA)
         basis = fundamental_cycle_basis(base.graph)
-        ok_lo, _ = _existence_probe(base.with_supply(res.ptc * base.p), basis, [1], 1e-10)
-        ok_hi, _ = _existence_probe(
+        ok_lo = decide_cell(base.with_supply(res.ptc * base.p), basis, [1], 1e-10)[1].feasible
+        ok_hi = decide_cell(
             base.with_supply((res.ptc + 2 * tol) * base.p), basis, [1], 1e-10
-        )
+        )[1].feasible
         assert ok_lo and not ok_hi
         # lo is feasible at the certified error bound of its Newton solve.
         f, it = decide_cell(base.with_supply(res.ptc * base.p), basis, [1])
