@@ -131,8 +131,8 @@ def energy(problem: ElasticNetworkProblem, theta) -> float:
     """Total elastic energy sum_e a_ij H_e(theta_i - theta_j)."""
     delta = edge_differences(problem.graph, theta)
     return sum(
-        float(problem.graph.weight_vector[idx] @ problem.energies[first].energy(delta[idx]))
-        for first, idx in identity_groups(problem.energies)
+        float(problem.graph.weight_vector[idx] @ H.energy(delta[idx]))
+        for H, idx in identity_groups(problem.energies)
     )
 
 
@@ -141,8 +141,8 @@ def gradient(problem: ElasticNetworkProblem, theta) -> np.ndarray:
     g = problem.graph
     delta = edge_differences(g, theta)
     h_vals = np.empty(g.m)
-    for first, idx in identity_groups(problem.energies):
-        h_vals[idx] = problem.energies[first].derivative(delta[idx])
+    for H, idx in identity_groups(problem.energies):
+        h_vals[idx] = H.derivative(delta[idx])
     return g.divergence(g.weight_vector * h_vals)
 
 

@@ -224,7 +224,12 @@ def extended_inverse(h: ExtendedFlowFunction, v: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class FlowNetworkProblem:
-    """A flow network problem (graph, per-edge flow functions, p, gamma)."""
+    """A flow network problem (graph, per-edge flow functions, p, gamma).
+
+    Every cached property is a function of these four fields alone: the
+    per-edge certificate arrays are filled once per distinct flow function,
+    no basis is kept, and only `cutset_flow` reads p.
+    """
 
     graph: WeightedGraph
     flow_functions: tuple[FlowFunction, ...]
@@ -248,8 +253,8 @@ class FlowNetworkProblem:
         object.__setattr__(self, "p", p)
         if not 0.0 <= self.gamma < math.pi:
             raise InputError("gamma must lie in [0, pi)")
-        for f in funcs:
-            f.certify(self.gamma)
+        for h, _ in self._edge_groups:
+            h.cert  # certifies each distinct flow function, or raises
 
     @classmethod
     def single_family(cls, graph, flow, p, gamma) -> "FlowNetworkProblem":
@@ -259,22 +264,29 @@ class FlowNetworkProblem:
         return replace(self, p=np.asarray(p, dtype=float))
 
     @cached_property
-    def extended(self) -> tuple[ExtendedFlowFunction, ...]:
-        return tuple(ExtendedFlowFunction(f, self.gamma) for f in self.flow_functions)
+    def _edge_groups(self) -> list[tuple[ExtendedFlowFunction, np.ndarray]]:
+        """One extended function per distinct flow function, with its edges."""
+        return [(ExtendedFlowFunction(f, self.gamma), idx) for f, idx in identity_groups(self.flow_functions)]
+
+    def _certified(self, name: str) -> np.ndarray:
+        """The certificate entry `name` of every edge, filled once per group."""
+        out = np.empty(self.graph.m)
+        for h, idx in self._edge_groups:
+            out[idx] = getattr(h.cert, name)
+        return out
 
     @cached_property
     def lmin(self) -> np.ndarray:
-        return np.array([f.certify(self.gamma).lmin for f in self.flow_functions])
+        return self._certified("lmin")
 
     @cached_property
     def lmax(self) -> np.ndarray:
-        return np.array([f.certify(self.gamma).lmax for f in self.flow_functions])
+        return self._certified("lmax")
 
     @cached_property
     def capacity(self) -> np.ndarray:
         """Per-edge bound a_ij |h_e(gamma)| on any solution flow."""
-        hg = np.array([abs(f.certify(self.gamma).h_gamma) for f in self.flow_functions])
-        return self.graph.weight_vector * hg
+        return self.graph.weight_vector * np.abs(self._certified("h_gamma"))
 
     @cached_property
     def contraction_rate(self) -> float:
@@ -283,42 +295,38 @@ class FlowNetworkProblem:
 
     @cached_property
     def cutset_flow(self) -> np.ndarray:
-        """The balanced flow A B^T L^+ p, the iteration's start (taken with
-        the map's last basis, else the fundamental one)."""
-        return self.graph.cutset_flow(self.p, self.__dict__.get("_cell", (None,))[0])
-
-    @cached_property
-    def _edge_groups(self) -> list[tuple[int, np.ndarray]]:
-        return identity_groups(self.flow_functions)
+        """The balanced flow A B^T L^+ p, taken with the graph's fundamental
+        basis; the solvers take it with their own basis."""
+        return self.graph.cutset_flow(self.p)
 
     def _per_edge(self, pick, x: np.ndarray) -> np.ndarray:
-        """pick(e) applied to the entries of edge e along x's last axis, with
-        one call on a 1-D array per group of edges sharing a function."""
+        """pick(h) applied to the entries of h's edges along x's last axis,
+        with one call on a 1-D array per group of edges sharing a function."""
         groups = self._edge_groups
         if len(groups) == 1:
-            return np.asarray(pick(0)(x.ravel()), dtype=float).reshape(x.shape)
+            return np.asarray(pick(groups[0][0])(x.ravel()), dtype=float).reshape(x.shape)
         out = np.empty_like(x)
-        for first, idx in groups:
+        for h, idx in groups:
             part = x[..., idx]
-            out[..., idx] = np.asarray(pick(first)(part.ravel()), dtype=float).reshape(part.shape)
+            out[..., idx] = np.asarray(pick(h)(part.ravel()), dtype=float).reshape(part.shape)
         return out
 
     def inverse_differences(self, f: np.ndarray) -> np.ndarray:
         """h_gamma^{-1}(A^{-1} f), vectorized over edges (the last axis)."""
         v = np.asarray(f, dtype=float) / self.graph.weight_vector
-        return self._per_edge(lambda e: self.extended[e].inverse, v)
+        return self._per_edge(lambda h: h.inverse, v)
 
     def inverse_slopes(self, delta: np.ndarray) -> np.ndarray:
         """1 / (a_ij h_e'(clip(delta_e, +-gamma))): the derivative of
         h_gamma^{-1}(A^{-1} f) in f at the point whose differences are delta."""
         inside = np.asarray(delta, dtype=float).clip(-self.gamma, self.gamma)
-        out = self._per_edge(lambda e: self.flow_functions[e].derivative, inside)
+        out = self._per_edge(lambda h: h.base.derivative, inside)
         return 1.0 / (self.graph.weight_vector * out)
 
     def edge_flows(self, delta: np.ndarray) -> np.ndarray:
         """a_ij h_e(delta_e) for a vector of edge differences."""
         delta = np.asarray(delta, dtype=float)
-        out = self._per_edge(lambda e: self.flow_functions[e].evaluate, delta)
+        out = self._per_edge(lambda h: h.base.evaluate, delta)
         return self.graph.weight_vector * out
 
     def map_norm(self, v: np.ndarray):
@@ -338,24 +346,18 @@ class FlowNetworkProblem:
         return math.sqrt(float(np.max(self._lmin_a)))
 
 
-def identity_groups(items: Sequence) -> list[tuple[int, np.ndarray]]:
-    """Group positions by the identity of their item: (first position, positions)."""
-    groups: dict[int, list[int]] = {}
+def identity_groups(items: Sequence) -> list[tuple[object, np.ndarray]]:
+    """Group positions by the identity of their item: (item, positions)."""
+    groups: dict[int, tuple[object, list[int]]] = {}
     for e, item in enumerate(items):
-        groups.setdefault(id(item), []).append(e)
-    return [(ids[0], np.array(ids, dtype=int)) for ids in groups.values()]
+        groups.setdefault(id(item), (item, []))[1].append(e)
+    return [(item, np.array(ids, dtype=int)) for item, ids in groups.values()]
 
 
 def _map_factor(problem: FlowNetworkProblem, basis: CycleBasis) -> np.ndarray:
-    """K = C^T M^{-1}, M = C (Lmin A)^{-1} C^T, so that P_D (Lmin A x) = K C x.
-
-    Kept for the last basis only, so a problem holds one m x k factor.
-    """
-    if problem.__dict__.get("_cell", (None,))[0] is not basis:
-        C = basis.matrix
-        K = np.linalg.solve((C / (problem.lmin * problem.graph.weight_vector)) @ C.T, C).T
-        problem.__dict__["_cell"] = (basis, K)
-    return problem._cell[1]
+    """K = C^T M^{-1}, M = C (Lmin A)^{-1} C^T, so that P_D (Lmin A x) = K C x."""
+    C = basis.matrix
+    return np.linalg.solve((C / problem._lmin_a) @ C.T, C).T
 
 
 @dataclass
@@ -374,7 +376,6 @@ class IterationReport:
     feasible: bool = False
     infeasible_edges: tuple[int, ...] = ()
     contraction_verified: bool = True
-    initial_step: float = 0.0
     weighted_steps: tuple[float, ...] = ()
     error_bound: float = 0.0
 
@@ -458,12 +459,11 @@ def winding_fixed_point_map(problem: FlowNetworkProblem, basis: CycleBasis, u, f
     residual = float(np.max(np.abs(problem.graph.divergence(f) - problem.p)))
     if residual >= BALANCE_TOL:
         raise BalanceError(f"f is not balanced: ||Bf - p||_inf = {residual:.3e}")
-    return _apply_map(problem, basis, np.asarray(u, dtype=float), f)
+    return _apply_map(problem, basis, _map_factor(problem, basis), np.asarray(u, dtype=float), f)
 
 
-def _apply_map(problem, basis, u, f):
+def _apply_map(problem, basis, K, u, f):
     # T_u f = f - P_D Lmin A (delta - 2pi C^+ u) = f - K (C delta - 2pi u).
-    K = _map_factor(problem, basis)
     return f - K @ (basis.matrix @ problem.inverse_differences(f) - TWO_PI * u)
 
 
@@ -477,9 +477,7 @@ def _step_budget(rate: float, ratio: float) -> int:
 def _report(rate: float, steps: list[float], **fields) -> IterationReport:
     """A run's report; its contraction is checked on the map-norm steps."""
     verified = not any(b > rate * a + 1e-12 for a, b in zip(steps, steps[1:]))
-    return IterationReport(
-        rate=rate, contraction_verified=verified, initial_step=steps[0], weighted_steps=tuple(steps), **fields
-    )
+    return IterationReport(rate=rate, contraction_verified=verified, weighted_steps=tuple(steps), **fields)
 
 
 def projection_iteration(
@@ -488,7 +486,8 @@ def projection_iteration(
     u,
     rho: float = DEFAULT_RHO,
 ) -> tuple[np.ndarray, IterationReport]:
-    """Iterate T_u from the cutset flow until the step falls below rho.
+    """Iterate T_u from the cutset flow (taken with `basis`) until the step
+    falls below rho.
 
     Steps are measured in the `map_norm`, where T_u contracts by `rate`.
     The iteration count is bounded by the geometric convergence estimate
@@ -501,9 +500,9 @@ def projection_iteration(
     rate = problem.contraction_rate
     to_edge = problem.map_norm_to_edge
 
-    _map_factor(problem, basis)  # so that a start not yet computed is taken with this basis
-    f = problem.cutset_flow
-    nxt = _apply_map(problem, basis, u, f)
+    K = _map_factor(problem, basis)
+    f = problem.graph.cutset_flow(problem.p, basis)
+    nxt = _apply_map(problem, basis, K, u, f)
     step_inf = float(np.max(np.abs(nxt - f))) if f.size else 0.0
     d0 = problem.map_norm(nxt - f)
     budget = _step_budget(rate, rho / (d0 * to_edge) if d0 > 0.0 else math.inf)
@@ -516,7 +515,7 @@ def projection_iteration(
                 f"iterations (last step {step_inf:.3e})"
             )
         f = nxt
-        nxt = _apply_map(problem, basis, u, f)
+        nxt = _apply_map(problem, basis, K, u, f)
         step_inf = float(np.max(np.abs(nxt - f)))
         steps.append(problem.map_norm(nxt - f))
 
@@ -530,7 +529,8 @@ def decide_cells(
     its three-way verdict: the (B, m) flows and one `CellVerdicts` record
     of B rows, whose row view `verdicts[r]` is row r's `IterationReport`.
 
-    In cell u the fixed point f* = f0 + C^T c* of T_u (f0 the cutset flow)
+    In cell u the fixed point f* = f0 + C^T c* of T_u (f0 the cutset flow
+    taken with `basis`; it and the map factor K are formed once per call)
     minimises the strictly convex loop-flow potential Psi_u(c), whose
     gradient is g = C h_gamma^{-1}(A^{-1} f) - 2pi u and whose Hessian is
     C diag(1 / (a h'(clip(delta)))) C^T; a step solves that k x k system.
@@ -580,8 +580,8 @@ def decide_cells(
         ok = (margins - bound[:, None] >= -FEASIBILITY_SLACK).all(axis=1)
         return ok, margins + bound[:, None] < -FEASIBILITY_SLACK
 
-    # Every row starts from the cutset flow.
-    f0 = problem.cutset_flow
+    # Every row starts from the cutset flow, taken with this basis.
+    f0 = problem.graph.cutset_flow(problem.p, basis)
     delta0 = problem.inverse_differences(f0)
     F = f0[None, :].repeat(rows.size, axis=0)
     D = delta0[None, :].repeat(rows.size, axis=0)

@@ -263,7 +263,6 @@ class CycleBasis:
     graph: WeightedGraph
     cycles: tuple[Cycle, ...]
     kind: str  # "fundamental" | "minimum" | "explicit"
-    tree_edges: tuple[int, ...] | None = None
     nontree_edges: tuple[int, ...] | None = None
 
     @property
@@ -390,7 +389,6 @@ def fundamental_cycle_basis(g: WeightedGraph) -> CycleBasis:
         graph=g,
         cycles=tuple(cycles),
         kind="fundamental",
-        tree_edges=tuple(tree),
         nontree_edges=tuple(nontree),
     )
     basis.validate()

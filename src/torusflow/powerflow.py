@@ -17,6 +17,7 @@ import numpy as np
 from .errors import GammaError, InputError, MissingDataError, UnknownCaseError
 from .flows import (
     DEFAULT_RHO,
+    FEASIBILITY_SLACK,
     FlowFunction,
     FlowNetworkProblem,
     Solution,
@@ -78,12 +79,6 @@ class PowerCase:
         if self.base_mva:
             p = p / float(self.base_mva)
         return p
-
-    def scaled(self, scale: float) -> "PowerCase":
-        buses = tuple((v, scale * pw) for v, pw in self.buses)
-        return PowerCase(
-            buses=buses, branches=self.branches, base_mva=self.base_mva, name=self.name
-        )
 
     def to_dict(self) -> dict:
         doc = {
@@ -167,6 +162,11 @@ def ptc(
     probe counts as no solution, so existence is certified at the returned
     value and fails or is undecided at most tol above it.  Assumes a single
     existence interval [0, PTC], as the incremental sweep it replaces did.
+
+    The bracket's upper end is certified without a probe: a feasible
+    verdict bounds every |f_e| by capacity + FEASIBILITY_SLACK, and
+    B f = P p_hat, so no scale above the slack-widened node-capacity
+    ceiling min_i node_cap_i / |p_hat_i| has a feasible cell.
     """
     if tol <= 0.0:
         raise InputError("tol must be positive")
@@ -184,19 +184,15 @@ def ptc(
         flow, it = decide_cell(base.with_supply(scale * p_hat), basis, u, rho)
         return it.feasible, flow
 
-    exists0, flow0 = probe(0.0)
-    if not exists0:
+    if not probe(0.0)[0]:
         return SweepResult(u=u, ptc=None, curve=())
 
-    # A node passes at most the capacity of the edges that touch it.
-    cap, (i, j), n = base.capacity, base.graph.ends, base.graph.n
+    # A node passes at most the capacity of the edges that touch it, each
+    # widened by the slack that a feasible verdict allows.
+    cap, (i, j), n = base.capacity + FEASIBILITY_SLACK, base.graph.ends, base.graph.n
     node_caps = np.bincount(i, cap, n) + np.bincount(j, cap, n)
     mask = np.abs(p_hat) > 0.0
     hi = float(np.min(node_caps[mask] / np.abs(p_hat[mask]))) * (1.0 + 1e-9) + tol
-    exists_hi, _ = probe(hi)
-    while exists_hi:
-        hi *= 2.0
-        exists_hi, _ = probe(hi)
 
     lo = 0.0
     while hi - lo > tol:

@@ -591,7 +591,8 @@ class TestCycleSpaceAgainstDenseReference:
             ref = g.weight_vector * (g.incidence.T @ (oracles.laplacian_pinv(g) @ prob.p))
             assert np.max(np.abs(prob.cutset_flow - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
             if g.cycle_space_dim:
-                # A start computed after the map ran is taken with the map's basis.
+                # A start computed after the map ran on another basis is still
+                # taken with the fundamental one: it does not read call history.
                 fresh = prob.with_supply(prob.p)
                 winding_fixed_point_map(fresh, minimum_cycle_basis(g), 0, g.tree_flow(prob.p))
                 assert np.max(np.abs(fresh.cutset_flow - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))

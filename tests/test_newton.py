@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torusflow.flows as flows
-from conftest import balanced_vector, random_connected_graph, ring_graph, sin_problem
+from conftest import balanced_vector, random_connected_graph, ring_graph, sin_problem, square_with_diagonal
 from torusflow import (
     ElasticEnergy,
     FlowFunction,
@@ -312,7 +312,7 @@ def _reference_decide_cell(problem, basis, u, rho=flows.DEFAULT_RHO):
         step = K @ grad
         return delta, grad, step, problem.map_norm(step)
 
-    f = problem.cutset_flow
+    f = problem.graph.cutset_flow(problem.p, basis)
     delta, grad, step, d = at(f)
     budget = flows._step_budget(rate, flows.TIGHT_RHO / (d * to_bound) if d > 0.0 else math.inf)
     steps, floor = [d], False
@@ -442,3 +442,40 @@ def test_solve_all_builds_reports_for_feasible_rows_only(monkeypatch):
     monkeypatch.setattr(flows, "_report", lambda *args, **kw: calls.append(args) or report(*args, **kw))
     solve_all(problem, basis=basis)
     assert 0 < len(calls) == int(verdicts.feasible.sum()) < len(verdicts)
+
+
+def _same_verdicts(a, b):
+    return all(
+        np.array_equal(getattr(a, name), getattr(b, name), equal_nan=name == "steps")
+        for name in ("feasible", "infeasible", "error_bound", "final_step", "iterations", "steps")
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_decisions_do_not_depend_on_call_history(seed):
+    # A problem's cached state reads no basis: a box decided on one basis
+    # right after a solve on the other gives the bits of a fresh problem.
+    rng = np.random.default_rng([seed, 12])
+    g = random_connected_graph(rng, 12, extra_edges=4)
+    p = balanced_vector(rng, g.n)
+    bases = fundamental_cycle_basis(g), minimum_cycle_basis(g)
+    for first, second in (bases, bases[::-1]):
+        box = np.array(list(feasible_winding_vectors(second, 1.4)))
+        used = sin_problem(g, p, 1.4)
+        solve_all(used, basis=first)
+        got = decide_cells(used, second, box)
+        fresh = decide_cells(sin_problem(g, p, 1.4), second, box)
+        assert np.array_equal(got[0], fresh[0]) and _same_verdicts(got[1], fresh[1])
+
+
+def test_each_distinct_flow_function_is_certified_once(monkeypatch):
+    calls = []
+    certify = FlowFunction.certify
+    monkeypatch.setattr(FlowFunction, "certify", lambda self, gamma: calls.append(self) or certify(self, gamma))
+    g = square_with_diagonal()
+    sine, linear = FlowFunction.sin_family(), FlowFunction.linear(2.0)
+    funcs = tuple(sine if e % 2 else linear for e in range(g.m))
+    p = balanced_vector(np.random.default_rng(4), g.n)
+    problem = FlowNetworkProblem(graph=g, flow_functions=funcs, p=p, gamma=1.4)
+    assert solve_all(problem)
+    assert len(calls) == 2 and set(map(id, calls)) == {id(sine), id(linear)}

@@ -181,6 +181,23 @@ class TestPtc:
         margin = float(np.min(base.capacity - np.abs(f)))
         assert it.feasible and margin - it.error_bound >= -FEASIBILITY_SLACK
 
+    def test_ceiling_accounts_for_the_slack(self):
+        # Against capacities of 0.01 the slack is large: the ceiling 2 sin 1.4
+        # without it reads feasible, so a bracket must start above it.
+        from torusflow.flows import decide_cell
+
+        case = PowerCase(
+            buses=((1.0, 0.01), (1.0, 0.0), (1.0, -0.01), (1.0, 0.0)),
+            branches=tuple((i, (i + 1) % 4, 0.01) for i in range(4)),
+        )
+        tol = 1e-10
+        res = ptc(case, [0], 1.4, tol=tol)
+        # The PTC that bisecting from the doubled ceiling gave.
+        assert res.ptc == pytest.approx(1.970899659942317, abs=tol)
+        base = case_to_problem(case, 1.4)
+        basis = fundamental_cycle_basis(base.graph)
+        assert not decide_cell(base.with_supply(res.curve[-1].scale * base.p), basis, [0])[1].feasible
+
     def test_curve_shape(self):
         res = ptc(builtin_case("ring12-sym"), [0], GAMMA, tol=1e-5, curve_points=5)
         assert res.curve[0].scale == 0.0
