@@ -34,7 +34,7 @@ from .torus import (
     canonical_rotation,
     edge_differences,
     feasible_winding_vectors,
-    integrate_differences,
+    integrate_cells,
 )
 
 MIN_SLOPE = 1e-9
@@ -131,7 +131,8 @@ class FlowFunction:
         return FlowFunction(
             evaluate=np.sin,
             derivative=np.cos,
-            inner_inverse=lambda v: np.arcsin(np.asarray(v, dtype=float).clip(-1.0, 1.0)),
+            # `ExtendedFlowFunction.inverse` has clipped v to +-sin(gamma).
+            inner_inverse=lambda v: np.arcsin(np.asarray(v, dtype=float)),
             name="sin",
         )
 
@@ -678,22 +679,69 @@ def check_feasibility(problem: FlowNetworkProblem, f) -> tuple[bool, np.ndarray]
     return bool(np.all(margins >= -FEASIBILITY_SLACK)), margins
 
 
-def recover_phases(problem: FlowNetworkProblem, basis: CycleBasis, u, f) -> np.ndarray:
-    """Phases of a feasible fixed-point flow, canonical modulo rotation.
+def recover_cells(problem: FlowNetworkProblem, basis: CycleBasis, U, F) -> tuple[np.ndarray, np.ndarray]:
+    """Phases of a (B, m) stack F of feasible fixed-point flows in the cells
+    U, canonical modulo rotation: the (B, n) phases and the (B,) mask of
+    empty cells, whose rows hold no solution.
 
-    Fits delta = h_gamma^{-1}(A^{-1}f) to C delta = 2pi u by A-weighted
-    least squares (giving B^T x + 2pi C^+ u for the polytope coordinate x)
-    and integrates it with `integrate_differences`, which raises
-    NonIntegerWindingError when the cell is empty.
+    Fits each row's delta = h_gamma^{-1}(A^{-1}f) to C delta = 2pi u by
+    A-weighted least squares (giving B^T x + 2pi C^+ u for the polytope
+    coordinate x), in one product by `basis.weighted_pinv` for the stack,
+    and integrates every row along the tree with `integrate_cells`, whose
+    off-tree residue marks the empty cells.  The first row that exceeds a
+    capacity raises FeasibilityError.
     """
-    feasible, margins = check_feasibility(problem, f)
-    if not feasible:
-        bad = [int(e) for e in np.nonzero(margins < -FEASIBILITY_SLACK)[0]]
+    F = np.asarray(F, dtype=float)
+    margins = problem.capacity - np.abs(F)
+    over = ~(margins >= -FEASIBILITY_SLACK).all(axis=-1)
+    if over.any():
+        bad = np.nonzero(margins[over.argmax()] < -FEASIBILITY_SLACK)[0].tolist()
         raise FeasibilityError(f"flow exceeds capacity on edges {bad}")
+    U = np.asarray(U, dtype=np.int64)
+    delta = problem.inverse_differences(F)
+    delta -= (delta @ basis.matrix.T - TWO_PI * U) @ basis.weighted_pinv.T
+    theta, empty = integrate_cells(problem.graph, delta)
+    return canonical_rotation(theta), empty
+
+
+def recover_phases(problem: FlowNetworkProblem, basis: CycleBasis, u, f) -> np.ndarray:
+    """Phases of a feasible fixed-point flow, canonical modulo rotation:
+    `recover_cells` on the single row f, raising NonIntegerWindingError
+    when the cell is empty."""
     u = np.asarray(u, dtype=np.int64)
-    delta = problem.inverse_differences(np.asarray(f, dtype=float))
-    delta -= basis.weighted_pinv @ (basis.matrix @ delta - TWO_PI * u)
-    return canonical_rotation(integrate_differences(problem.graph, delta, u))
+    theta, empty = recover_cells(problem, basis, u[None, :], np.asarray(f, dtype=float)[None, :])
+    if empty[0]:
+        raise NonIntegerWindingError(f"no integer shift for u={u.tolist()}: cell is empty")
+    return theta[0]
+
+
+def verify_cells(problem: FlowNetworkProblem, basis: CycleBasis | None, F, Theta, U) -> list[SolutionReport]:
+    """Recompute all residuals of a (B, ·) stack of solutions from scratch:
+    one `SolutionReport` per row.
+
+    Each row's residuals come from its own flow f and phases theta alone,
+    through theta's wrapped differences (a row with a difference of
+    geodesic length pi raises PuncturedTorusError); the rows share only
+    the graph, the problem's constants and the basis.  A NaN in a row
+    makes that row's residuals NaN, which `failures` flags.
+    """
+    g = problem.graph
+    F = np.asarray(F, dtype=float)
+    delta = edge_differences(g, Theta)
+    balance = np.abs(g.divergence(F) - problem.p).max(axis=-1, initial=0.0)
+    physics = np.abs(F - problem.edge_flows(delta)).max(axis=-1, initial=0.0)
+    margin = problem.gamma - np.abs(delta).max(axis=-1, initial=0.0)
+    if basis is not None and basis.size:
+        raw = delta @ basis.matrix.T / TWO_PI
+        winding_dev = np.abs(raw - np.asarray(U, dtype=float)).max(axis=-1)
+    else:
+        winding_dev = np.zeros(len(F))
+    margins = problem.capacity - np.abs(F)
+    boundary = margins.min(axis=-1, initial=math.inf) <= FEASIBILITY_SLACK
+    return [
+        SolutionReport(*row)
+        for row in zip(balance.tolist(), physics.tolist(), margin.tolist(), winding_dev.tolist(), boundary.tolist())
+    ]
 
 
 def verify_solution(
@@ -703,28 +751,11 @@ def verify_solution(
     theta,
     u,
 ) -> SolutionReport:
-    """Recompute all solution residuals from scratch."""
-    g = problem.graph
-    f = np.asarray(f, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    delta = edge_differences(g, theta)
-    balance = float(np.max(np.abs(g.divergence(f) - problem.p)))
-    physics = float(np.max(np.abs(f - problem.edge_flows(delta))))
-    margin = problem.gamma - (float(np.max(np.abs(delta))) if g.m else 0.0)
-    if basis is not None and basis.size:
-        raw = basis.matrix @ delta / TWO_PI
-        winding_dev = float(np.max(np.abs(raw - np.asarray(u, dtype=float))))
-    else:
-        winding_dev = 0.0
-    _, margins = check_feasibility(problem, f)
-    boundary = bool(np.min(margins) <= FEASIBILITY_SLACK) if g.m else False
-    return SolutionReport(
-        balance_residual=balance,
-        physics_residual=physics,
-        constraint_margin=margin,
-        winding_deviation=winding_dev,
-        boundary=boundary,
-    )
+    """Recompute all solution residuals from scratch: `verify_cells` on the
+    single row (f, theta, u)."""
+    f = np.asarray(f, dtype=float)[None, :]
+    theta = np.asarray(theta, dtype=float)[None, :]
+    return verify_cells(problem, basis, f, theta, np.asarray(u, dtype=float)[None, :])[0]
 
 
 def acyclic_solve(problem: FlowNetworkProblem) -> Solution | None:
@@ -759,8 +790,12 @@ def solve_all(
     at most CHUNK_ROWS cells, and decides each chunk with one
     `decide_cells` call (certified Newton plus the three-way verdict per
     cell).  The first undecided cell raises TorusFlowError naming its u.
-    Only the feasible rows then get a report, have their phases recovered
-    and are certified independently, in box order.
+    The chunk's feasible rows then have their phases recovered by one
+    `recover_cells` call; the rows of empty cells are dropped, and the
+    rest are certified by one `verify_cells` call, each row from its own
+    flow and phases.  The first failed certificate in box order raises;
+    each solution gets its own arrays and report, in box order.  A chunk
+    with no feasible row skips both calls.
     """
     if problem.graph.cycle_space_dim == 0:
         sol = acyclic_solve(problem)
@@ -770,7 +805,8 @@ def solve_all(
     cells = feasible_winding_vectors(basis, problem.gamma)
     solutions = []
     while chunk := list(itertools.islice(cells, CHUNK_ROWS)):
-        flows, verdicts = decide_cells(problem, basis, np.array(chunk), rho)
+        U = np.array(chunk)
+        flows, verdicts = decide_cells(problem, basis, U, rho)
         undecided = ~(verdicts.feasible | verdicts.infeasible.any(axis=1))
         if undecided.any():
             r = int(undecided.argmax())
@@ -778,17 +814,18 @@ def solve_all(
                 f"winding vector {chunk[r].tolist()} is undecided: a margin lies "
                 f"within the certified error bound {verdicts.error_bound[r]:.3e} of the slack"
             )
-        for r in verdicts.feasible.nonzero()[0].tolist():
-            u, f, it = chunk[r], flows[r].copy(), verdicts[r]
-            try:
-                theta = recover_phases(problem, basis, u, f)
-            except NonIntegerWindingError:
-                # u admits no integer cycle shift, so its winding cell is empty.
-                continue
-            report = verify_solution(problem, basis, f, theta, u)
+        rows = verdicts.feasible.nonzero()[0]
+        if not rows.size:
+            continue
+        thetas, empty = recover_cells(problem, basis, U[rows], flows[rows])
+        # A row of an empty cell admits no integer cycle shift: no solution.
+        rows, thetas = rows[~empty], thetas[~empty]
+        reports = verify_cells(problem, basis, flows[rows], thetas, U[rows])
+        for r, theta, report in zip(rows.tolist(), thetas, reports):
+            u = chunk[r]
             if report.failures():
                 raise TorusFlowError(f"certification failed for winding vector {u.tolist()}: {report}")
-            solutions.append(Solution(f=f, theta=theta, u=u, report=report, iteration=it))
+            solutions.append(Solution(f=flows[r].copy(), theta=theta.copy(), u=u, report=report, iteration=verdicts[r]))
     return solutions
 
 

@@ -122,14 +122,32 @@ class WeightedGraph:
         return f - basis.matrix.T @ (basis.weighted_pinv.T @ f)
 
     def tree_phases(self, delta) -> np.ndarray:
-        """Phases with theta_0 = 0 whose tree-edge differences equal delta."""
+        """Phases with theta_0 = 0 whose tree-edge differences equal delta,
+        along the last axis, so a (B, m) stack gives (B, n) phases; one numpy
+        step per depth of the spanning tree, for every row at once."""
+        delta = np.asarray(delta, dtype=float)
+        theta = np.zeros(delta.shape[:-1] + (self.n,))
+        for nodes, parents, edges, signs in self._tree_levels:
+            theta[..., nodes] = theta[..., parents] + signs * delta[..., edges]
+        return theta
+
+    @cached_property
+    def _tree_levels(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Per depth of the spanning tree below node 0: its nodes, their
+        parents and parent edges, and +1 / -1 where an edge starts / ends at
+        the child (so theta_child = theta_parent + sign * delta_edge)."""
         parent, parent_edge, order = self.tree
-        d = np.asarray(delta, dtype=float).tolist()
-        theta = [0.0] * self.n
-        for v in order[1:]:
-            e = parent_edge[v]
-            theta[v] = theta[parent[v]] + (d[e] if self.edges[e][0] == v else -d[e])
-        return np.array(theta)
+        depth = [0] * self.n
+        levels: dict[int, list[int]] = {}
+        for v in order[1:]:  # BFS order: a parent comes before its children
+            depth[v] = depth[parent[v]] + 1
+            levels.setdefault(depth[v], []).append(v)
+        out = []
+        for nodes in levels.values():
+            edges = [parent_edge[v] for v in nodes]
+            signs = [1.0 if self.edges[e][0] == v else -1.0 for v, e in zip(nodes, edges)]
+            out.append((np.array(nodes), np.array([parent[v] for v in nodes]), np.array(edges), np.array(signs)))
+        return out
 
     @cached_property
     def adjacency(self) -> dict[int, list[tuple[int, int]]]:
@@ -147,16 +165,25 @@ class WeightedGraph:
         return idx[:, 0], idx[:, 1]
 
     def differences(self, x) -> np.ndarray:
-        """B^T x, i.e. x_i - x_j per edge (i, j); O(m)."""
+        """B^T x, i.e. x_i - x_j per edge (i, j), along the last axis; O(m)."""
         i, j = self.ends
         x = np.asarray(x, dtype=float)
-        return x[i] - x[j]
+        return x[..., i] - x[..., j]
 
     def divergence(self, f) -> np.ndarray:
-        """B f, the net outflow at every node; O(m)."""
+        """B f, the net outflow at every node, along the last axis; O(m).
+
+        Row r's edges land in bins r n .. r n + n - 1 of one `bincount`, in
+        edge order, so each row sums exactly as it would on its own."""
         i, j = self.ends
         f = np.asarray(f, dtype=float)
-        return np.bincount(i, f, self.n) - np.bincount(j, f, self.n)
+        rows = f.shape[:-1]
+        count = math.prod(rows)
+        offset = self.n * np.arange(count)[:, None]
+        flat = f.reshape(count, self.m).ravel()
+        size = count * self.n
+        out = np.bincount((i + offset).ravel(), flat, size) - np.bincount((j + offset).ravel(), flat, size)
+        return out.reshape(rows + (self.n,))
 
     def to_dict(self) -> dict:
         return {
@@ -375,8 +402,7 @@ def fundamental_cycle_basis(g: WeightedGraph) -> CycleBasis:
     if g.cycle_space_dim < 1:
         raise AcyclicGraphError("acyclic graph has an empty cycle basis")
     parent, parent_edge, _ = g.tree
-    tree = sorted(parent_edge[1:])
-    in_tree = set(tree)
+    in_tree = set(parent_edge[1:])
     cycles = []
     nontree = []
     for e, (i, j) in enumerate(g.edges):
@@ -384,7 +410,14 @@ def fundamental_cycle_basis(g: WeightedGraph) -> CycleBasis:
             continue
         nontree.append(e)
         path = _tree_path_nodes(parent, i, j)
-        cycles.append(Cycle.from_nodes(g, path))
+        # The graph has no parallel edges, so a tree step a -> b runs along
+        # the parent edge of whichever of a, b is the child.
+        vec = np.zeros(g.m, dtype=np.int64)
+        for a, b in zip(path, path[1:]):
+            t = parent_edge[a] if parent[a] == b else parent_edge[b]
+            vec[t] = 1 if g.edges[t][0] == a else -1
+        vec[e] = -1  # closing j -> i against the edge's orientation
+        cycles.append(Cycle(nodes=tuple(path), vector=vec))
     basis = CycleBasis(
         graph=g,
         cycles=tuple(cycles),

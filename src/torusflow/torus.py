@@ -48,23 +48,28 @@ def rotate(theta, s: float) -> np.ndarray:
 
 
 def canonical_rotation(theta) -> np.ndarray:
-    """Rotate so node 0 has phase 0 (representative modulo rotation)."""
+    """Rotate so node 0 has phase 0 (representative modulo rotation), along
+    the last axis."""
     theta = np.asarray(theta, dtype=float)
-    return wrap(theta - theta[0])
+    return wrap(theta - theta[..., :1])
 
 
 def edge_differences(g: WeightedGraph, theta) -> np.ndarray:
-    """Wrapped differences (B^T theta)_e = wrap(theta_i - theta_j).
+    """Wrapped differences (B^T theta)_e = wrap(theta_i - theta_j), along
+    the last axis.
 
     Raises PuncturedTorusError when a difference has geodesic length pi
-    (within 1e-12), where winding numbers are undefined.
+    (within 1e-12), where winding numbers are undefined; in a stack, it
+    names the closest edge of the first row that has one.
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (g.n,):
+    if theta.shape[-1:] != (g.n,):
         raise InputError(f"theta must have length {g.n}")
     delta = wrap(g.differences(theta))
-    if np.any(np.abs(delta + math.pi) < BOUNDARY_TOL):
-        bad = int(np.argmin(np.abs(delta + math.pi)))
+    gap = np.abs(delta + math.pi).reshape(math.prod(delta.shape[:-1]), g.m)
+    hit = (gap < BOUNDARY_TOL).any(axis=1)
+    if hit.any():
+        bad = int(np.argmin(gap[hit.argmax()]))
         raise PuncturedTorusError(
             f"edge {g.edges[bad]} has difference of geodesic length pi"
         )
@@ -123,16 +128,26 @@ def feasible_winding_vectors(basis: CycleBasis, gamma: float) -> Iterator[np.nda
         yield np.array(combo, dtype=np.int64)
 
 
-def integrate_differences(g: WeightedGraph, delta, u) -> np.ndarray:
-    """Phases (theta_0 = 0) integrating delta, C delta = 2pi u, along the
-    spanning tree.  Off the tree they differ from delta by 2pi z, C z = u; z
-    not integral means u has no integer cycle shift, so its winding cell is
-    empty: NonIntegerWindingError."""
+def integrate_cells(g: WeightedGraph, delta) -> tuple[np.ndarray, np.ndarray]:
+    """Phases (theta_0 = 0) integrating each row of a (B, m) stack delta,
+    C delta = 2pi u, along the spanning tree, and the (B,) mask of empty
+    cells.  Off the tree the phases differ from delta by 2pi z, C z = u; a
+    row is empty when z is not integral (u has no integer cycle shift),
+    which its wrapped off-tree residue shows."""
+    delta = np.asarray(delta, dtype=float)
     theta = g.tree_phases(delta)
-    if np.max(np.abs(wrap(g.differences(theta) - delta)), initial=0.0) > TWO_PI * WINDING_INT_TOL:
+    residue = np.abs(wrap(g.differences(theta) - delta))
+    return theta, residue.max(axis=-1, initial=0.0) > TWO_PI * WINDING_INT_TOL
+
+
+def integrate_differences(g: WeightedGraph, delta, u) -> np.ndarray:
+    """`integrate_cells` on the single row delta; an empty cell raises
+    NonIntegerWindingError naming u."""
+    theta, empty = integrate_cells(g, np.asarray(delta, dtype=float)[None, :])
+    if empty[0]:
         u = np.asarray(u, dtype=np.int64)
         raise NonIntegerWindingError(f"no integer shift for u={u.tolist()}: cell is empty")
-    return theta
+    return theta[0]
 
 
 def torus_to_polytope(basis: CycleBasis, theta) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import sys
@@ -5,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import torusflow.flows as flows_module
@@ -56,7 +59,10 @@ from torusflow import (
     verify_solution,
     winding_fixed_point_map,
     winding_vector,
+    wrap,
 )
+from torusflow.flows import FEASIBILITY_SLACK, decide_cells, recover_cells, verify_cells
+from torusflow.torus import WINDING_INT_TOL
 
 TWO_PI = 2 * math.pi
 
@@ -149,6 +155,18 @@ class TestExtendedInverse:
             v = np.concatenate([rng.uniform(-3.0, 3.0, 200), [-h_gamma, h_gamma]])
             y = ext.inverse(v)
             assert np.max(np.abs(ext.evaluate(y) - v)) < 1e-12
+
+    def test_sine_inverse_needs_no_clip_inside_arcsin(self):
+        # v is clipped to +-h(gamma) = +-sin(gamma) before arcsin sees it, so
+        # also clipping to [-1, 1] there changes no bit, at or beyond the ends.
+        for gamma in (0.3, 1.0, 1.4, math.pi / 2 - 1e-6):
+            ext = ExtendedFlowFunction(FlowFunction.sin_family(), gamma)
+            c = ext.cert
+            ends = [c.h_gamma, np.nextafter(c.h_gamma, 2.0), np.nextafter(c.h_gamma, 0.0), 1.0, 1.5, 1e6]
+            v = np.concatenate([np.linspace(-2.0, 2.0, 4001), ends, np.negative(ends)])
+            inside = v.clip(-c.h_gamma, c.h_gamma)
+            clipped = np.arcsin(inside.clip(-1.0, 1.0)).clip(-gamma, gamma) + (v - inside) / c.dh_gamma
+            assert np.array_equal(ext.inverse(v), clipped)
 
     def test_bisection_path_matches_closed_form(self, rng):
         # dual route: generic inverse vs arcsin on the same sine function
@@ -673,6 +691,126 @@ class TestEmptyWindingCells:
         assert len(by_explicit) == len(by_fund) >= 1
         for a in by_explicit:
             assert any(phases_equal_mod_rotation(a.theta, b.theta, 1e-10) for b in by_fund)
+
+
+def _reference_recover(problem, basis, u, f):
+    """The one-row phase recovery that `recover_cells` stacks, integrating
+    node by node along the tree: canonical phases, and whether u's cell is
+    empty."""
+    g = problem.graph
+    delta = problem.inverse_differences(f)
+    delta = delta - basis.weighted_pinv @ (basis.matrix @ delta - TWO_PI * u)
+    parent, parent_edge, order = g.tree
+    theta = np.zeros(g.n)
+    for v in order[1:]:
+        e = parent_edge[v]
+        theta[v] = theta[parent[v]] + (delta[e] if g.edges[e][0] == v else -delta[e])
+    residue = wrap(g.incidence.T @ theta - delta)
+    return wrap(theta - theta[0]), np.max(np.abs(residue)) > TWO_PI * WINDING_INT_TOL
+
+
+def _reference_verify(problem, basis, f, theta, u):
+    """The residuals of one row, from its own f and theta and the dense
+    incidence: balance, physics, margin, winding deviation, boundary."""
+    B = problem.graph.incidence
+    delta = wrap(B.T @ theta)
+    return (
+        np.max(np.abs(B @ f - problem.p)),
+        np.max(np.abs(f - problem.edge_flows(delta))),
+        problem.gamma - np.max(np.abs(delta)),
+        np.max(np.abs(basis.matrix @ delta / TWO_PI - u)),
+        np.min(problem.capacity - np.abs(f)) <= FEASIBILITY_SLACK,
+    )
+
+
+def _check_stacked_rows(problem, basis, U, F, rng):
+    """`recover_cells` and `verify_cells` on a stack against one-row calls:
+    the reference loops above and the one-row views."""
+    thetas, empty = recover_cells(problem, basis, U, F)
+    assert thetas.shape == (len(U), problem.graph.n) and empty.shape == (len(U),)
+    for u, f, theta, is_empty in zip(U, F, thetas, empty):
+        ref_theta, ref_empty = _reference_recover(problem, basis, u, f)
+        assert is_empty == ref_empty
+        assert np.max(np.abs(wrap(theta - ref_theta))) <= 1e-12
+        if is_empty:
+            with pytest.raises(NonIntegerWindingError):
+                recover_phases(problem, basis, u, f)
+        else:
+            assert np.max(np.abs(wrap(recover_phases(problem, basis, u, f) - theta))) <= 1e-12
+    # The rows of non-empty cells and perturbed copies of them: each row's
+    # residuals must come from its own f, theta and u, not from the flow nor
+    # from another row.
+    F, thetas, U = F[~empty], thetas[~empty], U[~empty]
+    F = np.concatenate([F, F + rng.normal(scale=1e-3, size=F.shape)])
+    thetas = np.concatenate([thetas, thetas + rng.normal(scale=0.05, size=thetas.shape)])
+    U = np.concatenate([U, U + rng.integers(-1, 2, size=U.shape)])
+    reports = verify_cells(problem, basis, F, thetas, U)
+    assert len(reports) == len(F)
+    for f, theta, u, report in zip(F, thetas, U, reports):
+        got = dataclasses.astuple(report)
+        view = dataclasses.astuple(verify_solution(problem, basis, f, theta, u))
+        for want in (_reference_verify(problem, basis, f, theta, u), view):
+            assert got[4] == want[4]
+            assert np.max(np.abs(np.subtract(got[:4], want[:4]))) <= 1e-12
+    return empty
+
+
+def _ring_chain(rng, lengths, chords):
+    """Rings of the given lengths, each joined to the next at one node, plus
+    random chords, with weights near 1: a mesh whose winding box holds many
+    feasible cells."""
+    edges, start, n = [], 0, 1
+    for length in lengths:
+        ring = [start] + list(range(n, n + length - 1))
+        n += length - 1
+        edges += [(ring[i], ring[(i + 1) % length]) for i in range(length)]
+        start = ring[length // 2]
+    pairs = {tuple(sorted(e)) for e in edges}
+    while chords:
+        a, b = sorted(rng.choice(n, size=2, replace=False).tolist())
+        if (a, b) not in pairs:
+            pairs.add((a, b))
+            edges.append((a, b))
+            chords -= 1
+    return WeightedGraph.from_edges(n, edges, rng.uniform(0.8, 1.25, size=len(edges)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lengths=st.lists(st.integers(6, 10), min_size=2, max_size=3),
+    chords=st.integers(0, 1),
+    gamma=st.sampled_from([1.0, 1.4, math.pi / 2 - 0.01]),
+    scale=st.sampled_from([0.0, 0.1]),
+)
+def test_stacked_recovery_and_certificates_match_rows(seed, lengths, chords, gamma, scale):
+    rng = np.random.default_rng(seed)
+    g = _ring_chain(rng, lengths, chords)
+    funcs = tuple(
+        FlowFunction.sin_family() if rng.random() < 0.5 else FlowFunction.linear(s)
+        for s in rng.choice([0.8, 1.0, 1.25], size=g.m)
+    )
+    problem = FlowNetworkProblem(graph=g, flow_functions=funcs, p=balanced_vector(rng, g.n, scale), gamma=gamma)
+    for basis in _bases(g):
+        box = np.array(list(feasible_winding_vectors(basis, gamma)))
+        flows, verdicts = decide_cells(problem, basis, box)
+        rows = verdicts.feasible
+        _check_stacked_rows(problem, basis, box[rows], flows[rows], rng)
+
+
+def test_stacked_recovery_marks_each_empty_cell():
+    g = complete_graph(4)
+    problem = FlowNetworkProblem.single_family(g, FlowFunction.linear(), np.zeros(4), 3.0)
+    explicit = explicit_cycle_basis(g, [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)])
+    for basis, empties in ((explicit, 6), (fundamental_cycle_basis(g), 0)):
+        box = np.array(list(feasible_winding_vectors(basis, problem.gamma)))
+        flows, verdicts = decide_cells(problem, basis, box)
+        rows = verdicts.feasible
+        empty = _check_stacked_rows(problem, basis, box[rows], flows[rows], np.random.default_rng(3))
+        assert int(empty.sum()) == empties
+    thetas, empty = recover_cells(problem, explicit, np.empty((0, 3)), np.empty((0, g.m)))
+    assert thetas.shape == (0, 4) and empty.shape == (0,)
+    assert verify_cells(problem, explicit, np.empty((0, g.m)), thetas, np.empty((0, 3))) == []
 
 
 def test_solve_path_forms_no_dense_matrix(monkeypatch, tmp_path):

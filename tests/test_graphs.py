@@ -30,7 +30,7 @@ from torusflow import (
     minimum_cycle_basis,
     spanning_tree,
 )
-from torusflow.graphs import deflated_pinv
+from torusflow.graphs import _tree_path_nodes, deflated_pinv
 
 
 def _lattice(side):
@@ -111,6 +111,20 @@ class TestIncidence:
             f = rng.normal(size=g.m)
             assert np.max(np.abs(g.differences(x) - g.incidence.T @ x), initial=0.0) <= 1e-12
             assert np.max(np.abs(g.divergence(f) - g.incidence @ f)) <= 1e-12
+
+    def test_edge_index_operators_work_row_wise(self, rng):
+        # A (B, .) stack gives, row by row, the bits of the one-row call.
+        single = WeightedGraph.from_edges(1, [])
+        assert single.divergence(np.zeros((3, 0))).shape == (3, 1)
+        assert single.tree_phases(np.zeros((3, 0))).shape == (3, 1)
+        for n in (2, 5, 9, 14):
+            g = random_connected_graph(rng, n)
+            X = rng.normal(size=(4, g.n))
+            F = rng.normal(size=(4, g.m))
+            D = rng.normal(size=(4, g.m))
+            for op, rows in ((g.differences, X), (g.divergence, F), (g.tree_phases, D)):
+                assert np.array_equal(op(rows), np.array([op(row) for row in rows]))
+            assert g.divergence(F[:0]).shape == (0, g.n)
 
 
 class TestLaplacianPinv:
@@ -249,6 +263,23 @@ class TestFundamentalBasis:
         g = WeightedGraph.from_edges(3, [(0, 1), (1, 2)])
         with pytest.raises(AcyclicGraphError):
             fundamental_cycle_basis(g)
+
+    def test_cycles_match_node_walks(self, rng):
+        # Vectors read off the tree's parent edges equal the adjacency walk of
+        # Cycle.from_nodes along the same node path, bit for bit.
+        for _ in range(30):
+            g = random_connected_graph(rng, int(rng.integers(3, 16)))
+            flip = rng.random(g.m) < 0.5
+            g = WeightedGraph.from_edges(g.n, [(j, i) if f else (i, j) for (i, j), f in zip(g.edges, flip)], g.weights)
+            if g.cycle_space_dim == 0:
+                continue
+            basis = fundamental_cycle_basis(g)
+            parent = g.tree[0]
+            walks = tuple(Cycle.from_nodes(g, _tree_path_nodes(parent, *g.edges[e])) for e in basis.nontree_edges)
+            for cycle, walk in zip(basis.cycles, walks):
+                assert cycle.nodes == walk.nodes
+                assert cycle.vector.dtype == walk.vector.dtype and np.array_equal(cycle.vector, walk.vector)
+            assert basis.fingerprint == CycleBasis(graph=g, cycles=walks, kind="fundamental").fingerprint
 
 
 class TestMinimumBasis:
