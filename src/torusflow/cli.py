@@ -126,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = add(
         "sweep", "PTC/congestion sweep over windings", _problem_source, _rho, _basis, _format
     )
-    p_sweep.add_argument("--tol", type=float, default=PTC_TOL, help="PTC bisection tolerance")
+    p_sweep.add_argument("--tol", type=float, default=PTC_TOL, help="width of the certified PTC bracket (multisection)")
 
     p_dec = add("decompose", "cutset/cycle decomposition of a flow", _problem_source, _basis)
     p_dec.add_argument("solution", help="solution JSON file")

@@ -403,12 +403,18 @@ class CellVerdicts:
     def __len__(self) -> int:
         return self.feasible.size
 
+    @cached_property
+    def contraction_verified(self) -> np.ndarray:
+        """Whether each row's steps contract by `rate`, for all rows at once."""
+        return _contracts(self.rate, self.steps)
+
     def __getitem__(self, r: int) -> IterationReport:
         # An index past the end raises IndexError, which also ends iteration.
         taken = self.iterations.item(r)
         return _report(
             self.rate,
             self.steps[r, : taken + 1].tolist(),
+            self.contraction_verified.item(r),
             iterations=taken,
             final_step=self.final_step.item(r),
             feasible=self.feasible.item(r),
@@ -475,9 +481,14 @@ def _step_budget(rate: float, ratio: float) -> int:
     return math.ceil(math.log(ratio) / math.log(rate)) + 10
 
 
-def _report(rate: float, steps: list[float], **fields) -> IterationReport:
-    """A run's report; its contraction is checked on the map-norm steps."""
-    verified = not any(b > rate * a + 1e-12 for a, b in zip(steps, steps[1:]))
+def _contracts(rate: float, steps: np.ndarray) -> np.ndarray:
+    """Whether each run of map-norm steps along the last axis (NaN after its
+    last) shrinks by at least the factor `rate` at every step."""
+    return ~(steps[..., 1:] > rate * steps[..., :-1] + 1e-12).any(axis=-1)
+
+
+def _report(rate: float, steps: list[float], verified: bool, **fields) -> IterationReport:
+    """A run's report, with `verified` the `_contracts` flag of its steps."""
     return IterationReport(rate=rate, contraction_verified=verified, weighted_steps=tuple(steps), **fields)
 
 
@@ -520,15 +531,22 @@ def projection_iteration(
         step_inf = float(np.max(np.abs(nxt - f)))
         steps.append(problem.map_norm(nxt - f))
 
-    return nxt, _report(rate, steps, iterations=len(steps), final_step=step_inf)
+    verified = bool(_contracts(rate, np.array(steps)))
+    return nxt, _report(rate, steps, verified, iterations=len(steps), final_step=step_inf)
 
 
 def decide_cells(
-    problem: FlowNetworkProblem, basis: CycleBasis, U, rho: float = DEFAULT_RHO
+    problem: FlowNetworkProblem, basis: CycleBasis, U, rho: float = DEFAULT_RHO, scales=None
 ) -> tuple[np.ndarray, CellVerdicts]:
     """Certified damped Newton solves of a (B, k) stack of cells U, each with
     its three-way verdict: the (B, m) flows and one `CellVerdicts` record
     of B rows, whose row view `verdicts[r]` is row r's `IterationReport`.
+
+    With a (B,) array `scales`, row r decides cell U[r] of
+    `problem.with_supply(scales[r] * problem.p)`.  p enters only through
+    the start flow, which is then scales[r] f0: every step lies in
+    Img C^T, so B f = scales[r] p stays exact, and the capacity, rate, map
+    factor and verdict do not read p.
 
     In cell u the fixed point f* = f0 + C^T c* of T_u (f0 the cutset flow
     taken with `basis`; it and the map factor K are formed once per call)
@@ -581,12 +599,21 @@ def decide_cells(
         ok = (margins - bound[:, None] >= -FEASIBILITY_SLACK).all(axis=1)
         return ok, margins + bound[:, None] < -FEASIBILITY_SLACK
 
-    # Every row starts from the cutset flow, taken with this basis.
+    # Every row starts from the cutset flow taken with this basis, scaled by
+    # the row's scale when there is one.
     f0 = problem.graph.cutset_flow(problem.p, basis)
-    delta0 = problem.inverse_differences(f0)
-    F = f0[None, :].repeat(rows.size, axis=0)
-    D = delta0[None, :].repeat(rows.size, axis=0)
-    G = C @ delta0 - twopi_u
+    if scales is None:
+        delta0 = problem.inverse_differences(f0)
+        F = f0[None, :].repeat(rows.size, axis=0)
+        D = delta0[None, :].repeat(rows.size, axis=0)
+        G = C @ delta0 - twopi_u
+    else:
+        scales = np.asarray(scales, dtype=float)
+        if scales.shape != rows.shape:
+            raise InputError(f"need one scale per cell: {scales.shape} for {rows.size} cells")
+        F = scales[:, None] * f0
+        D = problem.inverse_differences(F)
+        G = D @ C.T - twopi_u
     S = G @ Kt
     d = problem.map_norm(S)
     history = [(rows, d)]  # per step taken: the stack's rows and their map-norm steps

@@ -1,7 +1,7 @@
 """Lossless AC active power flow as a flow network problem on the torus.
 
 Covers case ingestion (with rebalancing), translation to sin-family flow
-problems, power-transmission-capacity sweeps by certified bisection, and
+problems, power-transmission-capacity sweeps by certified multisection, and
 congestion reporting.  Voltage magnitudes are inputs, never solved for.
 """
 from __future__ import annotations
@@ -21,13 +21,14 @@ from .flows import (
     FlowFunction,
     FlowNetworkProblem,
     Solution,
-    decide_cell,
+    decide_cells,
 )
 from .graphs import CycleBasis, WeightedGraph, fundamental_cycle_basis
 
 REBALANCE_LIMIT = 0.01
 GAMMA_LIMIT = math.pi / 2 - 1e-9
-PTC_TOL = 1e-6  # default width of the PTC bisection bracket
+PTC_TOL = 1e-6  # default width of the PTC multisection bracket
+SECTIONS = 16  # parts each PTC multisection round cuts its bracket into
 
 
 @dataclass(frozen=True)
@@ -157,11 +158,16 @@ def ptc(
 ) -> SweepResult:
     """Largest scale P of the case's profile with a winding-u solution.
 
-    Bisection on P with certified brackets: each probe is a certified
-    Newton solve of cell u with the three-way verdict, and an undecided
-    probe counts as no solution, so existence is certified at the returned
-    value and fails or is undecided at most tol above it.  Assumes a single
-    existence interval [0, PTC], as the incremental sweep it replaces did.
+    Multisection on P with certified brackets: each round probes the
+    SECTIONS - 1 interior points of the bracket (lo, hi) in one stacked
+    `decide_cells` call on the case's own problem, with per-row supply
+    scales.  Each probe is a certified Newton solve of cell u with the
+    three-way verdict, and an undecided probe counts as no solution.  hi
+    moves to the first probe that is not feasible and lo to the probe
+    before it, so existence is certified at the returned value and fails
+    or is undecided at most tol above it.  Assumes a single existence
+    interval [0, PTC], as the incremental sweep it replaces did.  The
+    curve's `curve_points` scales in [0, PTC] are one more stacked call.
 
     The bracket's upper end is certified without a probe: a feasible
     verdict bounds every |f_e| by capacity + FEASIBILITY_SLACK, and
@@ -178,13 +184,14 @@ def ptc(
     if float(np.max(np.abs(p_hat))) == 0.0:
         raise InputError("the case profile is identically zero; nothing to scale")
 
-    def probe(scale: float):
+    def probe(scales: np.ndarray):
         # An undecided cell counts as not feasible, so a probe that says yes
         # is feasible at the certified error bound.
-        flow, it = decide_cell(base.with_supply(scale * p_hat), basis, u, rho)
-        return it.feasible, flow
+        U = np.broadcast_to(u, (scales.size, u.size))
+        flows, verdicts = decide_cells(base, basis, U, rho, scales=scales)
+        return verdicts.feasible, flows
 
-    if not probe(0.0)[0]:
+    if not probe(np.zeros(1))[0][0]:
         return SweepResult(u=u, ptc=None, curve=())
 
     # A node passes at most the capacity of the edges that touch it, each
@@ -195,28 +202,29 @@ def ptc(
     hi = float(np.min(node_caps[mask] / np.abs(p_hat[mask]))) * (1.0 + 1e-9) + tol
 
     lo = 0.0
+    cuts = np.arange(1, SECTIONS) / SECTIONS
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        exists_mid, _ = probe(mid)
-        if exists_mid:
-            lo = mid
-        else:
-            hi = mid
+        ends = np.concatenate(([lo], lo + (hi - lo) * cuts, [hi]))
+        feasible, _ = probe(ends[1:-1])
+        # The bracket moves to the first probe that is not feasible (hi when
+        # every probe is) and the point before it.
+        first = int(np.append(~feasible, True).argmax())
+        lo, hi = float(ends[first]), float(ends[first + 1])
 
-    curve = []
-    for scale in np.linspace(0.0, lo, curve_points):
-        exists, flow = probe(float(scale))
-        loading = float(np.max(np.abs(flow / base.graph.weight_vector)))
-        loops = tuple((basis.matrix @ flow).tolist())
-        curve.append(
-            SweepSample(
-                scale=float(scale),
-                exists=exists,
-                congestion=loading if exists else None,
-                loop_flows=loops if exists else (),
-            )
+    scales = np.linspace(0.0, lo, curve_points)
+    exists, flows = probe(scales)
+    loading = np.abs(flows / base.graph.weight_vector).max(axis=1)
+    loops = flows @ basis.matrix.T
+    curve = [
+        SweepSample(
+            scale=scale,
+            exists=ok,
+            congestion=load if ok else None,
+            loop_flows=tuple(loop) if ok else (),
         )
-    # hi kept the no-solution side of the bracket throughout the bisection.
+        for scale, ok, load, loop in zip(scales.tolist(), exists.tolist(), loading.tolist(), loops.tolist())
+    ]
+    # hi kept the no-solution side of the bracket throughout the multisection.
     curve.append(SweepSample(scale=hi, exists=False, congestion=None, loop_flows=()))
     return SweepResult(u=u, ptc=lo, curve=tuple(curve))
 

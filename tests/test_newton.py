@@ -2,6 +2,7 @@
 iteration it replaced on the solve path, and its three-way verdict."""
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from torusflow import (
     ElasticEnergy,
     FlowFunction,
     FlowNetworkProblem,
+    InputError,
     NonIntegerWindingError,
+    PowerCase,
     TorusFlowError,
     WeightedGraph,
     builtin_case,
@@ -297,6 +300,11 @@ def test_solve_path_never_calls_projection_iteration(monkeypatch):
     assert res.ptc is not None and res.curve[0].exists
 
 
+def _steps_contract(rate, steps):
+    """The contraction check of one run, step pair by step pair."""
+    return not any(b > rate * a + 1e-12 for a, b in zip(steps, steps[1:]))
+
+
 def _reference_decide_cell(problem, basis, u, rho=flows.DEFAULT_RHO):
     """The per-cell Newton loop that `decide_cells` stacks, written for one
     cell with scalar bookkeeping: the reference its rows must reproduce."""
@@ -344,6 +352,7 @@ def _reference_decide_cell(problem, basis, u, rho=flows.DEFAULT_RHO):
     return f, flows._report(
         rate,
         steps,
+        _steps_contract(rate, steps),
         iterations=len(steps) - 1,
         final_step=float(np.max(np.abs(step))),
         feasible=feasible,
@@ -479,3 +488,70 @@ def test_each_distinct_flow_function_is_certified_once(monkeypatch):
     problem = FlowNetworkProblem(graph=g, flow_functions=funcs, p=p, gamma=1.4)
     assert solve_all(problem)
     assert len(calls) == 2 and set(map(id, calls)) == {id(sine), id(linear)}
+
+
+def _ring_problems():
+    """The 4-bus ring with one source and one sink, and the 12-bus rings."""
+    four = PowerCase(
+        buses=((1.0, 1.0), (1.0, 0.0), (1.0, -1.0), (1.0, 0.0)),
+        branches=tuple((i, (i + 1) % 4, 1.0) for i in range(4)),
+    )
+    cases = (four, builtin_case("ring12-sym"), builtin_case("ring12-asym"))
+    return [case_to_problem(case, gamma) for case in cases for gamma in (1.4, NEAR_LIMIT)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ring=st.sampled_from([None, *range(6)]),
+    n=st.integers(4, 12),
+    extra=st.integers(1, 4),
+    gamma=st.sampled_from([1.0, 1.4, NEAR_LIMIT]),
+)
+def test_scaled_stack_matches_problems_with_scaled_supply(seed, ring, n, extra, gamma):
+    # Row r of a scaled stack decides its cell of the problem whose supply is
+    # scales[r] p, as a fresh problem with that supply does.
+    rng = np.random.default_rng(seed)
+    if ring is None:
+        g = random_connected_graph(rng, n, extra_edges=extra)
+        base = sin_problem(g, balanced_vector(rng, n, 0.6), gamma)
+    else:
+        base = _ring_problems()[ring]
+    for basis in (fundamental_cycle_basis(base.graph), minimum_cycle_basis(base.graph)):
+        box = np.array(list(feasible_winding_vectors(basis, base.gamma)))
+        U = box[rng.integers(len(box), size=12)]
+        scales = np.concatenate([[0.0], rng.uniform(0.0, 2.5, size=11)])
+        stacked, verdicts = decide_cells(base, basis, U, scales=scales)
+        for r, (u, scale) in enumerate(zip(U, scales)):
+            f, it = decide_cell(base.with_supply(scale * base.p), basis, u)
+            assert verdicts.feasible[r] == it.feasible
+            assert tuple(verdicts.infeasible[r].nonzero()[0]) == it.infeasible_edges
+            assert np.max(np.abs(stacked[r] - f)) <= 1e-12
+
+
+def test_scales_need_one_entry_per_cell():
+    problem = sin_problem(ring_graph(5), np.zeros(5), 1.4)
+    basis = fundamental_cycle_basis(problem.graph)
+    with pytest.raises(InputError, match="one scale per cell"):
+        decide_cells(problem, basis, np.array([[0], [1]]), scales=[1.0])
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 12), extra=st.integers(1, 4))
+def test_stacked_contraction_flag_matches_step_pairs(seed, n, extra):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, extra_edges=extra)
+    problem = sin_problem(g, balanced_vector(rng, n, 0.6), NEAR_LIMIT)
+    basis = fundamental_cycle_basis(g)
+    box = np.array(list(feasible_winding_vectors(basis, NEAR_LIMIT)))
+    _, verdicts = decide_cells(problem, basis, box)
+    # A copy of the record in which one row's second step does not shrink.
+    r = int(verdicts.iterations.argmax())
+    assert verdicts.iterations[r] >= 1 and verdicts.steps[r, 0] > 1e-9
+    steps = verdicts.steps.copy()
+    steps[r, 1] = steps[r, 0]
+    tampered = replace(verdicts, steps=steps)
+    assert not tampered[r].contraction_verified
+    for record in (verdicts, tampered):
+        flags = [it.contraction_verified for it in record]
+        assert flags == [_steps_contract(record.rate, it.weighted_steps) for it in record]

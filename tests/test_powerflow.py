@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+import torusflow.powerflow as powerflow
 from torusflow import (
     GammaError,
     InputError,
@@ -14,6 +15,7 @@ from torusflow import (
     builtin_case,
     case_to_problem,
     congestion,
+    feasible_winding_vectors,
     fundamental_cycle_basis,
     matpower_branch_to_edge,
     ptc,
@@ -206,6 +208,85 @@ class TestPtc:
         feasible = [s for s in res.curve if s.exists]
         assert all(0.0 <= s.congestion <= 1.0 for s in feasible)
         assert all(len(s.loop_flows) == 1 for s in feasible)
+
+    # The PTC of each winding at tol 1e-7 as bisection from the node-capacity
+    # ceiling found it, before the bracket was probed in stacks.
+    BISECTION_PTC = {
+        "ring12-sym": {
+            -2: 0.4913149634978983,
+            -1: 1.4912649563128464,
+            0: 1.9998999856298956,
+            1: 1.4912649563128464,
+            2: 0.4913149634978983,
+        },
+        "ring12-asym": {
+            -2: 0.2317671640948865,
+            -1: 0.8230201178791559,
+            0: 1.4970605032734916,
+            1: 1.9384973343705632,
+            2: 1.473748383795396,
+        },
+    }
+
+    @pytest.mark.parametrize("name", ["ring12-sym", "ring12-asym"])
+    def test_every_winding_bracket_is_certified(self, name):
+        from torusflow.flows import decide_cell
+
+        tol = 1e-7
+        case = builtin_case(name)
+        base = case_to_problem(case, GAMMA)
+        basis = fundamental_cycle_basis(base.graph)
+        windings = [int(u[0]) for u in feasible_winding_vectors(basis, GAMMA)]
+        assert windings == sorted(self.BISECTION_PTC[name])
+        for u in windings:
+            res = ptc(case, [u], GAMMA, tol=tol, basis=basis)
+            assert res.ptc == pytest.approx(self.BISECTION_PTC[name][u], abs=tol)
+            hi = res.curve[-1]
+            assert not hi.exists and 0.0 < hi.scale - res.ptc <= tol
+            assert decide_cell(base.with_supply(res.ptc * base.p), basis, [u], 1e-10)[1].feasible
+            assert not decide_cell(base.with_supply((res.ptc + 2 * tol) * base.p), basis, [u], 1e-10)[1].feasible
+
+    @pytest.mark.parametrize("tol", [1e-5, 1e-7, 1e-10])
+    def test_decide_calls_per_sweep(self, monkeypatch, tol):
+        calls = []
+        decide = powerflow.decide_cells
+        monkeypatch.setattr(powerflow, "decide_cells", lambda *a, **kw: calls.append(kw["scales"]) or decide(*a, **kw))
+        res = ptc(builtin_case("ring12-asym"), [1], GAMMA, tol=tol)
+        # The bracket starts at the node-capacity ceiling, 2 sin(gamma) plus slack.
+        hi0 = 2.0 * math.sin(GAMMA) + 1e-6
+        assert len(calls) <= 2 + math.ceil(math.log(hi0 / tol) / math.log(powerflow.SECTIONS))
+        # One probe at zero, SECTIONS - 1 per round, and the curve.
+        assert [len(scales) for scales in calls] == [1] + [powerflow.SECTIONS - 1] * (len(calls) - 2) + [9]
+        assert res.curve[-1].scale - res.ptc <= tol
+
+    def test_bracket_ends_at_the_first_probe_that_is_not_feasible(self, monkeypatch):
+        # A probe of the first round reads not feasible between feasible
+        # ones, as an undecided probe may: the bracket stays below it.
+        calls, flagged = [], []
+        decide = powerflow.decide_cells
+
+        def flag_one(*args, **kw):
+            flows, verdicts = decide(*args, **kw)
+            calls.append(kw["scales"])
+            if len(calls) == 2:
+                assert verdicts.feasible[4:8].all()
+                verdicts.feasible[5] = False
+                flagged.append(float(kw["scales"][5]))
+            return flows, verdicts
+
+        monkeypatch.setattr(powerflow, "decide_cells", flag_one)
+        res = ptc(builtin_case("ring12-asym"), [1], GAMMA, tol=1e-7)
+        assert res.ptc < res.curve[-1].scale <= flagged[0]
+        assert res.curve[-1].scale - res.ptc <= 1e-7
+
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_short_curves(self, points):
+        res = ptc(builtin_case("ring12-sym"), [0], GAMMA, tol=1e-5, curve_points=points)
+        assert len(res.curve) == points + 1
+        assert not res.curve[-1].exists and res.curve[-1].scale > res.ptc
+        if points:
+            assert res.curve[0].scale == 0.0 and res.curve[0].exists
+            assert res.curve[0].congestion == 0.0 and res.curve[0].loop_flows == (0.0,)
 
     def test_zero_profile_rejected(self):
         with pytest.raises(InputError):
