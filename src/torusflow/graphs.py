@@ -98,7 +98,14 @@ class WeightedGraph:
     @cached_property
     def tree(self) -> tuple[list[int], list[int], list[int]]:
         """Parents, parent edges and BFS order of the spanning tree from node 0."""
-        return _bfs(self, 0, set(spanning_tree(self)))
+        in_tree = set(spanning_tree(self))
+        search = _Bfs({v: [(e, w) for e, w in adj if e in in_tree] for v, adj in self.adjacency.items()}, 0)
+        while not search.exhausted:
+            search.grow()
+        parent, parent_edge = [-1] * self.n, [-1] * self.n
+        for v, (p, e) in zip(search.order[1:], search.up[1:]):
+            parent[v], parent_edge[v] = search.order[p], e
+        return parent, parent_edge, search.order
 
     def tree_flow(self, p) -> np.ndarray:
         """The flow balancing p (B f = p) that uses tree edges only; O(n)."""
@@ -356,22 +363,60 @@ def explicit_cycle_basis(g: WeightedGraph, node_sequences: Iterable[Sequence[int
     return basis
 
 
-def _bfs(g: WeightedGraph, root: int, edges: set[int] | None = None):
-    """parent/parent-edge arrays and BFS order from root, over all edges or
-    only those in `edges`; neighbours are scanned in edge input order."""
-    parent = [-1] * g.n
-    parent_edge = [-1] * g.n
-    seen = [False] * g.n
-    seen[root] = True
-    order = [root]
-    for v in order:
-        for e, w in g.adjacency[v]:
-            if not seen[w] and (edges is None or e in edges):
-                seen[w] = True
-                parent[w] = v
-                parent_edge[w] = e
-                order.append(w)
-    return parent, parent_edge, order
+class _Bfs:
+    """Breadth-first search from `root`, grown one level per `grow` call.
+
+    Neighbours are scanned in `adjacency` order, so the tree does not depend
+    on how far the search has been grown.  Reached nodes are numbered by
+    position in `order`, the root at 0; `index` maps a node to its position
+    and `up[p]` is (position of the tree parent, edge to it), (-1, -1) at
+    the root.  `levels` counts the levels scanned: nodes at depth < `levels`
+    are scanned, and every node at depth `levels` is reached.
+    """
+
+    def __init__(self, adjacency: dict[int, list[tuple[int, int]]], root: int):
+        self.adjacency = adjacency
+        self.order = [root]
+        self.index = {root: 0}
+        self.up = [(-1, -1)]
+        self.levels = 0
+        self._scanned = 0
+
+    @property
+    def exhausted(self) -> bool:
+        """Every reached node is scanned: the search has reached all it can."""
+        return self._scanned == len(self.order)
+
+    def grow(self) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
+        """Scan the deepest reached level h, reaching level h + 1.
+
+        Returns the non-tree edges met for the first time, as (i, e, j) with
+        i the position of a node on level h and j that of a node reached but
+        not yet scanned: first those with j later on level h, then those
+        with j on level h + 1.  Each non-tree edge is met for the first time
+        at exactly one scan.
+        """
+        order, index, up = self.order, self.index, self.up
+        start = self._scanned
+        end = reached = len(order)
+        same, deeper = [], []
+        adjacency, find = self.adjacency, index.get
+        for i in range(start, end):
+            for e, w in adjacency[order[i]]:
+                j = find(w)
+                if j is None:
+                    index[w] = reached
+                    reached += 1
+                    order.append(w)
+                    up.append((i, e))
+                elif j > i:
+                    if j < end:
+                        same.append((i, e, j))
+                    else:
+                        deeper.append((i, e, j))
+        self._scanned = end
+        self.levels += 1
+        return same, deeper
 
 
 def _tree_path_nodes(parent: list[int], a: int, b: int) -> list[int]:
@@ -428,83 +473,125 @@ def fundamental_cycle_basis(g: WeightedGraph) -> CycleBasis:
     return basis
 
 
-def _orient_cycle_nodes(g: WeightedGraph, edge_set: Iterable[int]) -> list[int]:
-    """Deterministic node sequence for a simple-cycle edge set."""
-    touch: dict[int, list[int]] = {}
+def _edge_set_cycle(g: WeightedGraph, edge_set: Iterable[int]) -> Cycle:
+    """The simple cycle on an edge set, walked from its smallest node towards
+    that node's smaller neighbour; its vector is +1 on an edge the walk
+    leaves at the edge's first node and -1 on the others."""
+    touch: dict[int, list[tuple[int, int]]] = {}
     for e in edge_set:
         i, j = g.edges[e]
-        touch.setdefault(i, []).append(j)
-        touch.setdefault(j, []).append(i)
+        touch.setdefault(i, []).append((j, e))
+        touch.setdefault(j, []).append((i, e))
     start = min(touch)
-    nxt = min(touch[start])
-    seq = [start, nxt]
-    prev = start
-    while seq[-1] != start:
-        a, b = touch[seq[-1]]
-        step = b if a == prev else a
-        prev = seq[-1]
-        seq.append(step)
-    return seq[:-1]
+    a, (b, e) = start, min(touch[start])
+    nodes, walked, signs = [start], [], []
+    while True:
+        walked.append(e)
+        signs.append(1 if g.edges[e][0] == a else -1)
+        if b == start:
+            break
+        nodes.append(b)
+        first, second = touch[b]
+        a, (b, e) = b, second if first[1] == e else first
+    vec = np.zeros(g.m, dtype=np.int64)
+    vec[walked] = signs
+    return Cycle(nodes=tuple(nodes), vector=vec)
 
 
 def minimum_cycle_basis(g: WeightedGraph) -> CycleBasis:
     """Minimum-length cycle basis via Horton's candidate set.
 
     Candidates are the cycles C(v, e) closing the BFS-tree paths from v to
-    the endpoints x, y of e.  C(v, e) is simple exactly when x and y lie in
-    different branches of v (the child of v whose subtree holds them, v
-    itself for v) and e is not the parent edge of x or y.  Candidates are
-    ordered by (length, root, sorted edge indices) and the shortest are
-    kept greedily under GF(2) independence; a repeated edge set reduces to
-    zero, so only its first copy can be kept.  Unweighted cycle length is
-    the objective.
+    the endpoints x, y of a non-tree edge e.  C(v, e) is simple exactly
+    when those paths meet only at v.  Candidates are ordered by (length,
+    root, sorted edge indices) and the shortest are kept greedily under
+    GF(2) independence; a repeated edge set reduces to zero, so only its
+    first copy can be kept.  Unweighted cycle length is the objective.
+
+    The candidates come one length class L = 3, 4, ... at a time, and the
+    greedy stops in the class where it holds k cycles:
+
+    * C(v, e) has length d_v(x) + d_v(y) + 1, and |d_v(x) - d_v(y)| <= 1 as
+      x and y are adjacent.  So class L has both ends at depth
+      h = floor((L - 1) / 2), or one at h and one at h + 1: all of it is
+      met while scanning level h, and class L needs v's BFS grown only to
+      depth floor(L / 2).
+    * Each root's BFS grows one level at a time in the same scan order, so
+      its tree is that of a full BFS.  A candidate is filed under its class
+      as its edge is met; its path is walked only if the greedy reaches
+      that class.
+    * Sorting one class by (root, sorted edges) gives exactly that class's
+      block of the global (length, root, edges) order, so the greedy keeps
+      the same k cycles in the same order as on the full candidate set.
+    * Nodes outside the 2-core (the pendant trees) are stripped first, leaf
+      by leaf.  No candidate passes through them, and no BFS path between two kept nodes does
+      either, so the kept roots' trees and candidates are unchanged.
     """
     k = g.cycle_space_dim
     if k < 1:
         raise AcyclicGraphError("acyclic graph has an empty cycle basis")
-    candidates = []
-    for v in range(g.n):
-        parent, parent_edge, order = _bfs(g, v)
-        branch = [v] * g.n
-        for w in order[1:]:
-            branch[w] = w if parent[w] == v else branch[parent[w]]
-        for e, (x, y) in enumerate(g.edges):
-            if branch[x] == branch[y] or e == parent_edge[x] or e == parent_edge[y]:
-                continue
-            edges = [e]
-            for w in (x, y):
-                while w != v:
-                    edges.append(parent_edge[w])
-                    w = parent[w]
-            candidates.append((len(edges), v, tuple(sorted(edges))))
-
-    candidates.sort()
+    # Strip leaf by leaf: a node whose degree falls to 1 lies on no cycle.
+    degree = [len(g.adjacency[v]) for v in range(g.n)]
+    leaves = [v for v in range(g.n) if degree[v] == 1]
+    for v in leaves:
+        for _, w in g.adjacency[v]:
+            degree[w] -= 1
+            if degree[w] == 1:
+                leaves.append(w)
+    core = {v: [(e, w) for e, w in g.adjacency[v] if degree[w] > 1] for v in range(g.n) if degree[v] > 1}
+    growing = [_Bfs(core, v) for v in core]
+    filed: dict[int, list[tuple[_Bfs, list]]] = {}  # class -> (search, its links), in root order
     picked: list[tuple[int, ...]] = []
     pivots: dict[int, int] = {}  # pivot edge -> row index into reduced
     reduced: list[int] = []  # GF(2) rows as bitmasks
-    for _, _, key in candidates:
-        row = 0
-        for e in key:
-            row |= 1 << e
-        cur = row
-        while cur:
-            pivot = cur.bit_length() - 1
-            if pivot not in pivots:
-                break
-            cur ^= reduced[pivots[pivot]]
-        if cur:
-            pivots[cur.bit_length() - 1] = len(reduced)
-            reduced.append(cur)
-            picked.append(key)
-            if len(picked) == k:
-                break
+    for length in range(3, len(core) + 1):  # a simple cycle has at most one edge per node
+        if len(picked) == k:
+            break
+        h = (length - 1) // 2
+        for search in growing:
+            while search.levels <= h and not search.exhausted:
+                level = search.levels
+                same, deeper = search.grow()
+                for cls, found in ((2 * level + 1, same), (2 * level + 2, deeper)):
+                    if found:
+                        filed.setdefault(cls, []).append((search, found))
+        growing = [search for search in growing if not search.exhausted]
+
+        keys = []
+        for search, links in filed.pop(length, ()):
+            v, up = search.order[0], search.up
+            for i, e, j in links:
+                path = [e]
+                if length % 2 == 0:  # j is one level below i
+                    j, b = up[j]
+                    path.append(b)
+                while i != j:
+                    i, a = up[i]
+                    j, b = up[j]
+                    path += (a, b)
+                if i == 0:  # the two tree paths meet only at the root
+                    keys.append((v, tuple(sorted(path))))
+        keys.sort()
+        for _, key in keys:
+            row = 0
+            for e in key:
+                row |= 1 << e
+            cur = row
+            while cur:
+                pivot = cur.bit_length() - 1
+                if pivot not in pivots:
+                    break
+                cur ^= reduced[pivots[pivot]]
+            if cur:
+                pivots[cur.bit_length() - 1] = len(reduced)
+                reduced.append(cur)
+                picked.append(key)
+                if len(picked) == k:
+                    break
     if len(picked) < k:
         raise RankError("Horton candidates did not span the cycle space")
 
-    cycles = tuple(
-        Cycle.from_nodes(g, _orient_cycle_nodes(g, key)) for key in picked
-    )
-    basis = CycleBasis(graph=g, cycles=cycles, kind="minimum")
+    basis = CycleBasis(graph=g, cycles=tuple(_edge_set_cycle(g, key) for key in picked), kind="minimum")
     basis.validate()
     return basis
 

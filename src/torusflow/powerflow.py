@@ -29,6 +29,10 @@ REBALANCE_LIMIT = 0.01
 GAMMA_LIMIT = math.pi / 2 - 1e-9
 PTC_TOL = 1e-6  # default width of the PTC multisection bracket
 SECTIONS = 16  # parts each PTC multisection round cuts its bracket into
+# One sine for every case problem: a certificate depends only on the function
+# and gamma, and `FlowFunction.certify` keeps one per gamma, so a sweep
+# certifies the sine once instead of once per problem.
+_SINE = FlowFunction.sin_family()
 
 
 @dataclass(frozen=True)
@@ -118,9 +122,7 @@ def case_to_problem(case: PowerCase, gamma: float) -> FlowNetworkProblem:
     edges = [(i, j) for i, j, _ in case.branches]
     weights = [volts[i] * volts[j] * b for i, j, b in case.branches]
     graph = WeightedGraph.from_edges(case.n, edges, weights)
-    return FlowNetworkProblem.single_family(
-        graph, FlowFunction.sin_family(), case.supply, gamma
-    )
+    return FlowNetworkProblem.single_family(graph, _SINE, case.supply, gamma)
 
 
 def congestion(solution: Solution, problem: FlowNetworkProblem) -> float:

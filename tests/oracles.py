@@ -196,3 +196,81 @@ def central_difference_gradient(fun, theta, step: float = 1e-6) -> np.ndarray:
         lo[i] -= step
         out[i] = (fun(hi) - fun(lo)) / (2 * step)
     return out
+
+
+def horton_minimum_basis(g):
+    """Minimum cycle basis by the eager Horton construction.
+
+    A full breadth-first search from every root (neighbours in edge input
+    order) gives every candidate C(v, e) whose edge e = (x, y) closes tree
+    paths from v in different branches.  All candidates are sorted by
+    (length, root, sorted edge indices) and kept greedily under GF(2)
+    independence until the cycle space is spanned.  Each kept edge set is
+    walked from its smallest node towards that node's smaller neighbour; the
+    walk gives the node sequence and the int64 vector (+1 where it leaves an
+    edge at the edge's first node).  Returns one (nodes, vector) pair per
+    cycle, in pick order.
+    """
+    adjacency = {v: [] for v in range(g.n)}
+    for e, (i, j) in enumerate(g.edges):
+        adjacency[i].append((e, j))
+        adjacency[j].append((e, i))
+    candidates = []
+    for v in range(g.n):
+        parent, parent_edge = [-1] * g.n, [-1] * g.n
+        seen = [False] * g.n
+        seen[v] = True
+        order = [v]
+        for x in order:
+            for e, w in adjacency[x]:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w], parent_edge[w] = x, e
+                    order.append(w)
+        branch = [v] * g.n
+        for w in order[1:]:
+            branch[w] = w if parent[w] == v else branch[parent[w]]
+        for e, (x, y) in enumerate(g.edges):
+            if branch[x] == branch[y] or e == parent_edge[x] or e == parent_edge[y]:
+                continue
+            edges = [e]
+            for w in (x, y):
+                while w != v:
+                    edges.append(parent_edge[w])
+                    w = parent[w]
+            candidates.append((len(edges), v, tuple(sorted(edges))))
+    candidates.sort()
+
+    k = g.m - g.n + 1
+    picked, rows = [], []
+    for _, _, key in candidates:
+        row = sum(1 << e for e in key)
+        for other in rows:
+            row = min(row, row ^ other)
+        if row:
+            rows.append(row)
+            rows.sort(reverse=True)
+            picked.append(key)
+            if len(picked) == k:
+                break
+    assert len(picked) == k, "Horton candidates did not span the cycle space"
+
+    cycles = []
+    for key in picked:
+        touch = {}
+        for e in key:
+            i, j = g.edges[e]
+            touch.setdefault(i, []).append((j, e))
+            touch.setdefault(j, []).append((i, e))
+        start = min(touch)
+        vector = np.zeros(g.m, dtype=np.int64)
+        nodes, prev, (cur, e) = [start], start, min(touch[start])
+        vector[e] = 1 if g.edges[e][0] == start else -1
+        while cur != start:
+            nodes.append(cur)
+            (a, ea), (b, eb) = touch[cur]
+            (step, e) = (b, eb) if a == prev else (a, ea)
+            vector[e] = 1 if g.edges[e][0] == cur else -1
+            prev, cur = cur, step
+        cycles.append((tuple(nodes), vector))
+    return cycles

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import (
@@ -33,17 +35,19 @@ from torusflow import (
 from torusflow.graphs import _tree_path_nodes, deflated_pinv
 
 
-def _lattice(side):
-    """Unit side x side square lattice, edges in the bench's order."""
+def _lattice(side, cols=None):
+    """Unit side x cols square lattice (cols defaults to side), edges in the
+    bench's order."""
+    cols = side if cols is None else cols
     edges = []
     for r in range(side):
-        for c in range(side):
-            v = r * side + c
-            if c + 1 < side:
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
                 edges.append((v, v + 1))
             if r + 1 < side:
-                edges.append((v, v + side))
-    return WeightedGraph.from_edges(side * side, edges)
+                edges.append((v, v + cols))
+    return WeightedGraph.from_edges(side * cols, edges)
 
 
 def _seeded_graph(seed):
@@ -334,6 +338,68 @@ class TestMinimumBasis:
                 continue
             expected = oracles.exhaustive_minimum_basis_length(g.n, g.edges)
             assert sum(minimum_cycle_basis(g).lengths) == expected
+
+
+def _shuffled(rng, g):
+    """g with its edges in a random order, each one reversed or not."""
+    perm = rng.permutation(g.m)
+    flip = rng.random(g.m) < 0.5
+    edges = [g.edges[e][::-1] if flip[e] else g.edges[e] for e in perm]
+    return WeightedGraph.from_edges(g.n, edges, [g.weights[e] for e in perm])
+
+
+def _bridged_blocks(rng, sizes):
+    """Random connected blocks of the given node counts, chained by one
+    bridge between consecutive blocks."""
+    edges, offset = [], 0
+    for size in sizes:
+        block = random_connected_graph(rng, size, extra_edges=int(rng.integers(1, size + 1)))
+        if offset:
+            edges.append((int(rng.integers(0, offset)), offset + int(rng.integers(0, size))))
+        edges.extend((i + offset, j + offset) for i, j in block.edges)
+        offset += size
+    return WeightedGraph.from_edges(offset, edges)
+
+
+def _assert_matches_eager_horton(g):
+    got, want = minimum_cycle_basis(g), oracles.horton_minimum_basis(g)
+    assert [c.nodes for c in got.cycles] == [nodes for nodes, _ in want]
+    for c, (_, vector) in zip(got.cycles, want):
+        assert c.vector.dtype == vector.dtype == np.int64
+        assert np.array_equal(c.vector, vector)
+    want_basis = CycleBasis(graph=g, cycles=tuple(Cycle(n, v) for n, v in want), kind="minimum")
+    assert got.fingerprint == want_basis.fingerprint
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 24), extra=st.integers(1, 30))
+def test_minimum_basis_matches_eager_horton_on_random_graphs(seed, n, extra):
+    rng = np.random.default_rng(seed)
+    _assert_matches_eager_horton(_shuffled(rng, random_connected_graph(rng, n, extra_edges=extra)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(3, 9), min_size=2, max_size=4))
+def test_minimum_basis_matches_eager_horton_on_bridged_blocks(seed, sizes):
+    rng = np.random.default_rng(seed)
+    g = _bridged_blocks(rng, sizes)
+    _assert_matches_eager_horton(g)
+    _assert_matches_eager_horton(_shuffled(rng, g))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(rows=st.integers(2, 10), cols=st.integers(2, 10), seed=st.integers(0, 2**32 - 1))
+@example(rows=10, cols=10, seed=0)
+def test_minimum_basis_matches_eager_horton_on_lattices(rows, cols, seed):
+    g = _lattice(rows, cols)
+    _assert_matches_eager_horton(g)
+    _assert_matches_eager_horton(_shuffled(np.random.default_rng(seed), g))
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_minimum_basis_matches_eager_horton_on_rings_and_complete_graphs(n):
+    _assert_matches_eager_horton(ring_graph(n))
+    _assert_matches_eager_horton(complete_graph(n))
 
 
 class TestCycleEdgePinv:
