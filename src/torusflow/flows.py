@@ -366,7 +366,9 @@ class IterationReport:
     """Convergence record of one projection-iteration or Newton run.
 
     `error_bound` is the certified per-edge distance of the returned flow
-    from the cell's fixed point.  A cell is decided when it is `feasible`
+    from the cell's fixed point, in exact arithmetic: it does not cover the
+    rounding of the T_u step it is read from, so at the rounding floor a
+    solve can report 0.0.  A cell is decided when it is `feasible`
     or has `infeasible_edges`; otherwise it is undecided.  For a Newton
     solve this is the one-row view `CellVerdicts[r]` of its stack's record.
     """
@@ -474,11 +476,13 @@ def _apply_map(problem, basis, K, u, f):
     return f - K @ (basis.matrix @ problem.inverse_differences(f) - TWO_PI * u)
 
 
-def _step_budget(rate: float, ratio: float) -> int:
-    """T_u steps that shrink a distance by the factor `ratio`, plus 10."""
-    if ratio >= 1.0 or rate == 0.0:
-        return 11
-    return math.ceil(math.log(ratio) / math.log(rate)) + 10
+def _step_budget(rate: float, ratio) -> np.ndarray:
+    """T_u steps that shrink a distance by each factor in `ratio` (inf for a
+    zero distance), plus 10; at least 11."""
+    ratio = np.minimum(ratio, 1.0)
+    if rate == 0.0:
+        return np.full(ratio.shape, 11)
+    return np.maximum(np.ceil(np.log(ratio) / math.log(rate)), 1.0).astype(int) + 10
 
 
 def _contracts(rate: float, steps: np.ndarray) -> np.ndarray:
@@ -517,7 +521,7 @@ def projection_iteration(
     nxt = _apply_map(problem, basis, K, u, f)
     step_inf = float(np.max(np.abs(nxt - f))) if f.size else 0.0
     d0 = problem.map_norm(nxt - f)
-    budget = _step_budget(rate, rho / (d0 * to_edge) if d0 > 0.0 else math.inf)
+    budget = int(_step_budget(rate, rho / (d0 * to_edge) if d0 > 0.0 else math.inf))
 
     steps = [d0]
     while step_inf >= rho:
@@ -559,18 +563,23 @@ def decide_cells(
     less than T_u does.
 
     The certified per-edge distance of f from f* is the row's `error_bound`
-    b = ||T_u f - f|| sqrt(max Lmin A) / (1 - rate).  With
-    s = FEASIBILITY_SLACK the cell is feasible when every margin - b >= -s,
-    and infeasible on the edges whose margin + b < -s.  A row stops once
-    b < rho and the cell is one or the other, when even T_u no longer
-    contracts (the rounding floor), or when a step makes no progress; a
-    cell that is then neither is undecided.  `iterations` counts the steps
-    taken.
+    b = ||T_u f - f|| sqrt(max Lmin A) / (1 - rate), in exact arithmetic: it
+    does not cover the rounding of the T_u step, so at the rounding floor it
+    can read 0.0.  With s = FEASIBILITY_SLACK the cell is feasible when every
+    margin - b >= -s, and infeasible on the edges whose margin + b < -s.
+    A row stops as soon as some edge proves it infeasible, whatever b is:
+    that verdict is final, and an infeasible row's f is accurate only to
+    its b.  A feasible row stops once b < rho as well, so every feasible
+    flow is within rho of f*; rho = inf stops each row once it is decided.
+    A row also stops when even T_u no longer contracts (the rounding floor)
+    or when a step makes no progress; a cell that is then neither feasible
+    nor infeasible is undecided.  `iterations` counts the steps taken.
 
     Every row runs exactly this per-cell solve; the rows only share their
     array operations (one stacked Hessian solve per step), and a row leaves
     the stack when its verdict is final.  Its results are stored in the
-    record's arrays, and the step history grows by one column per step.
+    record's arrays as it leaves, and the step history grows by one column
+    per step.
     """
     if rho <= 0.0:
         raise InputError("rho must be positive")
@@ -594,11 +603,6 @@ def decide_cells(
         step = grad @ Kt
         return delta, grad, step, problem.map_norm(step)
 
-    def verdict(F, bound):
-        margins = problem.capacity - np.abs(F)
-        ok = (margins - bound[:, None] >= -FEASIBILITY_SLACK).all(axis=1)
-        return ok, margins + bound[:, None] < -FEASIBILITY_SLACK
-
     # Every row starts from the cutset flow taken with this basis, scaled by
     # the row's scale when there is one.
     f0 = problem.graph.cutset_flow(problem.p, basis)
@@ -618,34 +622,40 @@ def decide_cells(
     d = problem.map_norm(S)
     history = [(rows, d)]  # per step taken: the stack's rows and their map-norm steps
     # No step contracts less than T_u, so this many reach the rounding floor.
-    budget = np.array([
-        _step_budget(rate, TIGHT_RHO / (x * to_bound) if x > 0.0 else math.inf) for x in d.tolist()
-    ])
+    with np.errstate(divide="ignore"):
+        budget = _step_budget(rate, TIGHT_RHO / (d * to_bound))
     first_limit = 2 * int(budget.min()) if rows.size else 0
     floor = np.zeros(rows.size, dtype=bool)
 
-    def finish(bound, ok, bad):
-        """Record every stack row; a row's last record, made as it leaves, is final."""
-        flows[rows] = F
-        feasible[rows] = ok
-        infeasible[rows] = bad
-        error_bound[rows] = bound
-        final_step[rows] = np.abs(S).max(axis=1)
-        iterations[rows] = len(history) - 1
+    def finish(leave, bound, ok):
+        """Record the stack rows in the mask `leave`, with their verdicts at f
+        and `bound`: `ok` is the feasible flag of every stack row, and the
+        infeasible-edge mask is formed here, for the leaving rows only."""
+        leave = leave.nonzero()[0]
+        at_rows, f, b = rows[leave], F[leave], bound[leave]
+        margins = problem.capacity - np.abs(f)
+        flows[at_rows] = f
+        feasible[at_rows] = ok[leave]
+        infeasible[at_rows] = margins + b[:, None] < -FEASIBILITY_SLACK
+        error_bound[at_rows] = b
+        final_step[at_rows] = np.abs(S[leave]).max(axis=1)
+        iterations[at_rows] = len(history) - 1
 
     while rows.size:
         bound = d * to_bound
-        near = floor | (bound < rho)
-        if near.any():
-            ok, bad = verdict(F, bound)
-            done = floor | (near & (ok | bad.any(axis=1)))
-            if leaving := np.count_nonzero(done):
-                finish(bound, ok, bad)
-                if leaving == rows.size:
-                    break
-                keep = ~done
-                F, D, G, S, d, bound = F[keep], D[keep], G[keep], S[keep], d[keep], bound[keep]
-                twopi_u, rows, budget = twopi_u[keep], rows[keep], budget[keep]
+        # Rounding is monotone, so the least margin of a row gives its verdict
+        # exactly: low - b >= -s iff every margin - b >= -s, and low + b < -s
+        # iff some margin + b < -s.
+        low = (problem.capacity - np.abs(F)).min(axis=1, initial=math.inf)
+        ok = low - bound >= -FEASIBILITY_SLACK
+        done = floor | (low + bound < -FEASIBILITY_SLACK) | (ok & (bound < rho))
+        if leaving := np.count_nonzero(done):
+            finish(done, bound, ok)
+            if leaving == rows.size:
+                break
+            keep = ~done
+            F, D, G, S, d, bound, ok = F[keep], D[keep], G[keep], S[keep], d[keep], bound[keep], ok[keep]
+            twopi_u, rows, budget = twopi_u[keep], rows[keep], budget[keep]
         if len(history) > first_limit and (late := len(history) > 2 * budget).any():
             i = int(late.argmax())
             raise ConvergenceBudgetError(
@@ -674,8 +684,8 @@ def decide_cells(
             pending = pending[part[3] > rate * d[pending]]
         progress = state[3] < d
         if not progress.all():
-            # No progress at all: f stays, with its verdict.
-            finish(bound, *verdict(F, bound))
+            # No progress: f stays, with its verdict.
+            finish(~progress, bound, ok)
             if not progress.any():
                 break
             trial, state, d = trial[progress], tuple(x[progress] for x in state), d[progress]

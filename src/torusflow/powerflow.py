@@ -2,7 +2,9 @@
 
 Covers case ingestion (with rebalancing), translation to sin-family flow
 problems, power-transmission-capacity sweeps by certified multisection, and
-congestion reporting.  Voltage magnitudes are inputs, never solved for.
+congestion reporting.  The multisection's probes are verdict-only: each
+Newton solve stops once its cell is decided, and only the emitted curve is
+solved to the caller's rho.  Voltage magnitudes are inputs, never solved for.
 """
 from __future__ import annotations
 
@@ -164,12 +166,14 @@ def ptc(
     SECTIONS - 1 interior points of the bracket (lo, hi) in one stacked
     `decide_cells` call on the case's own problem, with per-row supply
     scales.  Each probe is a certified Newton solve of cell u with the
-    three-way verdict, and an undecided probe counts as no solution.  hi
+    three-way verdict, run only until it is decided (rho = inf): its flow
+    is discarded, and an undecided probe counts as no solution.  hi
     moves to the first probe that is not feasible and lo to the probe
     before it, so existence is certified at the returned value and fails
     or is undecided at most tol above it.  Assumes a single existence
     interval [0, PTC], as the incremental sweep it replaces did.  The
-    curve's `curve_points` scales in [0, PTC] are one more stacked call.
+    curve's `curve_points` scales in [0, PTC] are one more stacked call,
+    solved to `rho`, since their loop flows are emitted.
 
     The bracket's upper end is certified without a probe: a feasible
     verdict bounds every |f_e| by capacity + FEASIBILITY_SLACK, and
@@ -186,14 +190,16 @@ def ptc(
     if float(np.max(np.abs(p_hat))) == 0.0:
         raise InputError("the case profile is identically zero; nothing to scale")
 
-    def probe(scales: np.ndarray):
+    def probe(scales: np.ndarray, rho: float):
         # An undecided cell counts as not feasible, so a probe that says yes
         # is feasible at the certified error bound.
-        U = np.broadcast_to(u, (scales.size, u.size))
+        U = u.reshape(1, -1).repeat(scales.size, axis=0)
         flows, verdicts = decide_cells(base, basis, U, rho, scales=scales)
         return verdicts.feasible, flows
 
-    if not probe(np.zeros(1))[0][0]:
+    # The bracket probes keep only their verdicts: rho = inf stops each one
+    # once it is decided.  The curve's flows are emitted, so they get rho.
+    if not probe(np.zeros(1), math.inf)[0][0]:
         return SweepResult(u=u, ptc=None, curve=())
 
     # A node passes at most the capacity of the edges that touch it, each
@@ -207,14 +213,14 @@ def ptc(
     cuts = np.arange(1, SECTIONS) / SECTIONS
     while hi - lo > tol:
         ends = np.concatenate(([lo], lo + (hi - lo) * cuts, [hi]))
-        feasible, _ = probe(ends[1:-1])
+        feasible, _ = probe(ends[1:-1], math.inf)
         # The bracket moves to the first probe that is not feasible (hi when
         # every probe is) and the point before it.
         first = int(np.append(~feasible, True).argmax())
         lo, hi = float(ends[first]), float(ends[first + 1])
 
     scales = np.linspace(0.0, lo, curve_points)
-    exists, flows = probe(scales)
+    exists, flows = probe(scales, rho)
     loading = np.abs(flows / base.graph.weight_vector).max(axis=1)
     loops = flows @ basis.matrix.T
     curve = [

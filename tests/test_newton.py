@@ -176,11 +176,24 @@ def test_step_budgets_read_steps_per_edge(monkeypatch):
     d0 = problem.map_norm(winding_fixed_point_map(problem, basis, u, f0) - f0)
     ratios = []
     budget = flows._step_budget
-    monkeypatch.setattr(flows, "_step_budget", lambda r, ratio: ratios.append(ratio) or budget(r, ratio))
+    monkeypatch.setattr(flows, "_step_budget", lambda r, ratio: ratios.extend(np.ravel(ratio)) or budget(r, ratio))
     projection_iteration(problem, basis, u, rho)
     decide_cell(problem, basis, u, rho)
     expected = [rho / (d0 * to_edge), flows.TIGHT_RHO * (1.0 - rate) / (d0 * to_edge)]
     assert ratios == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
+def test_step_budget_is_the_per_row_count():
+    # The stack's budgets against the count for one row at a time, with a
+    # ratio of 1 and the inf of a zero distance, and rate 0 (linear flows).
+    def one_row(rate, ratio):
+        if ratio >= 1.0 or rate == 0.0:
+            return 11
+        return math.ceil(math.log(ratio) / math.log(rate)) + 10
+
+    ratios = np.append(10.0 ** np.linspace(-25.0, 1.0, 200), [1.0, math.inf])
+    for rate in (0.0, 0.3, 0.83, 0.99):
+        assert flows._step_budget(rate, ratios).tolist() == [one_row(rate, r) for r in ratios.tolist()]
 
 
 @pytest.mark.parametrize("rho", [1.0, 1e-2, 1e-4, flows.DEFAULT_RHO])
@@ -191,7 +204,14 @@ def test_error_bound_covers_distance_with_weights_apart(rho):
         f, it = decide_cell(problem, basis, u, rho)
         tight, tight_it = decide_cell(problem, basis, u, flows.TIGHT_RHO)
         assert it.decided and it.contraction_verified
-        assert it.error_bound < rho
+        if it.feasible:
+            assert it.error_bound < rho
+        else:
+            # An infeasible row stops at its certificate: a named edge whose
+            # margin lies beyond the slack by more than the bound.
+            margins = problem.capacity - np.abs(f)
+            assert it.infeasible_edges
+            assert all(margins[e] + it.error_bound < -FEASIBILITY_SLACK for e in it.infeasible_edges)
         assert np.max(np.abs(f - tight)) <= it.error_bound + tight_it.error_bound
 
 
@@ -305,9 +325,12 @@ def _steps_contract(rate, steps):
     return not any(b > rate * a + 1e-12 for a, b in zip(steps, steps[1:]))
 
 
-def _reference_decide_cell(problem, basis, u, rho=flows.DEFAULT_RHO):
+def _reference_decide_cell(problem, basis, u, rho=flows.DEFAULT_RHO, polish=False):
     """The per-cell Newton loop that `decide_cells` stacks, written for one
-    cell with scalar bookkeeping: the reference its rows must reproduce."""
+    cell with scalar bookkeeping: the reference its rows must reproduce.
+    With `polish`, an infeasible cell too runs on until its bound is below
+    rho: the full-accuracy solve that an early infeasible verdict must
+    agree with."""
     u = np.asarray(u, dtype=float)
     rate = problem.contraction_rate
     C = basis.matrix
@@ -329,7 +352,7 @@ def _reference_decide_cell(problem, basis, u, rho=flows.DEFAULT_RHO):
         margins = check_feasibility(problem, f)[1]
         feasible = bool(np.all(margins - bound >= -FEASIBILITY_SLACK))
         infeasible = np.flatnonzero(margins + bound < -FEASIBILITY_SLACK)
-        if floor or (bound < rho and (feasible or infeasible.size)):
+        if floor or (infeasible.size and not polish) or (bound < rho and (feasible or infeasible.size)):
             break
         assert len(steps) <= 2 * budget
         newton = C.T @ np.linalg.solve((C * problem.inverse_slopes(delta)) @ C.T, grad)
@@ -412,6 +435,33 @@ def test_stacked_cells_match_single_cells(seed, n, chords, gamma, scale, bisect)
                 assert np.max(np.abs(np.subtract(it.weighted_steps, ref.weighted_steps))) <= 1e-12
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(5, 10),
+    extra=st.integers(1, 3),
+    gamma=st.sampled_from([1.0, 1.4, NEAR_LIMIT]),
+    scale=st.sampled_from([0.2, 0.6, 1.2]),
+)
+def test_early_infeasible_verdicts_hold_at_the_rounding_floor(seed, n, extra, gamma, scale):
+    # A row leaves as soon as an edge proves its cell infeasible.  The same
+    # cell solved on to the rounding floor, infeasible rows included, must
+    # not find it feasible, and the two flows lie within their bounds.
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, extra_edges=extra)
+    problem = sin_problem(g, balanced_vector(rng, n, scale), gamma)
+    for basis in (fundamental_cycle_basis(g), minimum_cycle_basis(g)):
+        box = np.array(list(feasible_winding_vectors(basis, gamma)))
+        stacked, verdicts = decide_cells(problem, basis, box)
+        for r in verdicts.infeasible.any(axis=1).nonzero()[0]:
+            it = verdicts[r]
+            tight, tight_it = _reference_decide_cell(problem, basis, box[r], flows.TIGHT_RHO, polish=True)
+            assert it.iterations <= tight_it.iterations
+            if tight_it.decided:
+                assert not tight_it.feasible and tight_it.infeasible_edges
+            assert np.max(np.abs(stacked[r] - tight)) <= it.error_bound + tight_it.error_bound + 1e-12
+
+
 def test_map_norm_is_row_wise():
     problem = _two_cycles_weights_apart()
     rows = np.random.default_rng(5).normal(size=(4, problem.graph.m))
@@ -425,7 +475,7 @@ def test_map_norm_is_row_wise():
 def test_stacked_solve_raises_on_a_row_over_budget(monkeypatch):
     problem = sin_problem(ring_graph(5), np.zeros(5), 1.4)
     basis = fundamental_cycle_basis(problem.graph)
-    monkeypatch.setattr(flows, "_step_budget", lambda rate, ratio: 0)
+    monkeypatch.setattr(flows, "_step_budget", lambda rate, ratio: np.zeros(np.shape(ratio), dtype=int))
     with pytest.raises(flows.ConvergenceBudgetError, match="budget of 0 steps"):
         decide_cells(problem, basis, np.array([[-1], [0], [1]]))
 
@@ -544,7 +594,12 @@ def test_stacked_contraction_flag_matches_step_pairs(seed, n, extra):
     problem = sin_problem(g, balanced_vector(rng, n, 0.6), NEAR_LIMIT)
     basis = fundamental_cycle_basis(g)
     box = np.array(list(feasible_winding_vectors(basis, NEAR_LIMIT)))
-    _, verdicts = decide_cells(problem, basis, box)
+    # Every cell of the box may leave at step 0, infeasible at its start.  The
+    # row of cell e_1 at zero supply starts at f = 0, inside every capacity,
+    # with a T_u step far above rho, so it takes a second step.
+    unit = np.eye(basis.size, dtype=box.dtype)[:1]
+    scales = np.append(np.ones(len(box)), 0.0)
+    _, verdicts = decide_cells(problem, basis, np.concatenate([box, unit]), scales=scales)
     # A copy of the record in which one row's second step does not shrink.
     r = int(verdicts.iterations.argmax())
     assert verdicts.iterations[r] >= 1 and verdicts.steps[r, 0] > 1e-9

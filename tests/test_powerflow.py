@@ -248,16 +248,36 @@ class TestPtc:
 
     @pytest.mark.parametrize("tol", [1e-5, 1e-7, 1e-10])
     def test_decide_calls_per_sweep(self, monkeypatch, tol):
+        from torusflow.flows import decide_cell
+
         calls = []
         decide = powerflow.decide_cells
-        monkeypatch.setattr(powerflow, "decide_cells", lambda *a, **kw: calls.append(kw["scales"]) or decide(*a, **kw))
-        res = ptc(builtin_case("ring12-asym"), [1], GAMMA, tol=tol)
+        monkeypatch.setattr(
+            powerflow, "decide_cells", lambda *a, **kw: calls.append((a[3], kw["scales"])) or decide(*a, **kw)
+        )
+        rho = 1e-10
+        case = builtin_case("ring12-asym")
+        res = ptc(case, [1], GAMMA, tol=tol, rho=rho)
         # The bracket starts at the node-capacity ceiling, 2 sin(gamma) plus slack.
         hi0 = 2.0 * math.sin(GAMMA) + 1e-6
         assert len(calls) <= 2 + math.ceil(math.log(hi0 / tol) / math.log(powerflow.SECTIONS))
         # One probe at zero, SECTIONS - 1 per round, and the curve.
-        assert [len(scales) for scales in calls] == [1] + [powerflow.SECTIONS - 1] * (len(calls) - 2) + [9]
+        assert [len(scales) for _, scales in calls] == [1] + [powerflow.SECTIONS - 1] * (len(calls) - 2) + [9]
+        # The probes keep only their verdicts; the curve's flows are emitted.
+        assert [r for r, _ in calls] == [math.inf] * (len(calls) - 1) + [rho]
         assert res.curve[-1].scale - res.ptc <= tol
+        # Each emitted loop flow is the cell's, solved alone to rho, within
+        # the stated accuracy rho plus that solve's bound, per cycle edge.
+        base = case_to_problem(case, GAMMA)
+        basis = fundamental_cycle_basis(base.graph)
+        lengths = np.abs(basis.matrix).sum(axis=1)
+        feasible = [s for s in res.curve if s.exists]
+        assert len(feasible) == 9
+        for sample in feasible:
+            f, it = decide_cell(base.with_supply(sample.scale * base.p), basis, [1], rho)
+            assert it.feasible
+            gap = np.abs(np.subtract(sample.loop_flows, basis.matrix @ f))
+            assert np.all(gap <= lengths * (rho + it.error_bound))
 
     def test_bracket_ends_at_the_first_probe_that_is_not_feasible(self, monkeypatch):
         # A probe of the first round reads not feasible between feasible
