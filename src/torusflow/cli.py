@@ -248,7 +248,7 @@ def _cmd_basis(args) -> int:
     problem = _load_problem(args)
     basis = _make_basis(problem.graph, args.basis)
     doc = serialize.basis_to_dict(basis)
-    doc["vectors"] = [[int(v) for v in c.vector] for c in basis.cycles]
+    doc["vectors"] = [c.vector.tolist() for c in basis.cycles]
     doc["lengths"] = list(basis.lengths)
     _write(serialize.dumps_canonical(doc), args.out)
     return EXIT_OK
@@ -321,9 +321,9 @@ def _cmd_decompose(args) -> int:
         raise InputError("flow length does not match the graph")
     f_cut, f_cyc = decompose_flow(problem.graph, f)
     doc = {
-        "f": list(f),
-        "f_cut": list(f_cut),
-        "f_cyc": list(f_cyc),
+        "f": f.tolist(),
+        "f_cut": f_cut.tolist(),
+        "f_cyc": f_cyc.tolist(),
         "balance_residual": float(
             np.max(np.abs(problem.graph.divergence(f) - problem.p))
         ),

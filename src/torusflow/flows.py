@@ -392,7 +392,9 @@ class CellVerdicts:
     """Verdicts of a (B, k) stack of Newton-solved cells, one array per field:
     `infeasible` is the (B, m) mask of the edges that prove a cell infeasible,
     `steps` holds each row's map-norm steps, NaN after its last.  The row view
-    `verdicts[r]` is row r's `IterationReport`, built on demand."""
+    `verdicts[r]` is row r's `IterationReport`, built on demand from Python
+    lists of the fields that the first view makes, so the arrays are not
+    to be changed once a row has been viewed."""
 
     rate: float
     feasible: np.ndarray
@@ -410,18 +412,32 @@ class CellVerdicts:
         """Whether each row's steps contract by `rate`, for all rows at once."""
         return _contracts(self.rate, self.steps)
 
+    @cached_property
+    def _lists(self) -> tuple[list, ...]:
+        """The per-row fields as Python lists, built once for every row view."""
+        return (
+            self.iterations.tolist(),
+            self.steps.tolist(),
+            self.contraction_verified.tolist(),
+            self.final_step.tolist(),
+            self.feasible.tolist(),
+            self.infeasible.any(axis=1).tolist(),
+            self.error_bound.tolist(),
+        )
+
     def __getitem__(self, r: int) -> IterationReport:
         # An index past the end raises IndexError, which also ends iteration.
-        taken = self.iterations.item(r)
+        iterations, steps, verified, final_step, feasible, refuted, error_bound = self._lists
+        taken = iterations[r]
         return _report(
             self.rate,
-            self.steps[r, : taken + 1].tolist(),
-            self.contraction_verified.item(r),
+            steps[r][: taken + 1],
+            verified[r],
             iterations=taken,
-            final_step=self.final_step.item(r),
-            feasible=self.feasible.item(r),
-            infeasible_edges=tuple(self.infeasible[r].nonzero()[0].tolist()),
-            error_bound=self.error_bound.item(r),
+            final_step=final_step[r],
+            feasible=feasible[r],
+            infeasible_edges=tuple(self.infeasible[r].nonzero()[0].tolist()) if refuted[r] else (),
+            error_bound=error_bound[r],
         )
 
 

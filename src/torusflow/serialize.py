@@ -1,10 +1,12 @@
 """JSON/CSV emission and the problem/solution wire formats.
 
-Documents are written by the standard JSON encoder with two-space indent.
-Floats, in JSON and CSV alike, are Python's shortest round-trip text, so
-they read back to the same double and identical inputs produce
-byte-identical reports; non-finite floats are spelled NaN, Infinity and
--Infinity.
+Documents are written by a small recursive writer whose bytes equal the
+standard encoder's, `json.dumps(obj, indent=2)`, plus a newline: it joins
+each list of plain floats or ints with one `str.join` instead of one
+encoder step per number.  Floats, in JSON and CSV alike, are Python's
+shortest round-trip text, so they read back to the same double and
+identical inputs produce byte-identical reports; non-finite floats are
+spelled NaN, Infinity and -Infinity.
 """
 from __future__ import annotations
 
@@ -24,16 +26,80 @@ def _numpy_to_python(obj: Any) -> Any:
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    """JSON text of a float: its shortest round-trip repr, non-finite spelled out."""
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+# The text of each scalar type, looked up by exact type.  numpy scalars,
+# np.float64 among them, go through `_numpy_to_python` to the equal Python
+# scalar, whose text the standard encoder also writes.
+_SCALARS = {
+    str: _encode_str,
+    float: _float_text,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _leaf_text(items: list | tuple, sep: str) -> str | None:
+    """A list of floats or of exact ints as one join, or None to write it item
+    by item: a NaN or an infinity reprs with an "n", and `int.__repr__`
+    would print a bool as 1."""
+    first = items[0]
+    if isinstance(first, float):
+        try:
+            text = sep.join(map(float.__repr__, items))
+        except TypeError:  # an item that is not a float
+            return None
+        return None if "n" in text else text
+    if type(first) is int and set(map(type, items)) == {int}:
+        return sep.join(map(int.__repr__, items))
+    return None
+
+
+def _write(obj: Any, indent: str) -> str:
+    """JSON text of obj nested at `indent`, laid out as by json.dumps(indent=2)."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        body = _leaf_text(obj, sep)
+        if body is None:
+            body = sep.join([_write(x, inner) for x in obj])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join([_encode_str(k) + ": " + _write(v, inner) for k, v in obj.items()])
+        return "{\n" + inner + body + "\n" + indent + "}"
+    return _write(_numpy_to_python(obj), indent)
+
+
 def dumps_canonical(obj: Any) -> str:
-    """Deterministic JSON, numpy arrays and scalars included."""
-    return json.dumps(obj, indent=2, default=_numpy_to_python) + "\n"
+    """Deterministic JSON, numpy arrays and scalars included: the bytes of
+    `json.dumps(obj, indent=2, default=_numpy_to_python) + "\n"` for a
+    document of str-keyed dicts, lists, tuples, str, int, float, bool, None
+    and numpy values.  Any other key or value raises TypeError."""
+    return _write(obj, "") + "\n"
 
 
 def csv_line(fields) -> str:
     cells = []
     for f in fields:
         if isinstance(f, (float, np.floating)):
-            cells.append(json.dumps(float(f)))
+            cells.append(_float_text(float(f)))
         elif isinstance(f, (bool, np.bool_)):
             cells.append("true" if f else "false")
         elif f is None:
@@ -78,7 +144,7 @@ def problem_to_dict(problem: FlowNetworkProblem) -> dict:
     return {
         "graph": problem.graph.to_dict(),
         "flow": flow_doc,
-        "p": list(problem.p),
+        "p": problem.p.tolist(),
         "gamma": problem.gamma,
     }
 
@@ -127,8 +193,8 @@ def solution_to_dict(sol: Solution, basis: CycleBasis | None = None) -> dict:
         report["final_step"] = sol.iteration.final_step
     doc = {
         "u": [int(x) for x in sol.u],
-        "f": list(sol.f),
-        "theta": list(sol.theta),
+        "f": sol.f.tolist(),
+        "theta": sol.theta.tolist(),
         "report": report,
     }
     if basis is not None:
@@ -163,10 +229,10 @@ def solutions_csv(
     for sol in solutions:
         row = (
             [int(x) for x in sol.u]
-            + list(sol.f)
-            + list(sol.theta)
-            + list(basis.matrix @ sol.f)
-            + list(check_feasibility(problem, sol.f)[1])
+            + sol.f.tolist()
+            + sol.theta.tolist()
+            + (basis.matrix @ sol.f).tolist()
+            + check_feasibility(problem, sol.f)[1].tolist()
         )
         lines.append(csv_line(row))
     return "\n".join(lines) + "\n"

@@ -486,6 +486,29 @@ def test_empty_stack_gives_an_empty_record():
     assert stacked.shape == (0, 5) and len(verdicts) == 0 and list(verdicts) == []
 
 
+def test_row_views_hold_the_record_rows_as_python_scalars():
+    # The pentagon's cells u = -1, 0, 1 are feasible; u = +-2 would need
+    # |delta| = 4 pi / 5 > gamma on every edge.
+    problem = sin_problem(ring_graph(5), np.zeros(5), 1.4)
+    _, verdicts = decide_cells(problem, fundamental_cycle_basis(problem.graph), np.arange(-2, 3)[:, None])
+    assert verdicts.feasible.tolist() == [False, True, True, True, False]
+    for r, it in enumerate(verdicts):
+        taken = int(verdicts.iterations[r])
+        assert it == flows.IterationReport(
+            iterations=taken,
+            final_step=float(verdicts.final_step[r]),
+            rate=verdicts.rate,
+            feasible=bool(verdicts.feasible[r]),
+            infeasible_edges=tuple(np.flatnonzero(verdicts.infeasible[r]).tolist()),
+            contraction_verified=bool(verdicts.contraction_verified[r]),
+            weighted_steps=tuple(verdicts.steps[r, : taken + 1].tolist()),
+            error_bound=float(verdicts.error_bound[r]),
+        )
+        assert [type(x) for x in (it.iterations, it.final_step, it.feasible, it.error_bound)] == [int, float, bool, float]
+        assert all(type(x) is float for x in it.weighted_steps)
+        assert (it.infeasible_edges == ()) == (r in (1, 2, 3))
+
+
 def test_solve_all_builds_reports_for_feasible_rows_only(monkeypatch):
     # A seeded mesh whose 81-cell box holds one feasible cell.
     rng = np.random.default_rng(0)

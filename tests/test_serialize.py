@@ -3,15 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import ring_graph, sin_problem, square_with_diagonal
 from torusflow import (
     FlowFunction,
     InputError,
+    cli,
     fundamental_cycle_basis,
+    serialize,
     solve_all,
 )
 from torusflow.serialize import (
+    _numpy_to_python,
     csv_line,
     dumps_canonical,
     flow_family_from_dict,
@@ -88,6 +94,116 @@ class TestCanonicalJson:
 
     def test_csv_line(self):
         assert csv_line([1, 0.5, True, None, "x"]) == "1,0.5,true,,x"
+
+
+def _standard(obj) -> str:
+    """The standard encoder's text, which dumps_canonical must equal byte for byte."""
+    return json.dumps(obj, indent=2, default=_numpy_to_python) + "\n"
+
+
+_texts = st.text(max_size=8) | st.sampled_from(
+    ["", "ascii", "caf\u00e9", "\u2028\u00ff\U0001f600", '"\\/', "\n\r\t\b\f", "\x00\x1f\x7f"]
+)
+_ints = st.integers() | st.sampled_from([0, -1, 2**63, -(2**64) - 1, 10**40])
+_floats = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, -1e16, 1e-7, 1.4]
+)
+_shapes = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)
+_arrays = st.one_of(
+    hnp.arrays(np.float64, _shapes, elements=_floats),
+    hnp.arrays(np.int64, _shapes),
+    hnp.arrays(np.bool_, _shapes),
+)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    _ints,
+    _floats,
+    _texts,
+    _floats.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+# Leaf lists of one kind reach the writer's joined path, mixed ones its
+# per-item path.
+_leaves = _scalars | _arrays | st.lists(_floats, min_size=1) | st.lists(_ints, min_size=1) | st.lists(
+    st.booleans() | st.integers(-3, 3), min_size=1
+)
+_documents = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_texts, children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+class TestStandardEncoderBytes:
+    @given(_documents)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_random_documents(self, doc):
+        assert dumps_canonical(doc) == _standard(doc)
+
+    def test_edge_values(self):
+        doc = {
+            "floats": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1],
+            "after_nan": [1.0, math.nan],
+            "mixed": [1.5, 2, True, None, "x"],
+            "bools": [True, False, 1, 0],
+            "ints": [0, -(2**70), 2**63],
+            "numpy": [np.float64(0.5), np.int64(-3), np.bool_(False), np.zeros((2, 0)), np.eye(2)],
+            "tuple": (1, (2.5, ()), {}),
+            "numpy_str": np.str_("s"),
+            "\u00e9\n\"": "\u2028\\",
+        }
+        assert dumps_canonical(doc) == _standard(doc)
+        for leaf in (1.5, math.nan, -7, True, None, "s", np.float64(math.inf), np.int64(2)):
+            assert dumps_canonical(leaf) == _standard(leaf)
+
+    def test_keys_must_be_strings(self):
+        for doc in ({1: "a"}, {None: 0}, {"x": {2.5: 0}}):
+            with pytest.raises(TypeError):
+                dumps_canonical(doc)
+        with pytest.raises(TypeError):
+            dumps_canonical({"x": object()})
+
+    @pytest.mark.parametrize("case", ["pentagon", "expo(3)", "ring12-asym"])
+    def test_every_cli_document(self, case, tmp_path, monkeypatch):
+        """Every document a CLI subcommand writes equals the standard encoder's
+        text of the same object."""
+        real = serialize.dumps_canonical
+        emitted = []
+
+        def checked(obj):
+            text = real(obj)
+            assert text == _standard(obj)
+            emitted.append(command)
+            return text
+
+        monkeypatch.setattr(serialize, "dumps_canonical", checked)
+        source = ["--case", case, "--gamma", "1.4"]
+        sol = tmp_path / "sol.json"
+        one = tmp_path / "one.json"
+        runs = [
+            ["solve", *source, "--out", sol],
+            ["windings", *source],
+            ["basis", *source, "--basis", "minimum"],
+            ["sweep", "--case", case, "--tol", "1e-3"],
+            ["decompose", *source, one],
+            ["check", *source, one],
+            ["gen", "--gen-case", case],
+        ]
+        for argv in runs:
+            command = argv[0]
+            if command == "decompose":
+                one.write_text(json.dumps(json.loads(sol.read_text())["solutions"][0]))
+            cli.main([str(a) for a in argv])
+        expected = {argv[0] for argv in runs}
+        if case != "ring12-asym":
+            expected.discard("sweep")  # its supply profile is zero: nothing to sweep
+        assert set(emitted) == expected
 
 
 class TestFlowFamilies:
