@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -38,7 +37,7 @@ from .flows import (
     verify_solution,
 )
 from .graphs import WeightedGraph, fundamental_cycle_basis, minimum_cycle_basis
-from .powerflow import PTC_TOL, PowerCase, builtin_case, case_to_problem, ptc
+from .powerflow import PTC_TOL, SWEEP_GAMMA, PowerCase, _winding_ptc, builtin_case, case_to_problem
 from .torus import (
     count_feasible_winding_vectors,
     feasible_winding_bounds,
@@ -67,10 +66,10 @@ _INPUT_ERRORS = (
 )
 
 
-def _problem_source(p) -> None:
+def _problem_source(p, gamma_help: str = "angle bound") -> None:
     p.add_argument("input", nargs="?", help="problem JSON file")
     p.add_argument("--case", help="built-in case name instead of a file")
-    p.add_argument("--gamma", type=float, default=None, help="angle bound")
+    p.add_argument("--gamma", type=float, default=None, help=gamma_help)
     p.add_argument("--case-data", help="external data file for rts24-mod")
 
 
@@ -124,9 +123,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add("basis", "emit the cycle basis", _problem_source, _basis)
 
     p_sweep = add(
-        "sweep", "PTC/congestion sweep over windings", _problem_source, _rho, _basis, _format
+        "sweep",
+        "PTC/congestion sweep over windings",
+        functools.partial(_problem_source, gamma_help=f"maximum power angle (default {SWEEP_GAMMA!r})"),
+        _rho,
+        _basis,
+        _format,
     )
-    p_sweep.add_argument("--tol", type=float, default=PTC_TOL, help="width of the certified PTC bracket (multisection)")
+    p_sweep.add_argument("--tol", type=float, default=PTC_TOL, help="width of the certified PTC bracket")
 
     p_dec = add("decompose", "cutset/cycle decomposition of a flow", _problem_source, _basis)
     p_dec.add_argument("solution", help="solution JSON file")
@@ -260,13 +264,11 @@ def _cmd_sweep(args) -> int:
     case = _builtin_case(args.case, args.case_data)
     if case is None:
         case = PowerCase.from_dict(json.loads(Path(args.input).read_text()))
-    gamma = args.gamma
-    if gamma is None:
-        gamma = math.pi / 2 - 0.01
+    gamma = SWEEP_GAMMA if args.gamma is None else args.gamma
     problem = case_to_problem(case, gamma)
     basis = _make_basis(problem.graph, args.basis)
     results = [
-        ptc(case, u, gamma, tol=args.tol, rho=args.rho, basis=basis)
+        _winding_ptc(problem, basis, u, args.tol, args.rho)
         for u in feasible_winding_vectors(basis, gamma)
     ]
     k = basis.size

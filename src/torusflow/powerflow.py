@@ -1,10 +1,13 @@
 """Lossless AC active power flow as a flow network problem on the torus.
 
 Covers case ingestion (with rebalancing), translation to sin-family flow
-problems, power-transmission-capacity sweeps by certified multisection, and
-congestion reporting.  The multisection's probes are verdict-only: each
-Newton solve stops once its cell is decided, and only the emitted curve is
-solved to the caller's rho.  Voltage magnitudes are inputs, never solved for.
+problems, power-transmission-capacity sweeps, and congestion reporting.  A
+PTC is predicted, then certified: an uncertified point-of-collapse Newton
+solve guesses it, and one stacked certified call decides the emitted curve
+and a bracket of width tol around the guess.  When that bracket does not
+hold, a certified multisection takes over from the tightest bracket the
+call gave; its probes are verdict-only, each Newton solve stopping once its
+cell is decided.  Voltage magnitudes are inputs, never solved for.
 """
 from __future__ import annotations
 
@@ -26,11 +29,14 @@ from .flows import (
     decide_cells,
 )
 from .graphs import CycleBasis, WeightedGraph, fundamental_cycle_basis
+from .torus import TWO_PI
 
 REBALANCE_LIMIT = 0.01
 GAMMA_LIMIT = math.pi / 2 - 1e-9
-PTC_TOL = 1e-6  # default width of the PTC multisection bracket
+PTC_TOL = 1e-6  # default width of the certified PTC bracket
 SECTIONS = 16  # parts each PTC multisection round cuts its bracket into
+PREDICT_STEPS = 25  # Newton steps each solve of the PTC prediction may take
+SWEEP_GAMMA = math.pi / 2 - 0.01  # the sweep's default maximum power angle
 # One sine for every case problem: a certificate depends only on the function
 # and gamma, and `FlowFunction.certify` keeps one per gamma, so a sweep
 # certifies the sine once instead of once per problem.
@@ -151,6 +157,68 @@ class SweepResult:
     curve: tuple[SweepSample, ...]
 
 
+def _predict_ptc(problem: FlowNetworkProblem, basis: CycleBasis, u: np.ndarray, ceiling: float) -> float | None:
+    """Uncertified guess of the PTC of cell u, or None when it gives up.
+
+    The point-of-collapse method: a damped Newton solve for the cycle
+    coordinates c of the fixed point f = s f0 + C^T c at s = 0, then Newton
+    on the k + 1 unknowns (c, s) of C h^-1(A^-1 f) = 2 pi u together with
+    sigma f_e = capacity_e + FEASIBILITY_SLACK on a binding edge e.  Its
+    Jacobian is [[C W C^T, C W f0], [sigma C[:, e]^T, sigma f0_e]] with
+    W = `inverse_slopes`; each step solves it by eliminating c, and binds
+    the edge whose linearised margin runs out first, so the binding edge
+    may change while s settles.  It gives up when the flow at s = 0 already
+    exceeds a capacity, as soon as s leaves [0, ceiling], and after
+    PREDICT_STEPS steps of either solve.  Nothing it returns is trusted: it
+    only picks the scales that `decide_cells` certifies.
+    """
+    C = basis.matrix
+    f0 = problem.graph.cutset_flow(problem.p, basis)
+    twopi_u = TWO_PI * u
+    cap = problem.capacity + FEASIBILITY_SLACK
+
+    def at(c, s):
+        """f, the loop residual g and the Jacobian blocks dg/dc, dg/ds at (c, s)."""
+        f = s * f0 + c @ C
+        delta = problem.inverse_differences(f)
+        CW = C * problem.inverse_slopes(delta)
+        return f, C @ delta - twopi_u, CW @ C.T, CW @ f0
+
+    # A short enough Newton step lowers the loop residual, so the step is
+    # halved until it does.
+    c = np.zeros(basis.size)
+    f, g, H, b = at(c, 0.0)
+    for _ in range(PREDICT_STEPS):
+        step, t = np.linalg.solve(H, g), 1.0
+        if np.abs(step).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(c).max(initial=0.0)):
+            break
+        while (trial := at(c - t * step, 0.0))[1].dot(trial[1]) >= g.dot(g) and t > 1e-6:
+            t /= 2.0
+        c = c - t * step
+        f, g, H, b = trial
+    else:
+        return None
+    if np.any(np.abs(f) > cap):
+        return None
+
+    s = 0.0
+    for _ in range(PREDICT_STEPS):
+        # The Newton step in c for a scale step ds is -H^-1 (g + b ds), which
+        # moves f to f1 + df ds; edge e's margin runs out at ds = reach_e.
+        cg, cb = np.linalg.solve(H, np.stack((g, b), axis=1)).T
+        f1, df = f - cg @ C, f0 - cb @ C
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reach = np.where(df != 0.0, (cap - np.sign(df) * f1) / np.abs(df), math.inf)
+        ds = float(reach.min())
+        c, s = c - cg - ds * cb, s + ds
+        if not 0.0 <= s <= ceiling:
+            return None
+        if abs(ds) < 1e-14 * s:
+            return s
+        f, g, H, b = at(c, s)
+    return None
+
+
 def ptc(
     case: PowerCase,
     u,
@@ -162,31 +230,46 @@ def ptc(
 ) -> SweepResult:
     """Largest scale P of the case's profile with a winding-u solution.
 
-    Multisection on P with certified brackets: each round probes the
-    SECTIONS - 1 interior points of the bracket (lo, hi) in one stacked
-    `decide_cells` call on the case's own problem, with per-row supply
-    scales.  Each probe is a certified Newton solve of cell u with the
-    three-way verdict, run only until it is decided (rho = inf): its flow
-    is discarded, and an undecided probe counts as no solution.  hi
-    moves to the first probe that is not feasible and lo to the probe
-    before it, so existence is certified at the returned value and fails
-    or is undecided at most tol above it.  Assumes a single existence
-    interval [0, PTC], as the incremental sweep it replaces did.  The
-    curve's `curve_points` scales in [0, PTC] are one more stacked call,
-    solved to `rho`, since their loop flows are emitted.
+    Predict, then certify.  An uncertified point-of-collapse Newton solve
+    (`_predict_ptc`) guesses the scale P* at which the first edge flow of
+    cell u reaches capacity.  One stacked `decide_cells` call on the case's
+    own problem, with per-row supply scales and solved to `rho`, then
+    decides the curve's `curve_points` scales linspace(0, lo) together with
+    0, lo = P* - tol/2 and hi = lo + tol.  When its first row that is not
+    feasible is hi, that call is the whole result: lo is the PTC, with
+    existence certified there and failing or undecided at hi.  An
+    undecided row counts as no solution.
 
-    The bracket's upper end is certified without a probe: a feasible
-    verdict bounds every |f_e| by capacity + FEASIBILITY_SLACK, and
-    B f = P p_hat, so no scale above the slack-widened node-capacity
-    ceiling min_i node_cap_i / |p_hat_i| has a feasible cell.
+    Otherwise, or when the prediction gives up, a certified multisection
+    takes over from the tightest bracket the rows gave (from (0, ceiling)
+    and a zero probe when there were none): each round probes the
+    SECTIONS - 1 interior points of the bracket (lo, hi) in one stacked
+    call run only until each row is decided (rho = inf), hi moves to the
+    first probe that is not feasible and lo to the probe before it, and the
+    curve is one more call, solved to `rho` since its loop flows are
+    emitted.  Either way existence is certified at the returned value and
+    fails or is undecided at most tol above it; a zero scale that is not
+    feasible gives ptc None.  Assumes a single existence interval [0, PTC].
+
+    The bracket's ceiling is certified without a probe: a feasible verdict
+    bounds every |f_e| by capacity + FEASIBILITY_SLACK, and B f = P p_hat,
+    so no scale above the slack-widened node-capacity ceiling
+    min_i node_cap_i / |p_hat_i| has a feasible cell.
     """
+    problem = case_to_problem(case, gamma)
+    if basis is None:
+        basis = fundamental_cycle_basis(problem.graph)
+    return _winding_ptc(problem, basis, u, tol, rho, curve_points)
+
+
+def _winding_ptc(
+    problem: FlowNetworkProblem, basis: CycleBasis, u, tol: float, rho: float, curve_points: int = 9
+) -> SweepResult:
+    """`ptc` on the case's problem and a basis, built once per sweep."""
     if tol <= 0.0:
         raise InputError("tol must be positive")
     u = np.asarray(u, dtype=np.int64)
-    base = case_to_problem(case, gamma)
-    if basis is None:
-        basis = fundamental_cycle_basis(base.graph)
-    p_hat = base.p
+    p_hat = problem.p
     if float(np.max(np.abs(p_hat))) == 0.0:
         raise InputError("the case profile is identically zero; nothing to scale")
 
@@ -194,22 +277,57 @@ def ptc(
         # An undecided cell counts as not feasible, so a probe that says yes
         # is feasible at the certified error bound.
         U = u.reshape(1, -1).repeat(scales.size, axis=0)
-        flows, verdicts = decide_cells(base, basis, U, rho, scales=scales)
+        flows, verdicts = decide_cells(problem, basis, U, rho, scales=scales)
         return verdicts.feasible, flows
 
-    # The bracket probes keep only their verdicts: rho = inf stops each one
-    # once it is decided.  The curve's flows are emitted, so they get rho.
-    if not probe(np.zeros(1), math.inf)[0][0]:
-        return SweepResult(u=u, ptc=None, curve=())
+    def result(lo: float, hi: float, curve: np.ndarray, exists, flows) -> SweepResult:
+        loading = np.abs(flows / problem.graph.weight_vector).max(axis=1)
+        loops = flows @ basis.matrix.T
+        samples = [
+            SweepSample(
+                scale=scale,
+                exists=ok,
+                congestion=load if ok else None,
+                loop_flows=tuple(loop) if ok else (),
+            )
+            for scale, ok, load, loop in zip(curve.tolist(), exists.tolist(), loading.tolist(), loops.tolist())
+        ]
+        samples.append(SweepSample(scale=hi, exists=False, congestion=None, loop_flows=()))
+        return SweepResult(u=u, ptc=lo, curve=tuple(samples))
 
     # A node passes at most the capacity of the edges that touch it, each
     # widened by the slack that a feasible verdict allows.
-    cap, (i, j), n = base.capacity + FEASIBILITY_SLACK, base.graph.ends, base.graph.n
+    cap, (i, j), n = problem.capacity + FEASIBILITY_SLACK, problem.graph.ends, problem.graph.n
     node_caps = np.bincount(i, cap, n) + np.bincount(j, cap, n)
     mask = np.abs(p_hat) > 0.0
-    hi = float(np.min(node_caps[mask] / np.abs(p_hat[mask]))) * (1.0 + 1e-9) + tol
+    ceiling = float(np.min(node_caps[mask] / np.abs(p_hat[mask]))) * (1.0 + 1e-9) + tol
 
-    lo = 0.0
+    guess = _predict_ptc(problem, basis, u, ceiling)
+    if guess is None or not 0.0 <= guess <= ceiling:
+        # The bracket probes keep only their verdicts: rho = inf stops each
+        # one once it is decided.
+        if not probe(np.zeros(1), math.inf)[0][0]:
+            return SweepResult(u=u, ptc=None, curve=())
+        lo, hi = 0.0, ceiling
+    else:
+        lo = max(guess - 0.5 * tol, 0.0)
+        hi = lo + tol
+        if hi - lo > tol:  # lo + tol rounded up
+            hi = math.nextafter(hi, lo)
+        # The curve's first and last samples are the zero and lo probes; the
+        # rows ascend, so the bracket ends at the first that is not feasible.
+        curve = np.linspace(0.0, lo, curve_points)
+        scales = np.concatenate(([0.0], curve[1:-1], [lo, hi]))
+        feasible, flows = probe(scales, rho)
+        first = int(np.append(~feasible, True).argmax())
+        if first == 0:
+            return SweepResult(u=u, ptc=None, curve=())
+        if first == scales.size - 1:
+            return result(lo, hi, curve, feasible[: curve.size], flows[: curve.size])
+        # The ceiling is the bracket's upper end when even hi was feasible.
+        ends = np.append(scales, ceiling)
+        lo, hi = float(ends[first - 1]), float(ends[first])
+
     cuts = np.arange(1, SECTIONS) / SECTIONS
     while hi - lo > tol:
         ends = np.concatenate(([lo], lo + (hi - lo) * cuts, [hi]))
@@ -219,22 +337,10 @@ def ptc(
         first = int(np.append(~feasible, True).argmax())
         lo, hi = float(ends[first]), float(ends[first + 1])
 
-    scales = np.linspace(0.0, lo, curve_points)
-    exists, flows = probe(scales, rho)
-    loading = np.abs(flows / base.graph.weight_vector).max(axis=1)
-    loops = flows @ basis.matrix.T
-    curve = [
-        SweepSample(
-            scale=scale,
-            exists=ok,
-            congestion=load if ok else None,
-            loop_flows=tuple(loop) if ok else (),
-        )
-        for scale, ok, load, loop in zip(scales.tolist(), exists.tolist(), loading.tolist(), loops.tolist())
-    ]
-    # hi kept the no-solution side of the bracket throughout the multisection.
-    curve.append(SweepSample(scale=hi, exists=False, congestion=None, loop_flows=()))
-    return SweepResult(u=u, ptc=lo, curve=tuple(curve))
+    # The curve's flows are emitted, so they are solved to rho.  hi kept the
+    # no-solution side of the bracket throughout the multisection.
+    curve = np.linspace(0.0, lo, curve_points)
+    return result(lo, hi, curve, *probe(curve, rho))
 
 
 _RING12_SYM = {"supply_node": 11, "demand_node": 5}

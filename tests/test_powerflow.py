@@ -258,13 +258,10 @@ class TestPtc:
         rho = 1e-10
         case = builtin_case("ring12-asym")
         res = ptc(case, [1], GAMMA, tol=tol, rho=rho)
-        # The bracket starts at the node-capacity ceiling, 2 sin(gamma) plus slack.
-        hi0 = 2.0 * math.sin(GAMMA) + 1e-6
-        assert len(calls) <= 2 + math.ceil(math.log(hi0 / tol) / math.log(powerflow.SECTIONS))
-        # One probe at zero, SECTIONS - 1 per round, and the curve.
-        assert [len(scales) for _, scales in calls] == [1] + [powerflow.SECTIONS - 1] * (len(calls) - 2) + [9]
-        # The probes keep only their verdicts; the curve's flows are emitted.
-        assert [r for r, _ in calls] == [math.inf] * (len(calls) - 1) + [rho]
+        # The prediction certifies: one call at rho, whose rows are the
+        # curve's 9 scales, from 0 to lo, and hi.
+        [(r, scales)] = calls
+        assert r == rho and scales.tolist() == [s.scale for s in res.curve]
         assert res.curve[-1].scale - res.ptc <= tol
         # Each emitted loop flow is the cell's, solved alone to rho, within
         # the stated accuracy rho plus that solve's bound, per cycle edge.
@@ -279,25 +276,51 @@ class TestPtc:
             gap = np.abs(np.subtract(sample.loop_flows, basis.matrix @ f))
             assert np.all(gap <= lengths * (rho + it.error_bound))
 
-    def test_bracket_ends_at_the_first_probe_that_is_not_feasible(self, monkeypatch):
-        # A probe of the first round reads not feasible between feasible
-        # ones, as an undecided probe may: the bracket stays below it.
-        calls, flagged = [], []
+    def test_multisection_calls_per_sweep(self, monkeypatch):
+        # Without a prediction: one probe at zero, SECTIONS - 1 per round at
+        # rho = inf, and the curve at rho.
+        calls = []
         decide = powerflow.decide_cells
+        monkeypatch.setattr(
+            powerflow, "decide_cells", lambda *a, **kw: calls.append((a[3], kw["scales"])) or decide(*a, **kw)
+        )
+        monkeypatch.setattr(powerflow, "_predict_ptc", lambda *a: None)
+        tol = 1e-7
+        res = ptc(builtin_case("ring12-asym"), [1], GAMMA, tol=tol)
+        # The bracket starts at the node-capacity ceiling, 2 sin(gamma) plus slack.
+        hi0 = 2.0 * math.sin(GAMMA) + 1e-6
+        assert len(calls) <= 2 + math.ceil(math.log(hi0 / tol) / math.log(powerflow.SECTIONS))
+        assert [len(scales) for _, scales in calls] == [1] + [powerflow.SECTIONS - 1] * (len(calls) - 2) + [9]
+        assert [r for r, _ in calls] == [math.inf] * (len(calls) - 1) + [1e-10]
+        assert res.curve[-1].scale - res.ptc <= tol
 
-        def flag_one(*args, **kw):
-            flows, verdicts = decide(*args, **kw)
-            calls.append(kw["scales"])
-            if len(calls) == 2:
-                assert verdicts.feasible[4:8].all()
-                verdicts.feasible[5] = False
-                flagged.append(float(kw["scales"][5]))
-            return flows, verdicts
+    def test_bracket_ends_at_the_first_probe_that_is_not_feasible(self, monkeypatch):
+        # A row of the certifying call reads not feasible, as an undecided
+        # row may: the multisection takes over, and the bracket stays below
+        # that row (rows 5 and 8 are curve samples, 8 is also lo), or there
+        # is no PTC (row 0 is the zero scale).
+        decide = powerflow.decide_cells
+        for row in (5, 8, 0):
+            calls, flagged = [], []
 
-        monkeypatch.setattr(powerflow, "decide_cells", flag_one)
-        res = ptc(builtin_case("ring12-asym"), [1], GAMMA, tol=1e-7)
-        assert res.ptc < res.curve[-1].scale <= flagged[0]
-        assert res.curve[-1].scale - res.ptc <= 1e-7
+            def flag_one(*args, **kw):
+                flows, verdicts = decide(*args, **kw)
+                calls.append(kw["scales"])
+                if len(calls) == 1:
+                    assert verdicts.feasible[:-1].all() and not verdicts.feasible[-1]
+                    verdicts.feasible[row] = False
+                    flagged.append(float(kw["scales"][row]))
+                return flows, verdicts
+
+            with monkeypatch.context() as patch:
+                patch.setattr(powerflow, "decide_cells", flag_one)
+                res = ptc(builtin_case("ring12-asym"), [1], GAMMA, tol=1e-7)
+            if row == 0:
+                assert res.ptc is None and res.curve == () and len(calls) == 1
+                continue
+            assert len(calls) > 2
+            assert res.ptc < res.curve[-1].scale <= flagged[0]
+            assert res.curve[-1].scale - res.ptc <= 1e-7
 
     @pytest.mark.parametrize("points", [0, 1])
     def test_short_curves(self, points):
@@ -311,3 +334,161 @@ class TestPtc:
     def test_zero_profile_rejected(self):
         with pytest.raises(InputError):
             ptc(builtin_case("pentagon"), [0], 1.4)
+
+
+def _ring4_case(rng) -> PowerCase:
+    """A unit 4-bus ring with adjacent supply and demand, its branches
+    oriented and ordered at random."""
+    supply = int(rng.integers(4))
+    demand = (supply + int(rng.choice([1, -1]))) % 4
+    buses = [[1.0, 0.0] for _ in range(4)]
+    buses[supply][1], buses[demand][1] = 1.0, -1.0
+    branches = [(i, (i + 1) % 4, 1.0) if rng.random() < 0.5 else ((i + 1) % 4, i, 1.0) for i in range(4)]
+    return PowerCase(
+        buses=tuple((v, p) for v, p in buses), branches=tuple(branches[i] for i in rng.permutation(4))
+    )
+
+
+def _mesh_case(seed) -> PowerCase:
+    """A random mesh of 8-13 buses and 2-4 independent cycles, with
+    voltages, susceptances and a nonzero balanced profile drawn from seed."""
+    from conftest import random_connected_graph
+
+    rng = np.random.default_rng([seed, 7])
+    n = int(rng.integers(8, 14))
+    graph = random_connected_graph(rng, n, extra_edges=int(rng.integers(2, 5)))
+    p = rng.normal(size=n)
+    volts = rng.uniform(0.9, 1.1, n)
+    return PowerCase(
+        buses=tuple(zip(volts.tolist(), (p - p.mean()).tolist())),
+        branches=tuple(zip(*graph.ends, graph.weight_vector)),
+    )
+
+
+class TestPtcPrediction:
+    """`ptc` against itself with the prediction turned off, so that the
+    certified multisection alone decides; and with wrong predictions."""
+
+    TOL = 1e-7
+
+    @staticmethod
+    def assert_certified(res, problem, basis, tol):
+        from torusflow.flows import decide_cell
+
+        hi = res.curve[-1]
+        assert not hi.exists and 0.0 < hi.scale - res.ptc <= tol
+        assert decide_cell(problem.with_supply(res.ptc * problem.p), basis, res.u)[1].feasible
+        for scale in (hi.scale, res.ptc + 2 * tol):
+            assert not decide_cell(problem.with_supply(scale * problem.p), basis, res.u)[1].feasible
+
+    def compare(self, monkeypatch, case, gamma, tol=TOL):
+        """ptc of every winding of the case, predicted and not: (windings
+        with a PTC, how many of those one call decided)."""
+        problem = case_to_problem(case, gamma)
+        basis = fundamental_cycle_basis(problem.graph)
+        decide, calls = powerflow.decide_cells, []
+        found = single = 0
+        for u in feasible_winding_vectors(basis, gamma):
+            with monkeypatch.context() as patch:
+                patch.setattr(powerflow, "decide_cells", lambda *a, **kw: calls.append(1) or decide(*a, **kw))
+                calls.clear()
+                res = ptc(case, u, gamma, tol=tol, basis=basis)
+                one_call = len(calls) == 1
+            with monkeypatch.context() as patch:
+                patch.setattr(powerflow, "_predict_ptc", lambda *a: None)
+                ref = ptc(case, u, gamma, tol=tol, basis=basis)
+            assert (res.ptc is None) == (ref.ptc is None), (u, res.ptc, ref.ptc)
+            if res.ptc is None:
+                assert res.curve == () and one_call
+                continue
+            assert res.ptc == pytest.approx(ref.ptc, abs=tol)
+            self.assert_certified(res, problem, basis, tol)
+            self.assert_certified(ref, problem, basis, tol)
+            found += 1
+            single += one_call
+        return found, single
+
+    @pytest.mark.parametrize("gamma", [1.4, GAMMA])
+    @pytest.mark.parametrize("name", ["ring12-sym", "ring12-asym"])
+    def test_ring12_matches_the_multisection(self, monkeypatch, name, gamma):
+        # Every winding is certified by the first call.
+        assert self.compare(monkeypatch, builtin_case(name), gamma) == (5, 5)
+
+    def test_bench_rings_take_one_call(self, monkeypatch, tmp_path):
+        # The CLI sweep of a 4-bus ring near the angle limit makes exactly one
+        # decide_cells call, and matches the multisection.
+        from torusflow import cli
+
+        rng = np.random.default_rng(2)
+        decide, calls = powerflow.decide_cells, []
+        for j in range(8):
+            case = _ring4_case(rng)
+            path, out = tmp_path / f"ring-{j}.json", tmp_path / f"sweep-{j}.json"
+            path.write_text(json.dumps(case.to_dict()))
+            with monkeypatch.context() as patch:
+                patch.setattr(powerflow, "decide_cells", lambda *a, **kw: calls.append(1) or decide(*a, **kw))
+                calls.clear()
+                assert cli.main(["sweep", str(path), "--tol", repr(self.TOL), "--out", str(out)]) == 0
+            assert len(calls) == 1
+            [result] = json.loads(out.read_text())["results"]
+            supply, demand = (int(np.argmax(case.supply)), int(np.argmin(case.supply)))
+            oracle = oracles.ring_two_path_ptc(4, supply, demand, 0, powerflow.SWEEP_GAMMA)
+            assert result["ptc"] == pytest.approx(oracle, abs=1e-4)
+            assert self.compare(monkeypatch, case, powerflow.SWEEP_GAMMA) == (1, 1)
+
+    @pytest.mark.parametrize("gamma", [1.4, GAMMA])
+    def test_random_meshes_match_the_multisection(self, monkeypatch, gamma):
+        found = single = 0
+        for seed in range(25):
+            a, b = self.compare(monkeypatch, _mesh_case(seed), gamma)
+            found, single = found + a, single + b
+        assert found >= 20 and single >= found - 2
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [lambda s, tol: s + 10 * tol, lambda s, tol: s - 10 * tol, lambda s, tol: math.nan, lambda s, tol: 0.0],
+        ids=["above", "below", "nan", "zero"],
+    )
+    @pytest.mark.parametrize("case", ["ring12-asym", "mesh"])
+    def test_wrong_predictions_still_certify(self, monkeypatch, wrong, case):
+        case = builtin_case(case) if case != "mesh" else _mesh_case(3)
+        problem = case_to_problem(case, GAMMA)
+        basis = fundamental_cycle_basis(problem.graph)
+        predict = powerflow._predict_ptc
+        checked = 0
+        for u in feasible_winding_vectors(basis, GAMMA):
+            want = ptc(case, u, GAMMA, tol=self.TOL, basis=basis).ptc
+            with monkeypatch.context() as patch:
+                patch.setattr(powerflow, "_predict_ptc", lambda *a: wrong(predict(*a) or 0.0, self.TOL))
+                res = ptc(case, u, GAMMA, tol=self.TOL, basis=basis)
+            assert (res.ptc is None) == (want is None)
+            if want is not None:
+                assert res.ptc == pytest.approx(want, abs=self.TOL)
+                self.assert_certified(res, problem, basis, self.TOL)
+                checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("points", [0, 1, 2])
+    def test_short_curves_certify_in_one_call(self, monkeypatch, points):
+        calls, decide = [], powerflow.decide_cells
+        monkeypatch.setattr(powerflow, "decide_cells", lambda *a, **kw: calls.append(kw["scales"]) or decide(*a, **kw))
+        case = builtin_case("ring12-asym")
+        problem = case_to_problem(case, GAMMA)
+        basis = fundamental_cycle_basis(problem.graph)
+        res = ptc(case, [-1], GAMMA, tol=self.TOL, basis=basis, curve_points=points)
+        # The zero, lo and hi rows, with no row repeated.
+        [scales] = calls
+        assert scales.tolist() == [0.0, res.ptc, res.curve[-1].scale]
+        assert len(res.curve) == points + 1
+        self.assert_certified(res, problem, basis, self.TOL)
+
+    @pytest.mark.parametrize("name, demand", [("ring12-sym", 5), ("ring12-asym", 2)])
+    def test_prediction_is_the_closed_form(self, name, demand):
+        # The uncertified prediction alone: where the first edge reaches
+        # capacity.  Near the angle limit the slack of 1e-9 on a flow moves
+        # its angle by 1e-9 / cos(gamma), and the scale by up to ~1e-7.
+        problem = case_to_problem(builtin_case(name), GAMMA)
+        basis = fundamental_cycle_basis(problem.graph)
+        for u in feasible_winding_vectors(basis, GAMMA):
+            guess = powerflow._predict_ptc(problem, basis, u, 2.0)
+            assert guess == pytest.approx(oracles.ring_two_path_ptc(12, 11, demand, int(u[0]), GAMMA), abs=1e-6)
