@@ -84,6 +84,8 @@ from .torus import (
     polytope_to_torus,
     rotate,
     torus_to_polytope,
+    winding_blocks,
+    winding_cuts,
     winding_number,
     winding_vector,
     wrap,

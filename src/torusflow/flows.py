@@ -9,7 +9,6 @@ and flow decomposition.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -33,8 +32,9 @@ from .torus import (
     WINDING_INT_TOL,
     canonical_rotation,
     edge_differences,
-    feasible_winding_vectors,
     integrate_cells,
+    winding_blocks,
+    winding_cuts,
 )
 
 MIN_SLOPE = 1e-9
@@ -44,7 +44,6 @@ FEASIBILITY_SLACK = 1e-9
 DEFAULT_RHO = 1e-10
 TIGHT_RHO = 1e-15  # below any reachable bound: a solve to the rounding floor
 CERT_GRID = 1001
-CHUNK_ROWS = 256  # winding cells solve_all decides in one stacked Newton solve
 
 
 @dataclass(frozen=True)
@@ -839,32 +838,40 @@ def solve_all(
 ) -> list[Solution]:
     """All solutions of the flow network problem, sorted by winding vector.
 
-    Streams the candidate winding box in lexicographic order, in chunks of
-    at most CHUNK_ROWS cells, and decides each chunk with one
-    `decide_cells` call (certified Newton plus the three-way verdict per
-    cell).  The first undecided cell raises TorusFlowError naming its u.
-    The chunk's feasible rows then have their phases recovered by one
-    `recover_cells` call; the rows of empty cells are dropped, and the
-    rest are certified by one `verify_cells` call, each row from its own
-    flow and phases.  The first failed certificate in box order raises;
-    each solution gets its own arrays and report, in box order.  A chunk
-    with no feasible row skips both calls.
+    Walks the candidate winding box in lexicographic order, in the
+    (<= CHUNK_ROWS, k) blocks of `winding_blocks`, and drops each block's
+    rows that break a `winding_cuts` cut: such a cell holds no solution.
+    The rest of a block is decided by one `decide_cells` call (certified
+    Newton plus the three-way verdict per cell).  The first undecided cell
+    raises TorusFlowError naming its u.  The block's feasible rows then
+    have their phases recovered by one `recover_cells` call; the rows of
+    empty cells are dropped, and the rest are certified by one
+    `verify_cells` call, each row from its own flow and phases.  The first
+    failed certificate in box order raises; each solution gets its own
+    arrays and report, in box order.  A block with no feasible row skips
+    both calls.
     """
     if problem.graph.cycle_space_dim == 0:
         sol = acyclic_solve(problem)
         return [sol] if sol is not None else []
     if basis is None:
         basis = fundamental_cycle_basis(problem.graph)
-    cells = feasible_winding_vectors(basis, problem.gamma)
+    cuts, limits = winding_cuts(basis, problem.gamma)
+    # In floats BLAS forms |a . u| exactly: every term is a small integer.
+    cuts_t = cuts.T.astype(float)
     solutions = []
-    while chunk := list(itertools.islice(cells, CHUNK_ROWS)):
-        U = np.array(chunk)
+    for U in winding_blocks(basis, problem.gamma):
+        dots = U @ cuts_t
+        np.abs(dots, out=dots)
+        U = U[(dots <= limits).all(axis=1)]
+        if not len(U):
+            continue
         flows, verdicts = decide_cells(problem, basis, U, rho)
         undecided = ~(verdicts.feasible | verdicts.infeasible.any(axis=1))
         if undecided.any():
             r = int(undecided.argmax())
             raise TorusFlowError(
-                f"winding vector {chunk[r].tolist()} is undecided: a margin lies "
+                f"winding vector {U[r].tolist()} is undecided: a margin lies "
                 f"within the certified error bound {verdicts.error_bound[r]:.3e} of the slack"
             )
         rows = verdicts.feasible.nonzero()[0]
@@ -875,7 +882,7 @@ def solve_all(
         rows, thetas = rows[~empty], thetas[~empty]
         reports = verify_cells(problem, basis, flows[rows], thetas, U[rows])
         for r, theta, report in zip(rows.tolist(), thetas, reports):
-            u = chunk[r]
+            u = U[r].copy()
             if report.failures():
                 raise TorusFlowError(f"certification failed for winding vector {u.tolist()}: {report}")
             solutions.append(Solution(f=flows[r].copy(), theta=theta.copy(), u=u, report=report, iteration=verdicts[r]))

@@ -301,6 +301,11 @@ def _winding_ptc(
     node_caps = np.bincount(i, cap, n) + np.bincount(j, cap, n)
     mask = np.abs(p_hat) > 0.0
     ceiling = float(np.min(node_caps[mask] / np.abs(p_hat[mask]))) * (1.0 + 1e-9) + tol
+    # A bracket wider than 2 SECTIONS ulps of the ceiling has cut points at
+    # least 2 ulps apart, so they round to distinct scales inside it and
+    # every multisection round narrows it; a narrower tol stalls the rounds.
+    if tol < 2 * SECTIONS * math.ulp(ceiling):
+        raise InputError(f"tol {tol!r} is below {2 * SECTIONS} ulps of the PTC ceiling {ceiling!r}")
 
     guess = _predict_ptc(problem, basis, u, ceiling)
     if guess is None or not 0.0 <= guess <= ceiling:

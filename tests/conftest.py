@@ -66,3 +66,17 @@ def rng():
 
 def splay_state(n):
     return np.array([2 * np.pi * k / n for k in range(n)])
+
+
+def lattice_with_detours(side=9):
+    """A side x side unit lattice plus two 7-edge detours, 0 -> 2 and
+    1 -> 3 along the top row: k = (side - 1)^2 + 2.  The detours close
+    9-cycles, free at gamma = 1.4, that share the lattice edge (1, 2)."""
+    edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
+    edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
+    n = side * side
+    for a, b in ((0, 2), (1, 3)):
+        path = [a] + list(range(n, n + 6)) + [b]
+        n += 6
+        edges += list(zip(path, path[1:]))
+    return WeightedGraph.from_edges(n, edges)

@@ -166,6 +166,52 @@ def _winding_box(basis, gamma):
     return [int(math.floor(gamma * c.length / TWO_PI)) for c in basis.cycles]
 
 
+def winding_cell_realisable(g, cycle_matrix, u, gamma: float, tol: float = 1e-9) -> bool:
+    """Whether some phases put every edge difference of winding cell u in
+    [-gamma, gamma]: a system of difference constraints, solved by
+    Bellman-Ford (Cormen et al., Introduction to Algorithms, 24.4).
+
+    The differences are delta = B^T theta + 2pi z with z integer and
+    C z = u.  Shifting z by an integer cut B^T t (theta by 2pi t) changes
+    nothing, so z may vanish on a BFS spanning tree; its off-tree part then
+    solves the k x k system C[:, off-tree] z = u, and a fractional solution
+    means the cell is empty.  Otherwise the cell is realisable iff the
+    constraints -gamma - 2pi z_e <= theta_i - theta_j <= gamma - 2pi z_e
+    have no negative cycle.
+    """
+    n, edges = g.n, list(g.edges)
+    seen, frontier, tree = {0}, [0], set()
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for e, (i, j) in enumerate(edges):
+                if v in (i, j) and (w := j if v == i else i) not in seen:
+                    seen.add(w)
+                    tree.add(e)
+                    nxt.append(w)
+        frontier = nxt
+    off = [e for e in range(len(edges)) if e not in tree]
+    C = np.asarray(cycle_matrix, dtype=float)
+    z = np.zeros(len(edges))
+    z[off] = np.linalg.solve(C[:, off], np.asarray(u, dtype=float))
+    if np.max(np.abs(z - np.rint(z)), initial=0.0) > 1e-9:
+        return False
+    z = np.rint(z)
+    ends = np.asarray(edges).reshape(-1, 2)
+    # theta_a - theta_b <= w is the arc b -> a of weight w.
+    src = np.concatenate((ends[:, 1], ends[:, 0]))
+    dst = np.concatenate((ends[:, 0], ends[:, 1]))
+    weight = np.concatenate((gamma - TWO_PI * z, gamma + TWO_PI * z))
+    dist = np.zeros(n)
+    for _ in range(n):
+        relaxed = dist.copy()
+        np.minimum.at(relaxed, dst, dist[src] + weight)
+        if np.all(relaxed >= dist - tol):
+            return True
+        dist = relaxed
+    return False
+
+
 def ring_two_path_ptc(n: int, supply: int, demand: int, u: int, gamma: float):
     """Closed-form PTC for a unit-weight sine ring with one source/sink pair.
 

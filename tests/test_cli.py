@@ -1,6 +1,10 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,6 +166,20 @@ class TestSweep:
         for u in (1, 2):
             assert by_u[(u,)] == pytest.approx(by_u[(-u,)], abs=1e-5)
         assert by_u[(0,)] == max(by_u.values())
+
+    def test_tol_below_the_float_spacing_exits_input(self, tmp_path):
+        # In its own process under a timeout: a bracket that stops narrowing
+        # would spin, not fail.
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "torusflow.cli", "sweep", "--case", "ring12-asym", "--tol", "1e-17"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == cli.EXIT_INPUT, proc.stderr
+        assert "ulps" in proc.stderr
 
     def test_asymmetric_argmax_winding(self, tmp_path):
         out = tmp_path / "s.json"

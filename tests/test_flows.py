@@ -6,14 +6,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 import torusflow.flows as flows_module
+import torusflow.torus as torus_module
 from conftest import (
     balanced_vector,
     complete_graph,
+    lattice_with_detours,
     random_connected_graph,
     ring_graph,
     sin_problem,
@@ -38,6 +40,7 @@ from torusflow import (
     builtin_case,
     case_to_problem,
     check_feasibility,
+    count_feasible_winding_vectors,
     cycle_edge_pinv,
     cycle_projection,
     decompose_flow,
@@ -452,7 +455,7 @@ class TestSolveAll:
             _mixed_problem(rng, mesh, gamma=1.5),
         ]
         default = [solve_all(prob) for prob in problems]
-        monkeypatch.setattr(flows_module, "CHUNK_ROWS", 7)
+        monkeypatch.setattr(torus_module, "CHUNK_ROWS", 7)
         for prob, want in zip(problems, default):
             got = solve_all(prob)
             assert [s.u.tolist() for s in got] == [s.u.tolist() for s in want]
@@ -864,3 +867,53 @@ def test_solve_path_forms_no_dense_matrix(monkeypatch, tmp_path):
     problem_path.write_text(serialize.dumps_canonical(serialize.problem_to_dict(expo)))
     sol_path.write_text(serialize.dumps_canonical(serialize.solution_to_dict(solve_all(expo)[0])))
     assert cli.main(["decompose", str(problem_path), str(sol_path), "--basis", "minimum", "--out", str(out)]) == 0
+
+
+def _exhaustive_solve(problem, basis):
+    """`solve_all` with the cut pool patched to be empty: every box cell is decided."""
+    def no_cuts(basis, gamma):
+        return np.zeros((0, basis.size), dtype=np.int64), np.zeros(0, dtype=np.int64)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flows_module, "winding_cuts", no_cuts)
+        return solve_all(problem, basis=basis)
+
+
+def _assert_pruned_solve_is_exhaustive(problem, basis):
+    got, want = solve_all(problem, basis=basis), _exhaustive_solve(problem, basis)
+    assert [s.u.tolist() for s in got] == [s.u.tolist() for s in want]
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a.f - b.f), initial=0.0) <= 1e-12
+        assert a.u.base is None
+    return got
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(5, 14),
+    k=st.integers(2, 8),
+    gamma=st.sampled_from([1.0, 1.4, math.pi / 2 - 0.01]),
+)
+def test_pruned_solve_matches_exhaustive(seed, n, k, gamma):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, extra_edges=k)
+    problem = _mixed_problem(rng, g, gamma)
+    bases = [b for b in _bases(g) if count_feasible_winding_vectors(b, gamma) <= 2000]
+    assume(bases)
+    for basis in bases:
+        _assert_pruned_solve_is_exhaustive(problem, basis)
+
+
+def test_pruned_solve_matches_exhaustive_on_fixed_boxes():
+    rng = np.random.default_rng(4)
+    lattice = lattice_with_detours()
+    expo = case_to_problem(builtin_case("expo(5)"), 1.4)
+    cases = [
+        # k = 66: one cut binds, |u_65 - u_66| <= 3 in a 25-cell box.
+        (sin_problem(lattice, balanced_vector(rng, lattice.n, 0.05), 1.4), minimum_cycle_basis(lattice)),
+        (sin_problem(complete_graph(4), balanced_vector(rng, 4, 0.3), 0.5), fundamental_cycle_basis(complete_graph(4))),
+        (expo, fundamental_cycle_basis(expo.graph)),
+    ]
+    counts = [len(_assert_pruned_solve_is_exhaustive(problem, basis)) for problem, basis in cases]
+    assert cases[0][1].size > 64 and counts[2] == 243

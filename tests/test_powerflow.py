@@ -335,6 +335,15 @@ class TestPtc:
         with pytest.raises(InputError):
             ptc(builtin_case("pentagon"), [0], 1.4)
 
+    def test_tol_below_the_float_spacing_is_rejected(self):
+        # Its cut points would round onto the bracket's ends: at tol 1e-17 the
+        # multisection used to stop at a zero-width bracket.
+        with pytest.raises(InputError, match="ulps"):
+            ptc(builtin_case("ring12-asym"), [1], GAMMA, tol=1e-17)
+        res = ptc(builtin_case("ring12-asym"), [1], GAMMA, tol=2e-14)
+        assert 0.0 < res.curve[-1].scale - res.ptc <= 2e-14
+        assert res.ptc == pytest.approx(oracles.ring_two_path_ptc(12, 11, 2, 1, GAMMA), abs=1e-6)
+
 
 def _ring4_case(rng) -> PowerCase:
     """A unit 4-bus ring with adjacent supply and demand, its branches
