@@ -354,10 +354,11 @@ def identity_groups(items: Sequence) -> list[tuple[object, np.ndarray]]:
     return [(item, np.array(ids, dtype=int)) for item, ids in groups.values()]
 
 
-def _map_factor(problem: FlowNetworkProblem, basis: CycleBasis) -> np.ndarray:
-    """K = C^T M^{-1}, M = C (Lmin A)^{-1} C^T, so that P_D (Lmin A x) = K C x."""
-    C = basis.matrix
-    return np.linalg.solve((C / problem._lmin_a) @ C.T, C).T
+def _map_inverse(problem: FlowNetworkProblem, basis: CycleBasis) -> np.ndarray:
+    """M^{-1} for the k x k Gram M = C (Lmin A)^{-1} C^T: the map factor
+    K = C^T M^{-1} has P_D (Lmin A x) = K C x, and applies to a stack of
+    rows y as y K^T = (y M^{-1}) C, without forming K."""
+    return np.linalg.inv(basis.gram(1.0 / problem._lmin_a))
 
 
 @dataclass
@@ -483,12 +484,13 @@ def winding_fixed_point_map(problem: FlowNetworkProblem, basis: CycleBasis, u, f
     residual = float(np.max(np.abs(problem.graph.divergence(f) - problem.p)))
     if residual >= BALANCE_TOL:
         raise BalanceError(f"f is not balanced: ||Bf - p||_inf = {residual:.3e}")
-    return _apply_map(problem, basis, _map_factor(problem, basis), np.asarray(u, dtype=float), f)
+    return _apply_map(problem, basis, _map_inverse(problem, basis), np.asarray(u, dtype=float), f)
 
 
-def _apply_map(problem, basis, K, u, f):
+def _apply_map(problem, basis, inverse, u, f):
     # T_u f = f - P_D Lmin A (delta - 2pi C^+ u) = f - K (C delta - 2pi u).
-    return f - K @ (basis.matrix @ problem.inverse_differences(f) - TWO_PI * u)
+    C = basis.matrix
+    return f - ((C @ problem.inverse_differences(f) - TWO_PI * u) @ inverse) @ C
 
 
 def _step_budget(rate: float, ratio) -> np.ndarray:
@@ -531,9 +533,9 @@ def projection_iteration(
     rate = problem.contraction_rate
     to_edge = problem.map_norm_to_edge
 
-    K = _map_factor(problem, basis)
+    inverse = _map_inverse(problem, basis)
     f = problem.graph.cutset_flow(problem.p, basis)
-    nxt = _apply_map(problem, basis, K, u, f)
+    nxt = _apply_map(problem, basis, inverse, u, f)
     step_inf = float(np.max(np.abs(nxt - f))) if f.size else 0.0
     d0 = problem.map_norm(nxt - f)
     budget = int(_step_budget(rate, rho / (d0 * to_edge) if d0 > 0.0 else math.inf))
@@ -546,7 +548,7 @@ def projection_iteration(
                 f"iterations (last step {step_inf:.3e})"
             )
         f = nxt
-        nxt = _apply_map(problem, basis, K, u, f)
+        nxt = _apply_map(problem, basis, inverse, u, f)
         step_inf = float(np.max(np.abs(nxt - f)))
         steps.append(problem.map_norm(nxt - f))
 
@@ -568,10 +570,13 @@ def decide_cells(
     factor and verdict do not read p.
 
     In cell u the fixed point f* = f0 + C^T c* of T_u (f0 the cutset flow
-    taken with `basis`; it and the map factor K are formed once per call)
-    minimises the strictly convex loop-flow potential Psi_u(c), whose
-    gradient is g = C h_gamma^{-1}(A^{-1} f) - 2pi u and whose Hessian is
-    C diag(1 / (a h'(clip(delta)))) C^T; a step solves that k x k system.
+    taken with `basis`, formed once per call) minimises the strictly convex
+    loop-flow potential Psi_u(c), whose gradient is
+    g = C h_gamma^{-1}(A^{-1} f) - 2pi u and whose Hessian is
+    C diag(1 / (a h'(clip(delta)))) C^T.  The stack's Hessians come from one
+    `basis.gram` call per step, and a step solves each k x k system.  The
+    T_u step of a row with gradient g is g K^T = (g M^{-1}) C, with the
+    k x k inverse M^{-1} of `_map_inverse` formed once per call.
     A Newton point f - t N (t = 1, 1/2, 1/4, ... while t >= 1 - rate) is
     taken when its T_u step is at most `rate` times the current one in the
     `map_norm`; failing that the plain T_u step is, so no step contracts
@@ -600,7 +605,7 @@ def decide_cells(
         raise InputError("rho must be positive")
     rate = problem.contraction_rate
     C = basis.matrix
-    Kt = _map_factor(problem, basis).T
+    inverse = _map_inverse(problem, basis)
     # |x_e| <= sqrt(Lmin_e a_e) ||x||, and the contraction adds 1 / (1 - rate).
     to_bound = problem.map_norm_to_edge / (1.0 - rate)
     twopi_u = TWO_PI * np.asarray(U, dtype=float).reshape(-1, basis.size)
@@ -615,7 +620,7 @@ def decide_cells(
     def at(F, twopi_u):
         delta = problem.inverse_differences(F)
         grad = delta @ C.T - twopi_u
-        step = grad @ Kt
+        step = (grad @ inverse) @ C
         return delta, grad, step, problem.map_norm(step)
 
     # Every row starts from the cutset flow taken with this basis, scaled by
@@ -633,7 +638,7 @@ def decide_cells(
         F = scales[:, None] * f0
         D = problem.inverse_differences(F)
         G = D @ C.T - twopi_u
-    S = G @ Kt
+    S = (G @ inverse) @ C
     d = problem.map_norm(S)
     history = [(rows, d)]  # per step taken: the stack's rows and their map-norm steps
     # No step contracts less than T_u, so this many reach the rounding floor.
@@ -677,7 +682,7 @@ def decide_cells(
                 f"Newton solve exceeded 2x its budget of {budget[i]} steps "
                 f"(certified distance {bound[i]:.3e})"
             )
-        hessians = (C * problem.inverse_slopes(D)[:, None, :]) @ C.T
+        hessians = basis.gram(problem.inverse_slopes(D))
         newton = np.linalg.solve(hessians, G[:, :, None])[:, :, 0] @ C
         trial = F - newton
         state = at(trial, twopi_u)
@@ -738,10 +743,11 @@ def recover_cells(problem: FlowNetworkProblem, basis: CycleBasis, U, F) -> tuple
 
     Fits each row's delta = h_gamma^{-1}(A^{-1}f) to C delta = 2pi u by
     A-weighted least squares (giving B^T x + 2pi C^+ u for the polytope
-    coordinate x), in one product by `basis.weighted_pinv` for the stack,
-    and integrates every row along the tree with `integrate_cells`, whose
-    off-tree residue marks the empty cells.  The first row that exceeds a
-    capacity raises FeasibilityError.
+    coordinate x), applying `basis.weighted_pinv` to the stack through its
+    k x k factor `basis.weighted_gram_inverse`, and integrates every row
+    along the tree with `integrate_cells`, whose off-tree residue marks the
+    empty cells.  The first row that exceeds a capacity raises
+    FeasibilityError.
     """
     F = np.asarray(F, dtype=float)
     margins = problem.capacity - np.abs(F)
@@ -751,7 +757,8 @@ def recover_cells(problem: FlowNetworkProblem, basis: CycleBasis, U, F) -> tuple
         raise FeasibilityError(f"flow exceeds capacity on edges {bad}")
     U = np.asarray(U, dtype=np.int64)
     delta = problem.inverse_differences(F)
-    delta -= (delta @ basis.matrix.T - TWO_PI * U) @ basis.weighted_pinv.T
+    C = basis.matrix
+    delta -= (((delta @ C.T - TWO_PI * U) @ basis.weighted_gram_inverse) @ C) / problem.graph.weight_vector
     theta, empty = integrate_cells(problem.graph, delta)
     return canonical_rotation(theta), empty
 

@@ -34,6 +34,16 @@ from .errors import (
 )
 
 RANK_RTOL = 1e-8
+# `CycleBasis.gram` assembles C diag(w) C^T from the edge-pair pattern when
+# the dense product would take at least this many multiply-adds per pattern
+# triple.  With one BLAS thread (2-core x86_64, numpy 2.4.6) a triple costs
+# 10-15 ns and a multiply-add of a large stacked product about 0.04 ns, so
+# the paths tie near 300: on the 14x14 lattice's fundamental basis (ratio
+# 240) a 256-row stack of Hessians took 117 ms by pattern against 97 ms
+# dense, while its minimum basis (ratio 7,997) took 4.8 ms against 100 ms.
+# Below the ratio the dense product also wins on fixed cost: at k <= 8
+# (ratio 7-26) one Hessian takes 1.9 us dense against 4.1 us by pattern.
+GRAM_PATTERN_RATIO = 300
 
 
 @dataclass(frozen=True)
@@ -120,13 +130,15 @@ class WeightedGraph:
 
     def cutset_flow(self, p, basis: CycleBasis | None = None) -> np.ndarray:
         """The balanced flow A B^T L^+ p: the tree flow f of p minus its
-        A^{-1}-orthogonal cycle part C^T G^T f, G = `basis.weighted_pinv`."""
+        A^{-1}-orthogonal cycle part C^T G^T f, G = `basis.weighted_pinv`,
+        applied through `basis.weighted_gram_inverse`."""
         f = self.tree_flow(p)
         if self.cycle_space_dim == 0:
             return f
         if basis is None:
             basis = fundamental_cycle_basis(self)
-        return f - basis.matrix.T @ (basis.weighted_pinv.T @ f)
+        C = basis.matrix
+        return f - (C @ (f / self.weight_vector)) @ basis.weighted_gram_inverse @ C
 
     def tree_phases(self, delta) -> np.ndarray:
         """Phases with theta_0 = 0 whose tree-edge differences equal delta,
@@ -317,10 +329,72 @@ class CycleBasis:
         return np.linalg.solve(C @ C.T, C).T
 
     @cached_property
+    def edge_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The edge-pair pattern of C: for each edge e and each ordered pair
+        (i, j) of cycles through e, the entry i k + j of a k x k matrix, the
+        edge e and C_ie C_je; in edge order, then by i and j.
+
+        Entry (i, j) of C diag(w) C^T sums C_ie C_je w_e over its triples,
+        and cycles i != j share an edge exactly when (i, j) has one."""
+        C = self.matrix
+        k, m = C.shape
+        values = C.ravel()
+        nonzero = np.flatnonzero(values != 0.0)
+        nonzero = nonzero[np.argsort(nonzero % m, kind="stable")]  # by edge, then by cycle
+        cycle, edge = np.divmod(nonzero, m)
+        # Nonzero a pairs with the count[a] nonzeros of its edge, from that
+        # edge's first one, first[a]; its block of pairs starts at start[a].
+        count = np.bincount(edge, minlength=m)[edge]
+        first = np.searchsorted(edge, edge)
+        start = np.cumsum(count) - count
+        a = np.repeat(np.arange(edge.size), count)
+        b = np.arange(a.size) - np.repeat(start - first, count)
+        coef = values[nonzero]
+        return cycle[a] * k + cycle[b], edge[a], coef[a] * coef[b]
+
+    def gram(self, w: np.ndarray) -> np.ndarray:
+        """C diag(w) C^T for a float weight vector w, or one per row of a
+        (..., m) float stack w: (..., k, k).
+
+        When the dense product would take at least GRAM_PATTERN_RATIO
+        multiply-adds (k^2 m) per triple of `edge_pairs`, the Grams are
+        assembled from those triples by one `bincount`, row r's in bins
+        r k^2 .. (r + 1) k^2 - 1, so that each row sums as it would on its
+        own; otherwise by the stacked product (C * w) @ C^T.
+        """
+        C = self.matrix
+        if not self._gram_by_pattern:
+            return (C * w[..., None, :]) @ C.T
+        k, m = C.shape
+        target, edge, coef = self.edge_pairs
+        rows = w.shape[:-1]
+        count = math.prod(rows)
+        offset = k * k * np.arange(count)[:, None]
+        values = w.reshape(count, m)[:, edge] * coef
+        out = np.bincount((target + offset).ravel(), values.ravel(), count * k * k)
+        return out.reshape(rows + (k, k))
+
+    @cached_property
+    def _gram_by_pattern(self) -> bool:
+        """Whether `gram` takes the pattern path.  A cycle of length L puts
+        at least L triples in `edge_pairs`, so a basis that falls short of
+        the ratio by its summed lengths never builds the pattern."""
+        work = self.size**2 * self.graph.m
+        return GRAM_PATTERN_RATIO * sum(self.lengths) <= work and GRAM_PATTERN_RATIO * self.edge_pairs[0].size <= work
+
+    @cached_property
+    def weighted_gram_inverse(self) -> np.ndarray:
+        """M^{-1} for the k x k Gram M = C A^{-1} C^T.  With it the A-weighted
+        right inverse G = `weighted_pinv` applies as x G^T = (x M^{-1} C) / a
+        and G^T f = M^{-1} C (f / a), without forming G."""
+        return np.linalg.inv(self.gram(1.0 / self.graph.weight_vector))
+
+    @cached_property
     def weighted_pinv(self) -> np.ndarray:
-        """A^{-1} C^T (C A^{-1} C^T)^{-1}: the A-weighted right inverse of C."""
-        C, a = self.matrix, self.graph.weight_vector
-        return (np.linalg.solve((C / a) @ C.T, C) / a).T
+        """A^{-1} C^T (C A^{-1} C^T)^{-1}: the A-weighted right inverse G of C,
+        formed from `weighted_gram_inverse`.  The solvers apply G through
+        that k x k inverse instead."""
+        return (self.matrix / self.graph.weight_vector).T @ self.weighted_gram_inverse
 
     @cached_property
     def lengths(self) -> tuple[int, ...]:
@@ -333,6 +407,15 @@ class CycleBasis:
         return sha256(payload.encode()).hexdigest()[:16]
 
     def validate(self) -> None:
+        """Raise RankError unless the rows are k = m - n + 1 independent
+        vectors of Ker(B).
+
+        `explicit_cycle_basis` calls it; `fundamental_cycle_basis` and
+        `minimum_cycle_basis` do not, as their rows pass by construction:
+        each is a closed walk, so it lies in Ker(B); a fundamental basis's
+        off-tree block is -I; and the minimum basis's GF(2) greedy keeps
+        rows independent mod 2, so that block's integer determinant is odd.
+        """
         g = self.graph
         if self.size != g.cycle_space_dim:
             raise RankError("wrong number of basis cycles")
@@ -463,14 +546,12 @@ def fundamental_cycle_basis(g: WeightedGraph) -> CycleBasis:
             vec[t] = 1 if g.edges[t][0] == a else -1
         vec[e] = -1  # closing j -> i against the edge's orientation
         cycles.append(Cycle(nodes=tuple(path), vector=vec))
-    basis = CycleBasis(
+    return CycleBasis(
         graph=g,
         cycles=tuple(cycles),
         kind="fundamental",
         nontree_edges=tuple(nontree),
     )
-    basis.validate()
-    return basis
 
 
 def _edge_set_cycle(g: WeightedGraph, edge_set: Iterable[int]) -> Cycle:
@@ -591,9 +672,7 @@ def minimum_cycle_basis(g: WeightedGraph) -> CycleBasis:
     if len(picked) < k:
         raise RankError("Horton candidates did not span the cycle space")
 
-    basis = CycleBasis(graph=g, cycles=tuple(_edge_set_cycle(g, key) for key in picked), kind="minimum")
-    basis.validate()
-    return basis
+    return CycleBasis(graph=g, cycles=tuple(_edge_set_cycle(g, key) for key in picked), kind="minimum")
 
 
 def cycle_edge_pinv(basis: CycleBasis) -> np.ndarray:

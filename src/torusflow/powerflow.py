@@ -181,8 +181,8 @@ def _predict_ptc(problem: FlowNetworkProblem, basis: CycleBasis, u: np.ndarray, 
         """f, the loop residual g and the Jacobian blocks dg/dc, dg/ds at (c, s)."""
         f = s * f0 + c @ C
         delta = problem.inverse_differences(f)
-        CW = C * problem.inverse_slopes(delta)
-        return f, C @ delta - twopi_u, CW @ C.T, CW @ f0
+        W = problem.inverse_slopes(delta)
+        return f, C @ delta - twopi_u, basis.gram(W), (C * W) @ f0
 
     # A short enough Newton step lowers the loop residual, so the step is
     # halved until it does.

@@ -177,16 +177,20 @@ def winding_cuts(basis: CycleBasis, gamma: float) -> tuple[np.ndarray, np.ndarra
     supports never bind, because floor(x + y) >= floor(x) + floor(y).  A
     box of fewer than CUT_MIN_CELLS cells (one cell, say), or k < 2, has
     no cuts, and then nothing k x k is formed: such a box is decided
-    whole for less than its pool would cost.
+    whole for less than its pool would cost.  When no two cycles share an
+    edge (expo(n)'s pentagons, say) the pool is empty, returned right after
+    that test.
     """
     bounds = np.array(feasible_winding_bounds(basis, gamma), dtype=np.int64)
     k = bounds.size
     if k < 2 or math.prod((2 * bounds + 1).tolist()) < CUT_MIN_CELLS:
         return np.zeros((0, k), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    free = bounds > 0
     C = basis.matrix
     support = np.abs(C)
     shared = support @ support.T > 0
+    if np.count_nonzero(shared) == k:  # only the diagonal: no cut can bind
+        return np.zeros((0, k), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    free = bounds > 0
     f = np.flatnonzero(free)
     # Each support is listed once, from its least free cycle f: a partner
     # x is any cycle but f and the free cycles below it.

@@ -701,8 +701,11 @@ def _reference_recover(problem, basis, u, f):
     node by node along the tree: canonical phases, and whether u's cell is
     empty."""
     g = problem.graph
+    C, a = basis.matrix, g.weight_vector
+    # The A-weighted right inverse of C by the dense m-column solve.
+    weighted_pinv = (np.linalg.solve((C / a) @ C.T, C) / a).T
     delta = problem.inverse_differences(f)
-    delta = delta - basis.weighted_pinv @ (basis.matrix @ delta - TWO_PI * u)
+    delta = delta - weighted_pinv @ (C @ delta - TWO_PI * u)
     parent, parent_edge, order = g.tree
     theta = np.zeros(g.n)
     for v in order[1:]:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +34,7 @@ from torusflow import (
     minimum_cycle_basis,
     spanning_tree,
 )
+import torusflow.graphs as graphs_module
 from torusflow.graphs import _tree_path_nodes, deflated_pinv
 
 
@@ -439,6 +442,101 @@ class TestCycleEdgePinv:
         CycleBasis(graph=g, cycles=(good, Cycle.from_nodes(g, (1, 2, 3))), kind="explicit").validate()
         with pytest.raises(RankError, match=r"\(1, 2, 3\) is not in Ker"):
             CycleBasis(graph=g, cycles=(good, bad), kind="explicit").validate()
+
+
+def _library_bases(seeds=range(12)):
+    """Fundamental and minimum bases of seeded random graphs and lattices,
+    and an explicit basis on the minimum one's node sequences."""
+    graphs = [_seeded_graph(seed) for seed in seeds] + [_lattice(2, 3), _lattice(6), _lattice(5, 9)]
+    for g in graphs:
+        minimum = minimum_cycle_basis(g)
+        yield fundamental_cycle_basis(g)
+        yield minimum
+        yield explicit_cycle_basis(g, [c.nodes for c in minimum.cycles])
+
+
+def test_library_built_bases_validate():
+    # The builders no longer call validate: their rows lie in Ker(B) and are
+    # independent by construction, which this checks on seeded inputs.
+    kinds = set()
+    for basis in list(_library_bases(range(24))) + [minimum_cycle_basis(_lattice(14)), fundamental_cycle_basis(_lattice(14))]:
+        basis.validate()
+        kinds.add(basis.kind)
+    assert kinds == {"fundamental", "minimum", "explicit"}
+
+
+class TestCycleSpaceAlgebra:
+    @staticmethod
+    def _dense_gram(basis, W):
+        """The stacked product, row by row: C diag(w) C^T for each row w."""
+        C = basis.matrix
+        rows = [(C * w) @ C.T for w in W.reshape(-1, basis.graph.m)]
+        return np.array(rows).reshape(W.shape[:-1] + (basis.size, basis.size))
+
+    def test_edge_pairs_list_each_shared_edge(self):
+        for basis in _library_bases():
+            C = basis.matrix
+            k = basis.size
+            target, edge, coef = basis.edge_pairs
+            rows, cols = np.divmod(target, k)
+            assert np.array_equal(coef, C[rows, edge] * C[cols, edge]) and np.all(coef != 0)
+            per_edge = np.count_nonzero(C, axis=0)
+            assert target.size == int(per_edge @ per_edge) == len(set(zip(target.tolist(), edge.tolist())))
+            shared = np.zeros((k, k), dtype=bool)
+            shared[rows, cols] = True
+            assert np.array_equal(shared, np.abs(C) @ np.abs(C).T > 0)
+
+    @pytest.mark.parametrize("ratio", [0, graphs_module.GRAM_PATTERN_RATIO, math.inf])
+    def test_gram_matches_the_stacked_product(self, ratio, monkeypatch):
+        # ratio 0 assembles every Gram from the pattern, inf none.
+        monkeypatch.setattr(graphs_module, "GRAM_PATTERN_RATIO", ratio)
+        rng = np.random.default_rng(5)
+        bases = list(_library_bases(range(6))) + [minimum_cycle_basis(_lattice(14))]
+        for basis in bases:
+            m = basis.graph.m
+            for shape in [(m,), (1, m), (2, m), (17, m), (256, m), (2, 3, m)]:
+                W = rng.uniform(0.01, 100.0, size=shape)
+                got = basis.gram(W)
+                assert got.shape == shape[:-1] + (basis.size, basis.size)
+                assert np.max(np.abs(got - self._dense_gram(basis, W))) <= 1e-12 * np.max(np.abs(got))
+
+    def test_gram_path_follows_the_size_ratio(self, monkeypatch):
+        # The pattern serves the lattice's minimum basis (k = 169, each edge
+        # in at most two cycles); its dense fundamental basis and the small
+        # meshes keep the stacked product.
+        cases = [(minimum_cycle_basis(_lattice(14)), True), (fundamental_cycle_basis(_lattice(14)), False)]
+        cases += [(fundamental_cycle_basis(_seeded_graph(seed)), False) for seed in range(4)]
+        for basis, by_pattern in cases:
+            k, m = basis.size, basis.graph.m
+            assert (k * k * m >= graphs_module.GRAM_PATTERN_RATIO * basis.edge_pairs[0].size) == by_pattern
+        calls = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *args: calls.append(1) or bincount(*args))
+        for basis, by_pattern in cases:
+            calls.clear()
+            basis.gram(np.ones((2, basis.graph.m)))
+            assert len(calls) == by_pattern
+
+    def test_weighted_pinv_matches_the_dense_solve(self):
+        rng = np.random.default_rng(9)
+        bases = list(_library_bases(range(6))) + [minimum_cycle_basis(_lattice(14))]
+        # Weights 100x apart, as in the Newton tests.
+        apart = WeightedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], [1.0, 1.0, 100.0, 100.0, 100.0])
+        bases += [fundamental_cycle_basis(apart), minimum_cycle_basis(apart)]
+        for basis in bases:
+            g = basis.graph
+            C, a = basis.matrix, g.weight_vector
+            G = basis.weighted_pinv
+            dense = (np.linalg.solve((C / a) @ C.T, C) / a).T
+            assert np.max(np.abs(G - dense)) <= 1e-10 * np.max(np.abs(dense))
+            assert np.max(np.abs(C @ G - np.eye(basis.size))) <= 1e-10
+            inverse = basis.weighted_gram_inverse
+            assert np.max(np.abs(G - (C / a).T @ inverse)) <= 1e-12 * np.max(np.abs(G))
+            p = rng.normal(size=g.n)
+            p -= p.mean()
+            f = g.tree_flow(p)
+            want = f - C.T @ (dense.T @ f)
+            assert np.max(np.abs(g.cutset_flow(p, basis) - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 class TestIntegerShift:

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torusflow.flows as flows
-from conftest import balanced_vector, random_connected_graph, ring_graph, sin_problem, square_with_diagonal
+from conftest import (
+    balanced_vector,
+    lattice_with_detours,
+    random_connected_graph,
+    ring_graph,
+    sin_problem,
+    square_with_diagonal,
+)
 from torusflow import (
     ElasticEnergy,
     FlowFunction,
@@ -119,6 +126,25 @@ def _two_cycles_weights_apart():
     sine, linear = FlowFunction.sin_family(), FlowFunction.linear(2.0)
     p = np.array([-11.1629803, 6.00244749, 11.01571215, -5.85517934])
     return FlowNetworkProblem(graph=g, flow_functions=(sine, sine, linear, linear, sine), p=p, gamma=NEAR_LIMIT)
+
+
+def test_map_inverse_matches_the_dense_map_factor():
+    # K = C^T M^{-1} from the k x k inverse, against the m-column solve.
+    rng = np.random.default_rng(4)
+    problems = [_two_cycles_weights_apart()] + _near_limit_cases()
+    for n, extra in ((12, 6), (16, 9)):
+        g = random_connected_graph(rng, n, extra)
+        problems.append(sin_problem(g, balanced_vector(rng, n), 1.4))
+    # A lattice's minimum basis takes the edge-pair pattern.
+    lattice = lattice_with_detours(14)
+    lattice = WeightedGraph.from_edges(lattice.n, lattice.edges, rng.uniform(0.5, 2.0, size=lattice.m))
+    problems.append(sin_problem(lattice, np.zeros(lattice.n), 1.4))
+    for problem in problems:
+        for basis in (fundamental_cycle_basis(problem.graph), minimum_cycle_basis(problem.graph)):
+            C = basis.matrix
+            dense = np.linalg.solve((C / problem._lmin_a) @ C.T, C).T
+            K = C.T @ flows._map_inverse(problem, basis)
+            assert np.max(np.abs(K - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
 def test_map_contracts_in_map_norm_only():
@@ -334,7 +360,9 @@ def _reference_decide_cell(problem, basis, u, rho=flows.DEFAULT_RHO, polish=Fals
     u = np.asarray(u, dtype=float)
     rate = problem.contraction_rate
     C = basis.matrix
-    K = flows._map_factor(problem, basis)
+    # The map factor K = C^T M^{-1}, M = C (Lmin A)^{-1} C^T, by the dense
+    # m-column solve.
+    K = np.linalg.solve((C / problem._lmin_a) @ C.T, C).T
     to_bound = problem.map_norm_to_edge / (1.0 - rate)
 
     def at(f):
