@@ -130,8 +130,8 @@ class WeightedGraph:
 
     def cutset_flow(self, p, basis: CycleBasis | None = None) -> np.ndarray:
         """The balanced flow A B^T L^+ p: the tree flow f of p minus its
-        A^{-1}-orthogonal cycle part C^T G^T f, G = `basis.weighted_pinv`,
-        applied through `basis.weighted_gram_inverse`."""
+        A^{-1}-orthogonal cycle part C^T W^{-1} C A^{-1} f, W = C A^{-1} C^T,
+        with W^{-1} = `basis.weighted_gram_inverse`."""
         f = self.tree_flow(p)
         if self.cycle_space_dim == 0:
             return f
@@ -323,12 +323,6 @@ class CycleBasis:
         return np.array([c.vector for c in self.cycles], dtype=float)
 
     @cached_property
-    def pinv(self) -> np.ndarray:
-        """C^T (C C^T)^{-1}: the Moore-Penrose right inverse of C."""
-        C = self.matrix
-        return np.linalg.solve(C @ C.T, C).T
-
-    @cached_property
     def edge_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The edge-pair pattern of C: for each edge e and each ordered pair
         (i, j) of cycles through e, the entry i k + j of a k x k matrix, the
@@ -384,17 +378,10 @@ class CycleBasis:
 
     @cached_property
     def weighted_gram_inverse(self) -> np.ndarray:
-        """M^{-1} for the k x k Gram M = C A^{-1} C^T.  With it the A-weighted
-        right inverse G = `weighted_pinv` applies as x G^T = (x M^{-1} C) / a
-        and G^T f = M^{-1} C (f / a), without forming G."""
+        """W^{-1} for the k x k Gram W = C A^{-1} C^T.  The A-weighted right
+        inverse G = A^{-1} C^T W^{-1} of C applies as x G^T = (x W^{-1} C) / a
+        and G^T f = W^{-1} C (f / a), without forming G."""
         return np.linalg.inv(self.gram(1.0 / self.graph.weight_vector))
-
-    @cached_property
-    def weighted_pinv(self) -> np.ndarray:
-        """A^{-1} C^T (C A^{-1} C^T)^{-1}: the A-weighted right inverse G of C,
-        formed from `weighted_gram_inverse`.  The solvers apply G through
-        that k x k inverse instead."""
-        return (self.matrix / self.graph.weight_vector).T @ self.weighted_gram_inverse
 
     @cached_property
     def lengths(self) -> tuple[int, ...]:

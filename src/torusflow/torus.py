@@ -244,7 +244,7 @@ def torus_to_polytope(basis: CycleBasis, theta) -> tuple[np.ndarray, np.ndarray]
     g = basis.graph
     delta = edge_differences(g, theta)
     u = winding_vector_from_differences(basis, delta)
-    x = g.tree_phases(delta - TWO_PI * (basis.pinv @ u))
+    x = g.tree_phases(delta - TWO_PI * (basis.matrix.T @ np.linalg.solve(basis.gram(np.ones(g.m)), u)))
     return x - np.mean(x), u
 
 
@@ -260,7 +260,7 @@ def polytope_to_torus(basis: CycleBasis, x, u) -> np.ndarray:
         raise InputError(f"x must have length {g.n}")
     if abs(float(np.sum(x))) > 1e-9 * max(1.0, float(np.max(np.abs(x)))):
         raise PolytopeMembershipError("x is not orthogonal to the all-ones vector")
-    target = g.differences(x) + TWO_PI * (basis.pinv @ u)
+    target = g.differences(x) + TWO_PI * (basis.matrix.T @ np.linalg.solve(basis.gram(np.ones(g.m)), u))
     if np.max(np.abs(target)) >= math.pi:
         raise PolytopeMembershipError(
             "B^T x + 2pi C^+ u leaves the open cube (-pi, pi)^m"

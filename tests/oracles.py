@@ -34,6 +34,13 @@ def laplacian_pinv(g) -> np.ndarray:
     return np.linalg.pinv(laplacian(g))
 
 
+def right_inverse(C, a=1.0) -> np.ndarray:
+    """A^{-1} C^T (C A^{-1} C^T)^{-1} for the diagonal a of A: the A-weighted
+    right inverse of a full-row-rank C (C^+ for a = 1), by a dense solve
+    against every column of C."""
+    return (np.linalg.solve((C / a) @ C.T, C) / a).T
+
+
 def arc_difference(alpha: float, beta: float) -> float:
     """Signed shortest-arc difference by candidate enumeration."""
     best = None

@@ -229,7 +229,7 @@ def _basis_invariants(basis: CycleBasis):
         assert pairs == support
     C = basis.matrix
     assert np.linalg.matrix_rank(C) == basis.size
-    assert np.allclose(C @ basis.pinv, np.eye(basis.size), atol=1e-10)
+    assert np.allclose(C @ oracles.right_inverse(C), np.eye(basis.size), atol=1e-10)
     assert np.max(np.abs(C @ g.incidence.T)) < 1e-10
 
 
@@ -526,12 +526,14 @@ class TestCycleSpaceAlgebra:
         for basis in bases:
             g = basis.graph
             C, a = basis.matrix, g.weight_vector
-            G = basis.weighted_pinv
-            dense = (np.linalg.solve((C / a) @ C.T, C) / a).T
+            inverse = basis.weighted_gram_inverse
+            # G = A^{-1} C^T W^{-1} from the k x k inverse, against the dense solve.
+            G = (C / a).T @ inverse
+            dense = oracles.right_inverse(C, a)
             assert np.max(np.abs(G - dense)) <= 1e-10 * np.max(np.abs(dense))
             assert np.max(np.abs(C @ G - np.eye(basis.size))) <= 1e-10
-            inverse = basis.weighted_gram_inverse
-            assert np.max(np.abs(G - (C / a).T @ inverse)) <= 1e-12 * np.max(np.abs(G))
+            # The solvers apply G to rows x as x G^T = (x W^{-1} C) / a.
+            assert np.max(np.abs(G - ((inverse @ C) / a).T)) <= 1e-12 * np.max(np.abs(G))
             p = rng.normal(size=g.n)
             p -= p.mean()
             f = g.tree_flow(p)

@@ -139,12 +139,51 @@ def test_map_inverse_matches_the_dense_map_factor():
     lattice = lattice_with_detours(14)
     lattice = WeightedGraph.from_edges(lattice.n, lattice.edges, rng.uniform(0.5, 2.0, size=lattice.m))
     problems.append(sin_problem(lattice, np.zeros(lattice.n), 1.4))
+    # Uniform Lmin other than sine's, and one sine bound from two separate
+    # flow-function objects: each shares the phase fit's inverse, scaled.
+    g = random_connected_graph(rng, 10, 5)
+    g = WeightedGraph.from_edges(g.n, g.edges, rng.uniform(0.5, 2.0, size=g.m))
+    p = balanced_vector(rng, g.n)
+    two_sines = tuple(FlowFunction.sin_family() for _ in range(2))
+    problems += [
+        FlowNetworkProblem.single_family(g, FlowFunction.linear(2.0), p, 1.4),
+        FlowNetworkProblem.single_family(g, FlowFunction.fourier([1.0, 0.05]), p, 1.4),
+        FlowNetworkProblem(graph=g, flow_functions=tuple(two_sines[e % 2] for e in range(g.m)), p=p, gamma=1.4),
+    ]
     for problem in problems:
         for basis in (fundamental_cycle_basis(problem.graph), minimum_cycle_basis(problem.graph)):
             C = basis.matrix
             dense = np.linalg.solve((C / problem._lmin_a) @ C.T, C).T
             K = C.T @ flows._map_inverse(problem, basis)
             assert np.max(np.abs(K - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+
+def test_single_family_solve_forms_one_gram_inverse(monkeypatch):
+    # With one slope bound l on every edge the map's Gram inverse is l times
+    # the phase fit's, which the basis caches; a problem whose Lmin differs
+    # between edges inverts both Grams.
+    side = 14
+    edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
+    edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
+    lattice = WeightedGraph.from_edges(side * side, edges)
+    lattice_problem = sin_problem(lattice, balanced_vector(np.random.default_rng(14), lattice.n, 0.05), 1.4)
+    cases = [(lattice_problem, minimum_cycle_basis, 1), (_two_cycles_weights_apart(), fundamental_cycle_basis, 2)]
+    for name in ("pentagon", "expo(3)"):
+        problem = case_to_problem(builtin_case(name), 1.4)
+        cases += [(problem, fundamental_cycle_basis, 1), (problem, minimum_cycle_basis, 1)]
+    # Equal bounds from separate flow-function objects share too: expo(3)
+    # with its edges alternating between two sine objects.
+    two_sines = tuple(FlowFunction.sin_family() for _ in range(2))
+    alternating = tuple(two_sines[e % 2] for e in range(problem.graph.m))
+    cases.append((replace(problem, flow_functions=alternating), minimum_cycle_basis, 1))
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or inv(a))
+    for problem, make_basis, inverses in cases:
+        basis = make_basis(problem.graph)
+        calls.clear()
+        solve_all(problem, basis=basis)
+        assert len(calls) == inverses
 
 
 def test_map_contracts_in_map_norm_only():
