@@ -56,7 +56,6 @@ from .graphs import (
     cycle_projection,
     explicit_cycle_basis,
     fundamental_cycle_basis,
-    incidence_matrix,
     integer_cycle_shift,
     integer_shift_solve,
     minimum_cycle_basis,

@@ -50,6 +50,8 @@ EXIT_INTERNAL = 2
 EXIT_NO_SOLUTION = 3
 EXIT_VERIFY = 4
 
+GEN_GAMMA = 1.4  # the angle bound `gen` writes by default
+
 _INPUT_ERRORS = (
     InputError,
     UnknownCaseError,
@@ -139,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("solution", help="solution JSON file")
 
     p_gen = add("gen", "generate a problem JSON file")
-    p_gen.add_argument("--gamma", type=float, default=None, help="angle bound (default 1.4)")
+    p_gen.add_argument("--gamma", type=float, default=GEN_GAMMA, help=f"angle bound (default {GEN_GAMMA!r})")
     p_gen.add_argument("--gen-case", help="built-in case to convert to a problem")
     p_gen.add_argument("--case-data", help="external data file for rts24-mod")
     p_gen.add_argument("--nodes", type=int, default=6, help="random graph size")
@@ -368,10 +370,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    gamma = args.gamma if args.gamma is not None else 1.4
     case = _builtin_case(args.gen_case, args.case_data)
     if case is not None:
-        problem = case_to_problem(case, gamma)
+        problem = case_to_problem(case, args.gamma)
     else:
         rng = np.random.default_rng(args.seed)
         n = max(2, args.nodes)
@@ -389,9 +390,7 @@ def _cmd_gen(args) -> int:
         graph = WeightedGraph.from_edges(n, edges, weights)
         p = rng.normal(size=n)
         p = args.p_scale * (p - p.mean())
-        problem = FlowNetworkProblem.single_family(
-            graph, FlowFunction.sin_family(), p, gamma
-        )
+        problem = FlowNetworkProblem.single_family(graph, FlowFunction.sin_family(), p, args.gamma)
     _write(serialize.dumps_canonical(serialize.problem_to_dict(problem)), args.out)
     return EXIT_OK
 

@@ -113,7 +113,8 @@ class ElasticNetworkProblem:
         """The equivalent flow problem with h_e = H_e' and p = tau.
 
         Edges sharing an energy share its flow function; a sine derivative
-        gets the exact inner inverse, keeping the solver's closed forms.
+        is the shared `FlowFunction.sin_family()`, with its exact inner
+        inverse and its certificates.
         """
         made = {}
         for H in self.energies:

@@ -63,6 +63,11 @@ class FlowFunction:
 
     `inner_inverse`, when given, inverts h exactly on [-gamma, gamma];
     otherwise a safeguarded bisection with Newton polish is used.
+
+    `sin_family()`, `linear(slope)` and `fourier(coeffs)` return one shared
+    instance per family and parameters, so a problem groups the edges of a
+    family as one and each family is certified once per gamma in a process.
+    A shared instance, its `params` included, must not be mutated.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -127,26 +132,26 @@ class FlowFunction:
 
     @staticmethod
     def sin_family() -> "FlowFunction":
-        return FlowFunction(
+        return _FAMILIES.setdefault(("sin",), FlowFunction(
             evaluate=np.sin,
             derivative=np.cos,
             # `ExtendedFlowFunction.inverse` has clipped v to +-sin(gamma).
             inner_inverse=lambda v: np.arcsin(np.asarray(v, dtype=float)),
             name="sin",
-        )
+        ))
 
     @staticmethod
     def linear(slope: float = 1.0) -> "FlowFunction":
         slope = float(slope)
         if slope <= 0.0:
             raise InputError("linear flow family needs a positive slope")
-        return FlowFunction(
+        return _FAMILIES.setdefault(("linear", slope), FlowFunction(
             evaluate=lambda y: slope * np.asarray(y, dtype=float),
             derivative=lambda y: np.full_like(np.asarray(y, dtype=float), slope),
             inner_inverse=lambda v: np.asarray(v, dtype=float) / slope,
             name="linear",
             params={"slope": slope},
-        )
+        ))
 
     @staticmethod
     def fourier(coeffs: Sequence[float]) -> "FlowFunction":
@@ -164,12 +169,17 @@ class FlowFunction:
             y = np.asarray(y, dtype=float)
             return np.cos(np.multiply.outer(y, k)) @ (k * b)
 
-        return FlowFunction(
+        # Keyed by the coefficients' bits, so that -0.0 and 0.0 stay apart.
+        return _FAMILIES.setdefault(("fourier", b.tobytes()), FlowFunction(
             evaluate=ev,
             derivative=dv,
             name="custom",
-            params={"fourier": [float(c) for c in b]},
-        )
+            params={"fourier": b.tolist()},
+        ))
+
+
+# The one instance of each built-in family and parameters, by (name, key).
+_FAMILIES: dict[tuple, FlowFunction] = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -616,7 +626,10 @@ def decide_cells(
     inverse = _map_inverse(problem, basis)
     # |x_e| <= sqrt(Lmin_e a_e) ||x||, and the contraction adds 1 / (1 - rate).
     to_bound = problem.map_norm_to_edge / (1.0 - rate)
-    twopi_u = TWO_PI * np.asarray(U, dtype=float).reshape(-1, basis.size)
+    U = np.asarray(U, dtype=float)
+    if U.ndim != 2 or U.shape[1] != basis.size:
+        raise InputError(f"need a (B, {basis.size}) stack of winding vectors, not {U.shape}")
+    twopi_u = TWO_PI * U
     rows = np.arange(twopi_u.shape[0])
     flows = np.empty((rows.size, basis.graph.m))
     feasible = np.empty(rows.size, dtype=bool)
@@ -734,7 +747,10 @@ def decide_cell(
 ) -> tuple[np.ndarray, IterationReport]:
     """Certified damped Newton solve of cell u, and its three-way verdict:
     `decide_cells` on the single row u, read through its row view."""
-    flows, verdicts = decide_cells(problem, basis, np.asarray(u, dtype=float)[None, :], rho)
+    u = np.asarray(u, dtype=float)
+    if u.shape != (basis.size,):
+        raise InputError(f"need a winding vector of length {basis.size}, not shape {u.shape}")
+    flows, verdicts = decide_cells(problem, basis, u[None, :], rho)
     return flows[0], verdicts[0]
 
 

@@ -237,11 +237,6 @@ def deflated_pinv(lap: np.ndarray) -> np.ndarray:
     return inv - shift
 
 
-def incidence_matrix(g: WeightedGraph) -> np.ndarray:
-    """Signed incidence matrix of g (columns sum to zero)."""
-    return g.incidence
-
-
 def spanning_tree(g: WeightedGraph) -> tuple[int, ...]:
     """Edge indices of the deterministic spanning tree.
 
@@ -309,7 +304,6 @@ class CycleBasis:
     graph: WeightedGraph
     cycles: tuple[Cycle, ...]
     kind: str  # "fundamental" | "minimum" | "explicit"
-    nontree_edges: tuple[int, ...] | None = None
 
     @property
     def size(self) -> int:
@@ -384,6 +378,21 @@ class CycleBasis:
         return np.linalg.inv(self.gram(1.0 / self.graph.weight_vector))
 
     @cached_property
+    def off_tree(self) -> tuple[tuple[int, ...], np.ndarray]:
+        """The edges off the graph's spanning tree, in edge order, and the
+        integer block T of C on them (k x k for a basis of k cycles).
+
+        A vector of Ker(B) is fixed by its off-tree entries, so the rows are
+        independent exactly when T is nonsingular, and C z = u has an
+        integer solution exactly when T^{-1} u is integral.  A fundamental
+        basis's T is -I."""
+        g = self.graph
+        off = np.ones(g.m, dtype=bool)
+        off[g.tree[1][1:]] = False
+        edges = np.flatnonzero(off)
+        return tuple(edges.tolist()), self.matrix[:, edges].astype(np.int64)
+
+    @cached_property
     def lengths(self) -> tuple[int, ...]:
         return tuple(c.length for c in self.cycles)
 
@@ -415,12 +424,9 @@ class CycleBasis:
         bad = np.flatnonzero(np.any(div != 0, axis=1))
         if bad.size:
             raise RankError(f"cycle vector of {self.cycles[bad[0]].nodes} is not in Ker(B)")
-        # A row in Ker(B) is fixed by its entries off the spanning tree, so the
-        # rows are independent exactly when that k x k block is nonsingular.
-        # Its determinant is an integer: nonzero means at least 1 in size.
-        off_tree = np.ones(g.m, dtype=bool)
-        off_tree[g.tree[1][1:]] = False
-        sign, logdet = np.linalg.slogdet(C[:, off_tree])
+        # The off-tree block's determinant is an integer: nonzero means at
+        # least 1 in size.
+        sign, logdet = np.linalg.slogdet(self.off_tree[1])
         if self.size == 0 or sign == 0 or logdet < math.log(0.5):
             raise RankError("cycle vectors are not linearly independent")
 
@@ -519,11 +525,9 @@ def fundamental_cycle_basis(g: WeightedGraph) -> CycleBasis:
     parent, parent_edge, _ = g.tree
     in_tree = set(parent_edge[1:])
     cycles = []
-    nontree = []
     for e, (i, j) in enumerate(g.edges):
         if e in in_tree:
             continue
-        nontree.append(e)
         path = _tree_path_nodes(parent, i, j)
         # The graph has no parallel edges, so a tree step a -> b runs along
         # the parent edge of whichever of a, b is the child.
@@ -533,12 +537,7 @@ def fundamental_cycle_basis(g: WeightedGraph) -> CycleBasis:
             vec[t] = 1 if g.edges[t][0] == a else -1
         vec[e] = -1  # closing j -> i against the edge's orientation
         cycles.append(Cycle(nodes=tuple(path), vector=vec))
-    return CycleBasis(
-        graph=g,
-        cycles=tuple(cycles),
-        kind="fundamental",
-        nontree_edges=tuple(nontree),
-    )
+    return CycleBasis(graph=g, cycles=tuple(cycles), kind="fundamental")
 
 
 def _edge_set_cycle(g: WeightedGraph, edge_set: Iterable[int]) -> Cycle:
@@ -672,50 +671,34 @@ def cycle_edge_pinv(basis: CycleBasis) -> np.ndarray:
 
 
 def integer_shift_solve(basis: CycleBasis, u: Sequence[int]) -> np.ndarray:
-    """Integer z with C_Sigma z = u, supported on non-tree edges.
-
-    Only fundamental bases expose the non-tree structure this relies on;
-    other kinds raise BasisKindError (route through the fundamental basis).
-    """
-    if basis.kind != "fundamental" or basis.nontree_edges is None:
-        raise BasisKindError(
-            "integer shift solve needs a fundamental basis; "
-            "use integer_cycle_shift to route through one"
-        )
-    u = np.asarray(u, dtype=np.int64)
-    if u.shape != (basis.size,):
-        raise InputError("winding vector has the wrong length")
-    z = np.zeros(basis.graph.m, dtype=np.int64)
-    for k, e in enumerate(basis.nontree_edges):
-        z[e] = int(basis.cycles[k].vector[e]) * int(u[k])
-    return z
+    """`integer_cycle_shift` on a fundamental basis, whose off-tree block is
+    -I; other kinds raise BasisKindError."""
+    if basis.kind != "fundamental":
+        raise BasisKindError("integer shift solve needs a fundamental basis; use integer_cycle_shift")
+    return integer_cycle_shift(basis, u)
 
 
 def integer_cycle_shift(basis: CycleBasis, u: Sequence[int]) -> np.ndarray:
-    """Integer solution of C_Sigma z = u for any basis kind.
-
-    Non-fundamental bases are expressed over the fundamental basis of the
-    same graph (C_Sigma = R C_f with integer R read off the non-tree
-    columns); if R^{-1} u is not integral no integer shift exists, meaning u
-    is outside the winding image, and NonIntegerWindingError is raised.
-    """
+    """Integer z with C_Sigma z = u, supported on the off-tree edges, for any
+    basis kind: there z is T^{-1} u for the basis's off-tree block T.  If
+    T^{-1} u is not integral no integer shift exists, meaning u is outside
+    the winding image, and NonIntegerWindingError is raised."""
     u = np.asarray(u, dtype=np.int64)
-    if basis.kind == "fundamental":
-        return integer_shift_solve(basis, u)
-    fb = fundamental_cycle_basis(basis.graph)
-    cols = list(fb.nontree_edges)
-    signs = np.array([fb.cycles[k].vector[e] for k, e in enumerate(cols)])
-    R = np.array([[c.vector[e] for e in cols] for c in basis.cycles]) * signs
+    if u.shape != (basis.size,):
+        raise InputError("winding vector has the wrong length")
+    edges, T = basis.off_tree
     try:
-        w = np.linalg.solve(R.astype(float), u.astype(float))
+        w = np.linalg.solve(T.astype(float), u.astype(float))
     except np.linalg.LinAlgError as exc:
-        raise RankError(f"change of basis is singular: {exc}") from exc
+        raise RankError(f"off-tree block is singular: {exc}") from exc
     w_int = np.rint(w)
     if np.max(np.abs(w - w_int)) > 1e-9:
         raise NonIntegerWindingError(
             f"no integer shift for u={u.tolist()}: not in the winding image"
         )
-    return integer_shift_solve(fb, w_int.astype(np.int64))
+    z = np.zeros(basis.graph.m, dtype=np.int64)
+    z[list(edges)] = w_int
+    return z
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,6 @@ PTC_TOL = 1e-6  # default width of the certified PTC bracket
 SECTIONS = 16  # parts each PTC multisection round cuts its bracket into
 PREDICT_STEPS = 25  # Newton steps each solve of the PTC prediction may take
 SWEEP_GAMMA = math.pi / 2 - 0.01  # the sweep's default maximum power angle
-# One sine for every case problem: a certificate depends only on the function
-# and gamma, and `FlowFunction.certify` keeps one per gamma, so a sweep
-# certifies the sine once instead of once per problem.
-_SINE = FlowFunction.sin_family()
 
 
 @dataclass(frozen=True)
@@ -130,7 +126,7 @@ def case_to_problem(case: PowerCase, gamma: float) -> FlowNetworkProblem:
     edges = [(i, j) for i, j, _ in case.branches]
     weights = [volts[i] * volts[j] * b for i, j, b in case.branches]
     graph = WeightedGraph.from_edges(case.n, edges, weights)
-    return FlowNetworkProblem.single_family(graph, _SINE, case.supply, gamma)
+    return FlowNetworkProblem.single_family(graph, FlowFunction.sin_family(), case.supply, gamma)
 
 
 def congestion(solution: Solution, problem: FlowNetworkProblem) -> float:
@@ -269,6 +265,8 @@ def _winding_ptc(
     if tol <= 0.0:
         raise InputError("tol must be positive")
     u = np.asarray(u, dtype=np.int64)
+    if u.shape != (basis.size,):
+        raise InputError(f"need a winding vector of length {basis.size}, not shape {u.shape}")
     p_hat = problem.p
     if float(np.max(np.abs(p_hat))) == 0.0:
         raise InputError("the case profile is identically zero; nothing to scale")

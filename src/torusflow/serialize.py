@@ -162,12 +162,7 @@ def problem_from_dict(doc: dict) -> FlowNetworkProblem:
     else:
         if len(flow_doc) != graph.m:
             raise InputError("per-edge flow list must match the edge count")
-        # Equal entries share one function, so the solver groups their edges.
-        made: dict[str, FlowFunction] = {}
-        functions = tuple(
-            made.setdefault(repr(flow_family_to_dict(fn)), fn)
-            for fn in map(flow_family_from_dict, flow_doc)
-        )
+        functions = tuple(map(flow_family_from_dict, flow_doc))
     return FlowNetworkProblem(graph=graph, flow_functions=functions, p=p, gamma=gamma)
 
 

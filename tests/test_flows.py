@@ -830,7 +830,7 @@ def test_solve_path_forms_no_dense_matrix(monkeypatch, tmp_path):
 
     names = (
         "deflated_pinv", "cycle_projection", "cycle_edge_pinv",
-        "integer_cycle_shift", "integer_shift_solve", "incidence_matrix",
+        "integer_cycle_shift", "integer_shift_solve",
     )
     for mod_name, mod in list(sys.modules.items()):
         if mod_name == "torusflow" or mod_name.startswith("torusflow."):

@@ -20,6 +20,7 @@ from torusflow import (
     Cycle,
     CycleBasis,
     InputError,
+    NonIntegerWindingError,
     RankError,
     SingularityError,
     WeightedGraph,
@@ -28,7 +29,6 @@ from torusflow import (
     cycle_projection,
     explicit_cycle_basis,
     fundamental_cycle_basis,
-    incidence_matrix,
     integer_cycle_shift,
     integer_shift_solve,
     minimum_cycle_basis,
@@ -94,7 +94,7 @@ class TestWeightedGraph:
 
 class TestIncidence:
     def test_triangle_columns(self):
-        B = incidence_matrix(triangle())
+        B = triangle().incidence
         expected = np.array([[1, 0, -1], [-1, 1, 0], [0, -1, 1]], dtype=float)
         assert np.array_equal(B, expected)
 
@@ -237,7 +237,7 @@ class TestFundamentalBasis:
     def test_triangle(self):
         basis = fundamental_cycle_basis(triangle())
         assert basis.size == 1
-        assert basis.nontree_edges == (2,)
+        assert basis.off_tree[0] == (2,)
         assert np.array_equal(basis.cycles[0].vector, [-1, -1, -1])
         _basis_invariants(basis)
 
@@ -260,9 +260,9 @@ class TestFundamentalBasis:
         basis = fundamental_cycle_basis(square_with_diagonal())
         assert basis.size == 2
         # each cycle holds its non-tree edge with coefficient -1 and no other
-        for c, e in zip(basis.cycles, basis.nontree_edges):
+        for c, e in zip(basis.cycles, basis.off_tree[0]):
             assert c.vector[e] == -1
-            others = [x for x in basis.nontree_edges if x != e]
+            others = [x for x in basis.off_tree[0] if x != e]
             assert all(c.vector[o] == 0 for o in others)
         _basis_invariants(basis)
 
@@ -282,7 +282,7 @@ class TestFundamentalBasis:
                 continue
             basis = fundamental_cycle_basis(g)
             parent = g.tree[0]
-            walks = tuple(Cycle.from_nodes(g, _tree_path_nodes(parent, *g.edges[e])) for e in basis.nontree_edges)
+            walks = tuple(Cycle.from_nodes(g, _tree_path_nodes(parent, *g.edges[e])) for e in basis.off_tree[0])
             for cycle, walk in zip(basis.cycles, walks):
                 assert cycle.nodes == walk.nodes
                 assert cycle.vector.dtype == walk.vector.dtype and np.array_equal(cycle.vector, walk.vector)
@@ -546,7 +546,7 @@ class TestIntegerShift:
         basis = fundamental_cycle_basis(ring_graph(5))
         z = integer_shift_solve(basis, [1])
         assert z.dtype == np.int64
-        assert np.array_equal(np.nonzero(z)[0], basis.nontree_edges)
+        assert np.array_equal(np.nonzero(z)[0], basis.off_tree[0])
         assert np.array_equal(basis.matrix.astype(np.int64) @ z, [1])
 
     def test_zero(self):
@@ -556,7 +556,7 @@ class TestIntegerShift:
     def test_square_with_diagonal(self):
         basis = fundamental_cycle_basis(square_with_diagonal())
         z = integer_shift_solve(basis, [1, -1])
-        assert set(np.nonzero(z)[0]) <= set(basis.nontree_edges)
+        assert set(np.nonzero(z)[0]) <= set(basis.off_tree[0])
         assert np.array_equal(basis.matrix.astype(np.int64) @ z, [1, -1])
 
     def test_basis_kind_error(self):
@@ -569,6 +569,29 @@ class TestIntegerShift:
         z = integer_cycle_shift(basis, [1, -1])
         assert z.dtype == np.int64
         assert np.array_equal(basis.matrix.astype(np.int64) @ z, [1, -1])
+
+    def test_shift_reads_the_basis_own_off_tree_block(self, monkeypatch):
+        # A minimum and an explicit basis solve T z = u on their own off-tree
+        # block; no fundamental basis is built.  The explicit basis of K4's
+        # three Hamiltonian cycles has det T = 2, so half its cells are empty.
+        minimum = minimum_cycle_basis(_lattice(5))
+        explicit = explicit_cycle_basis(complete_graph(4), [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)])
+
+        def refuse(g):
+            raise AssertionError("integer_cycle_shift built a second basis")
+
+        monkeypatch.setattr(graphs_module, "fundamental_cycle_basis", refuse)
+        rng = np.random.default_rng(5)
+        for basis, u in ((minimum, rng.integers(-3, 4, size=minimum.size)), (explicit, [1, 1, 0])):
+            z = integer_cycle_shift(basis, u)
+            assert z.dtype == np.int64
+            assert np.array_equal(basis.matrix.astype(np.int64) @ z, u)
+            assert set(np.nonzero(z)[0]) <= set(basis.off_tree[0])
+        assert round(abs(np.linalg.det(explicit.off_tree[1]))) == 2
+        with pytest.raises(NonIntegerWindingError):
+            integer_cycle_shift(explicit, [1, 0, 0])
+        with pytest.raises(InputError):
+            integer_cycle_shift(minimum, [1, 0])
 
 
 class TestCycleProjection:

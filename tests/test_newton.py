@@ -1,5 +1,6 @@
 """The certified Newton solve per winding cell, against the projection
 iteration it replaced on the solve path, and its three-way verdict."""
+import json
 import math
 import sys
 from dataclasses import replace
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torusflow.flows as flows
+from torusflow import serialize
 from conftest import (
     balanced_vector,
     lattice_with_detours,
@@ -140,11 +142,12 @@ def test_map_inverse_matches_the_dense_map_factor():
     lattice = WeightedGraph.from_edges(lattice.n, lattice.edges, rng.uniform(0.5, 2.0, size=lattice.m))
     problems.append(sin_problem(lattice, np.zeros(lattice.n), 1.4))
     # Uniform Lmin other than sine's, and one sine bound from two separate
-    # flow-function objects: each shares the phase fit's inverse, scaled.
+    # flow-function objects (copies of the shared sine, so two edge groups):
+    # each shares the phase fit's inverse, scaled.
     g = random_connected_graph(rng, 10, 5)
     g = WeightedGraph.from_edges(g.n, g.edges, rng.uniform(0.5, 2.0, size=g.m))
     p = balanced_vector(rng, g.n)
-    two_sines = tuple(FlowFunction.sin_family() for _ in range(2))
+    two_sines = tuple(replace(FlowFunction.sin_family()) for _ in range(2))
     problems += [
         FlowNetworkProblem.single_family(g, FlowFunction.linear(2.0), p, 1.4),
         FlowNetworkProblem.single_family(g, FlowFunction.fourier([1.0, 0.05]), p, 1.4),
@@ -172,8 +175,8 @@ def test_single_family_solve_forms_one_gram_inverse(monkeypatch):
         problem = case_to_problem(builtin_case(name), 1.4)
         cases += [(problem, fundamental_cycle_basis, 1), (problem, minimum_cycle_basis, 1)]
     # Equal bounds from separate flow-function objects share too: expo(3)
-    # with its edges alternating between two sine objects.
-    two_sines = tuple(FlowFunction.sin_family() for _ in range(2))
+    # with its edges alternating between two copies of the shared sine.
+    two_sines = tuple(replace(FlowFunction.sin_family()) for _ in range(2))
     alternating = tuple(two_sines[e % 2] for e in range(problem.graph.m))
     cases.append((replace(problem, flow_functions=alternating), minimum_cycle_basis, 1))
     calls = []
@@ -630,6 +633,27 @@ def test_each_distinct_flow_function_is_certified_once(monkeypatch):
     assert len(calls) == 2 and set(map(id, calls)) == {id(sine), id(linear)}
 
 
+@pytest.mark.parametrize(
+    "make", [FlowFunction.sin_family, lambda: FlowFunction.linear(2.0), lambda: FlowFunction.fourier([1, 0.05])]
+)
+def test_per_edge_family_calls_make_one_edge_group(make):
+    # One family call per edge gives the single-family twin: one edge group,
+    # the same solution bits and one family document.
+    expo = case_to_problem(builtin_case("expo(5)"), 1.4)
+    g, p = expo.graph, expo.p
+    per_edge = FlowNetworkProblem(graph=g, flow_functions=tuple(make() for _ in range(g.m)), p=p, gamma=1.4)
+    twin = FlowNetworkProblem.single_family(g, make(), p, 1.4)
+    assert len(per_edge._edge_groups) == 1
+    basis = fundamental_cycle_basis(g)
+    docs = [
+        serialize.dumps_canonical([serialize.solution_to_dict(s, basis) for s in solve_all(problem, basis=basis)])
+        for problem in (per_edge, twin)
+    ]
+    assert len(json.loads(docs[0])) > 0 and docs[0] == docs[1]
+    assert serialize.problem_to_dict(per_edge) == serialize.problem_to_dict(twin)
+    assert serialize.problem_to_dict(per_edge)["flow"] == serialize.flow_family_to_dict(make())
+
+
 def _ring_problems():
     """The 4-bus ring with one source and one sink, and the 12-bus rings."""
     four = PowerCase(
@@ -674,6 +698,19 @@ def test_scales_need_one_entry_per_cell():
     basis = fundamental_cycle_basis(problem.graph)
     with pytest.raises(InputError, match="one scale per cell"):
         decide_cells(problem, basis, np.array([[0], [1]]), scales=[1.0])
+
+
+def test_winding_vectors_need_the_basis_width():
+    # ring12's basis has k = 1: u = [1, 0] is no cell, not the two cells [1]
+    # and [0], and a bare [1, 0] is no stack of one-entry rows.
+    problem = case_to_problem(builtin_case("ring12-sym"), 1.4)
+    basis = fundamental_cycle_basis(problem.graph)
+    for u in ([1, 0], [[1]], 1):
+        with pytest.raises(InputError, match="winding vector"):
+            decide_cell(problem, basis, u)
+    for U in (np.array([1, 0]), np.array([[1, 0]]), np.zeros((1, 1, 1))):
+        with pytest.raises(InputError, match="winding vectors"):
+            decide_cells(problem, basis, U)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)

@@ -335,6 +335,12 @@ class TestPtc:
         with pytest.raises(InputError):
             ptc(builtin_case("pentagon"), [0], 1.4)
 
+    def test_winding_vector_of_the_wrong_length_rejected(self):
+        # ring12's basis has one cycle.
+        for u in ([1, 0], [], [[1]]):
+            with pytest.raises(InputError, match="winding vector"):
+                ptc(builtin_case("ring12-sym"), u, GAMMA)
+
     def test_tol_below_the_float_spacing_is_rejected(self):
         # Its cut points would round onto the bracket's ends: at tol 1e-17 the
         # multisection used to stop at a zero-width bracket.
