@@ -39,7 +39,6 @@ from .flows import (
     acyclic_solve,
     check_feasibility,
     decompose_flow,
-    extended_inverse,
     loop_flow,
     projection_iteration,
     recover_phases,
@@ -68,11 +67,9 @@ from .powerflow import (
     builtin_case,
     case_to_problem,
     congestion,
-    matpower_branch_to_edge,
     ptc,
 )
 from .torus import (
-    canonical_phases,
     canonical_rotation,
     ccw_difference,
     count_feasible_winding_vectors,
@@ -81,7 +78,6 @@ from .torus import (
     feasible_winding_vectors,
     phases_equal_mod_rotation,
     polytope_to_torus,
-    rotate,
     torus_to_polytope,
     winding_blocks,
     winding_cuts,

@@ -97,12 +97,14 @@ class ElasticNetworkProblem:
         tau = np.asarray(self.tau, dtype=float)
         if tau.shape != (g.n,):
             raise InputError(f"tau must have length {g.n}")
+        if not np.isfinite(tau).all():
+            raise InputError("tau must be finite")
         if abs(float(np.sum(tau))) > 1e-10 * max(1.0, float(np.max(np.abs(tau)))):
             raise InputError("torque vector tau must sum to zero")
         object.__setattr__(self, "tau", tau)
         if not 0.0 <= self.gamma < math.pi:
             raise InputError("gamma must lie in [0, pi)")
-        for H in {id(H): H for H in energies}.values():
+        for H, _ in identity_groups(energies):
             H.validate(self.gamma)
 
     @classmethod
@@ -116,13 +118,12 @@ class ElasticNetworkProblem:
         is the shared `FlowFunction.sin_family()`, with its exact inner
         inverse and its certificates.
         """
-        made = {}
-        for H in self.energies:
-            if id(H) not in made:
-                made[id(H)] = FlowFunction.sin_family() if H.derivative is np.sin else H.flow_function()
+        funcs = np.empty(self.graph.m, dtype=object)
+        for H, idx in identity_groups(self.energies):
+            funcs[idx] = FlowFunction.sin_family() if H.derivative is np.sin else H.flow_function()
         return FlowNetworkProblem(
             graph=self.graph,
-            flow_functions=tuple(made[id(H)] for H in self.energies),
+            flow_functions=tuple(funcs),
             p=self.tau,
             gamma=self.gamma,
         )

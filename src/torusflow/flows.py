@@ -85,7 +85,7 @@ class FlowFunction:
             raise InputError("gamma must lie in [0, pi)")
         grid = np.linspace(-gamma, gamma, CERT_GRID) if gamma > 0 else np.zeros(1)
         vals = np.asarray(self.evaluate(grid), dtype=float)
-        if np.max(np.abs(vals + vals[::-1])) > 1e-12:
+        if not np.max(np.abs(vals + vals[::-1])) <= 1e-12:
             raise InputError(f"flow function {self.name!r} is not odd")
         slopes = np.asarray(self.derivative(grid), dtype=float)
         # The endpoints are sampled, and an interior extremum y* of h' has
@@ -104,7 +104,7 @@ class FlowFunction:
                 f"[-{gamma}, {gamma}]; solve the negated problem "
                 "(negated(), with -p) and report -f"
             )
-        if lmin < MIN_SLOPE:
+        if not lmin >= MIN_SLOPE:  # a NaN slope fails too
             raise GammaError(
                 f"flow function {self.name!r} has min slope {lmin:.3e} "
                 f"< {MIN_SLOPE} on [-{gamma}, {gamma}]; the contraction "
@@ -143,8 +143,8 @@ class FlowFunction:
     @staticmethod
     def linear(slope: float = 1.0) -> "FlowFunction":
         slope = float(slope)
-        if slope <= 0.0:
-            raise InputError("linear flow family needs a positive slope")
+        if not 0.0 < slope < math.inf:
+            raise InputError("linear flow family needs a finite positive slope")
         return _FAMILIES.setdefault(("linear", slope), FlowFunction(
             evaluate=lambda y: slope * np.asarray(y, dtype=float),
             derivative=lambda y: np.full_like(np.asarray(y, dtype=float), slope),
@@ -157,8 +157,8 @@ class FlowFunction:
     def fourier(coeffs: Sequence[float]) -> "FlowFunction":
         """Odd sine series h(y) = sum_k b_k sin(k y)."""
         b = np.asarray(list(coeffs), dtype=float)
-        if b.size == 0:
-            raise InputError("fourier flow family needs at least one coefficient")
+        if b.size == 0 or not np.isfinite(b).all():
+            raise InputError("fourier flow family needs at least one coefficient, all finite")
         k = np.arange(1, b.size + 1)
 
         def ev(y):
@@ -227,11 +227,6 @@ class ExtendedFlowFunction:
         return y
 
 
-def extended_inverse(h: ExtendedFlowFunction, v: float) -> float:
-    """Scalar inverse of the extended flow function."""
-    return float(h.inverse(np.array([float(v)]))[0])
-
-
 @dataclass(frozen=True, eq=False)
 class FlowNetworkProblem:
     """A flow network problem (graph, per-edge flow functions, p, gamma).
@@ -258,6 +253,8 @@ class FlowNetworkProblem:
         p = np.asarray(self.p, dtype=float)
         if p.shape != (g.n,):
             raise InputError(f"p must have length {g.n}")
+        if not np.isfinite(p).all():
+            raise InputError("p must be finite")
         if abs(float(np.sum(p))) > 1e-10 * max(1.0, float(np.max(np.abs(p)))):
             raise InputError("supply/demand vector p must sum to zero")
         object.__setattr__(self, "p", p)
@@ -460,13 +457,20 @@ class CellVerdicts:
 
 @dataclass
 class SolutionReport:
-    """Independent residuals of a certified solution."""
+    """Independent residuals of a certified solution.
+
+    `constraint_margin` is gamma - max |delta_e|.  The constraint holds
+    when each |delta_e| is at most gamma + FEASIBILITY_SLACK / (a_e |h_e'(gamma)|),
+    the angle at which the linear extension's flow passes capacity by the
+    slack that a feasible verdict allows: `within_allowance`.
+    """
 
     balance_residual: float
     physics_residual: float
     constraint_margin: float
     winding_deviation: float
-    boundary: bool = False
+    boundary: bool
+    within_allowance: bool
 
     def within_tolerance(self) -> bool:
         """Balance, physics and margin within tolerance; winding not checked."""
@@ -477,7 +481,7 @@ class SolutionReport:
         checks = (
             (self.balance_residual < RESIDUAL_TOL, "balance residual", self.balance_residual),
             (self.physics_residual < RESIDUAL_TOL, "physics residual", self.physics_residual),
-            (self.constraint_margin >= -FEASIBILITY_SLACK, "constraint margin", self.constraint_margin),
+            (self.within_allowance, "constraint margin", self.constraint_margin),
             (self.winding_deviation <= WINDING_INT_TOL, "winding mismatch", self.winding_deviation),
         )
         # Written as "not within", so that a NaN residual is flagged too.
@@ -501,13 +505,20 @@ def winding_fixed_point_map(problem: FlowNetworkProblem, basis: CycleBasis, u, f
     residual = float(np.max(np.abs(problem.graph.divergence(f) - problem.p)))
     if residual >= BALANCE_TOL:
         raise BalanceError(f"f is not balanced: ||Bf - p||_inf = {residual:.3e}")
-    return _apply_map(problem, basis, _map_inverse(problem, basis), np.asarray(u, dtype=float), f)
+    twopi_u = TWO_PI * np.asarray(u, dtype=float)
+    return f - _map_step(problem, basis, _map_inverse(problem, basis), f, twopi_u)[2]
 
 
-def _apply_map(problem, basis, inverse, u, f):
-    # T_u f = f - P_D Lmin A (delta - 2pi C^+ u) = f - K (C delta - 2pi u).
+def _map_step(problem, basis, inverse, F, twopi_u):
+    """The T_u step at a flow row or a (B, m) stack F: delta =
+    h_gamma^{-1}(A^{-1} F), the loop residual g = C delta - 2pi u, the step
+    F - T_u F = P_D Lmin A (delta - 2pi C^+ u) = g K^T = (g M^{-1}) C, with
+    M^{-1} = `inverse` from `_map_inverse`, and the step's `map_norm`."""
     C = basis.matrix
-    return f - ((C @ problem.inverse_differences(f) - TWO_PI * u) @ inverse) @ C
+    delta = problem.inverse_differences(F)
+    grad = delta @ C.T - twopi_u
+    step = (grad @ inverse) @ C
+    return delta, grad, step, problem.map_norm(step)
 
 
 def _step_budget(rate: float, ratio) -> np.ndarray:
@@ -544,33 +555,28 @@ def projection_iteration(
     plus a safety margin of 10; exceeding twice that budget raises
     ConvergenceBudgetError (it signals violated preconditions).
     """
-    if rho <= 0.0:
-        raise InputError("rho must be positive")
-    u = np.asarray(u, dtype=float)
+    if not 0.0 < rho < math.inf:
+        raise InputError("rho must be finite and positive")
+    twopi_u = TWO_PI * np.asarray(u, dtype=float)
     rate = problem.contraction_rate
-    to_edge = problem.map_norm_to_edge
-
     inverse = _map_inverse(problem, basis)
     f = problem.graph.cutset_flow(problem.p, basis)
-    nxt = _apply_map(problem, basis, inverse, u, f)
-    step_inf = float(np.max(np.abs(nxt - f))) if f.size else 0.0
-    d0 = problem.map_norm(nxt - f)
-    budget = int(_step_budget(rate, rho / (d0 * to_edge) if d0 > 0.0 else math.inf))
+    _, _, step, d = _map_step(problem, basis, inverse, f, twopi_u)
+    budget = int(_step_budget(rate, rho / (d * problem.map_norm_to_edge) if d > 0.0 else math.inf))
 
-    steps = [d0]
-    while step_inf >= rho:
+    steps = [d]
+    while (step_inf := float(np.abs(step).max(initial=0.0))) >= rho:
         if len(steps) > 2 * budget:
             raise ConvergenceBudgetError(
                 f"projection iteration exceeded 2x its budget of {budget} "
                 f"iterations (last step {step_inf:.3e})"
             )
-        f = nxt
-        nxt = _apply_map(problem, basis, inverse, u, f)
-        step_inf = float(np.max(np.abs(nxt - f)))
-        steps.append(problem.map_norm(nxt - f))
+        f = f - step
+        _, _, step, d = _map_step(problem, basis, inverse, f, twopi_u)
+        steps.append(d)
 
     verified = bool(_contracts(rate, np.array(steps)))
-    return nxt, _report(rate, steps, verified, iterations=len(steps), final_step=step_inf)
+    return f - step, _report(rate, steps, verified, iterations=len(steps), final_step=step_inf)
 
 
 def decide_cells(
@@ -592,8 +598,8 @@ def decide_cells(
     g = C h_gamma^{-1}(A^{-1} f) - 2pi u and whose Hessian is
     C diag(1 / (a h'(clip(delta)))) C^T.  The stack's Hessians come from one
     `basis.gram` call per step, and a step solves each k x k system.  The
-    T_u step of a row with gradient g is g K^T = (g M^{-1}) C, with the
-    k x k inverse M^{-1} of `_map_inverse` taken once per call: with one
+    T_u step of a row with gradient g is `_map_step`'s g K^T = (g M^{-1}) C,
+    with the k x k inverse M^{-1} of `_map_inverse` taken once per call: with one
     Lmin on every edge, the start flow's inverse scaled, so one k x k
     inverse serves both.  A Newton point f - t N (t = 1, 1/2, 1/4, ...
     while t >= 1 - rate) is taken when its T_u step is at most `rate` times
@@ -619,7 +625,7 @@ def decide_cells(
     record's arrays as it leaves, and the step history grows by one column
     per step.
     """
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise InputError("rho must be positive")
     rate = problem.contraction_rate
     C = basis.matrix
@@ -638,29 +644,19 @@ def decide_cells(
     final_step = np.empty(rows.size)
     iterations = np.empty(rows.size, dtype=int)
 
-    def at(F, twopi_u):
-        delta = problem.inverse_differences(F)
-        grad = delta @ C.T - twopi_u
-        step = (grad @ inverse) @ C
-        return delta, grad, step, problem.map_norm(step)
-
     # Every row starts from the cutset flow taken with this basis, scaled by
     # the row's scale when there is one.
     f0 = problem.graph.cutset_flow(problem.p, basis)
     if scales is None:
-        delta0 = problem.inverse_differences(f0)
         F = f0[None, :].repeat(rows.size, axis=0)
+        delta0, G, S, d = _map_step(problem, basis, inverse, f0, twopi_u)
         D = delta0[None, :].repeat(rows.size, axis=0)
-        G = C @ delta0 - twopi_u
     else:
         scales = np.asarray(scales, dtype=float)
         if scales.shape != rows.shape:
             raise InputError(f"need one scale per cell: {scales.shape} for {rows.size} cells")
         F = scales[:, None] * f0
-        D = problem.inverse_differences(F)
-        G = D @ C.T - twopi_u
-    S = (G @ inverse) @ C
-    d = problem.map_norm(S)
+        D, G, S, d = _map_step(problem, basis, inverse, F, twopi_u)
     history = [(rows, d)]  # per step taken: the stack's rows and their map-norm steps
     # No step contracts less than T_u, so this many reach the rounding floor.
     with np.errstate(divide="ignore"):
@@ -706,7 +702,7 @@ def decide_cells(
         hessians = basis.gram(problem.inverse_slopes(D))
         newton = np.linalg.solve(hessians, G[:, :, None])[:, :, 0] @ C
         trial = F - newton
-        state = at(trial, twopi_u)
+        state = _map_step(problem, basis, inverse, trial, twopi_u)
         pending = (state[3] > rate * d).nonzero()[0]
         t = 1.0
         while len(pending):
@@ -717,7 +713,7 @@ def decide_cells(
                 trial[pending] = F[pending] - S[pending]
             else:
                 trial[pending] = F[pending] - t * newton[pending]
-            part = at(trial[pending], twopi_u[pending])
+            part = _map_step(problem, basis, inverse, trial[pending], twopi_u[pending])
             for whole, value in zip(state, part):
                 whole[pending] = value
             if t < 1.0 - rate:
@@ -813,7 +809,10 @@ def verify_cells(problem: FlowNetworkProblem, basis: CycleBasis | None, F, Theta
     delta = edge_differences(g, Theta)
     balance = np.abs(g.divergence(F) - problem.p).max(axis=-1, initial=0.0)
     physics = np.abs(F - problem.edge_flows(delta)).max(axis=-1, initial=0.0)
-    margin = problem.gamma - np.abs(delta).max(axis=-1, initial=0.0)
+    angle = np.abs(delta)
+    margin = problem.gamma - angle.max(axis=-1, initial=0.0)
+    allowance = FEASIBILITY_SLACK / np.abs(g.weight_vector * problem._certified("dh_gamma"))
+    within = (angle <= problem.gamma + allowance).all(axis=-1)
     if basis is not None and basis.size:
         raw = delta @ basis.matrix.T / TWO_PI
         winding_dev = np.abs(raw - np.asarray(U, dtype=float)).max(axis=-1)
@@ -823,7 +822,7 @@ def verify_cells(problem: FlowNetworkProblem, basis: CycleBasis | None, F, Theta
     boundary = margins.min(axis=-1, initial=math.inf) <= FEASIBILITY_SLACK
     return [
         SolutionReport(*row)
-        for row in zip(balance.tolist(), physics.tolist(), margin.tolist(), winding_dev.tolist(), boundary.tolist())
+        for row in zip(*(x.tolist() for x in (balance, physics, margin, winding_dev, boundary, within)))
     ]
 
 
@@ -882,6 +881,8 @@ def solve_all(
     arrays and report, in box order.  A block with no feasible row skips
     both calls.
     """
+    if not 0.0 < rho < math.inf:
+        raise InputError("rho must be finite and positive")
     if problem.graph.cycle_space_dim == 0:
         sol = acyclic_solve(problem)
         return [sol] if sol is not None else []

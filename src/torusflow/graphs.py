@@ -73,8 +73,8 @@ class WeightedGraph:
             if key in seen:
                 raise InputError(f"duplicate undirected edge {key}")
             seen.add(key)
-        if any(w <= 0.0 for w in weights):
-            raise WeightError("all edge weights must be strictly positive")
+        if not all(0.0 < w < math.inf for w in weights):
+            raise WeightError("all edge weights must be finite and strictly positive")
         self.tree  # raises SingularityError when the graph is not connected
 
     @classmethod
@@ -415,13 +415,8 @@ class CycleBasis:
         g = self.graph
         if self.size != g.cycle_space_dim:
             raise RankError("wrong number of basis cycles")
-        # C B^T, the divergence of every cycle row, from the nonzeros of C.
-        C = self.matrix
-        rows, e = np.nonzero(C)
-        div = np.zeros((self.size, g.n))
-        np.add.at(div, (rows, g.ends[0][e]), C[rows, e])
-        np.subtract.at(div, (rows, g.ends[1][e]), C[rows, e])
-        bad = np.flatnonzero(np.any(div != 0, axis=1))
+        # C B^T: the divergence of every cycle row.
+        bad = np.flatnonzero(np.any(g.divergence(self.matrix) != 0, axis=1))
         if bad.size:
             raise RankError(f"cycle vector of {self.cycles[bad[0]].nodes} is not in Ker(B)")
         # The off-tree block's determinant is an integer: nonzero means at
@@ -706,7 +701,6 @@ class CycleProjection:
     """Oblique projection onto Ker(B) parallel to Img(D A B^T)."""
 
     matrix: np.ndarray
-    weight: np.ndarray
 
 
 def cycle_projection(g: WeightedGraph, D: Sequence[float] | np.ndarray) -> CycleProjection:
@@ -723,4 +717,4 @@ def cycle_projection(g: WeightedGraph, D: Sequence[float] | np.ndarray) -> Cycle
     lap = (B * da) @ B.T
     inv = deflated_pinv(lap)
     P = np.eye(g.m) - (da[:, None] * B.T) @ inv @ B
-    return CycleProjection(matrix=P, weight=d)
+    return CycleProjection(matrix=P)

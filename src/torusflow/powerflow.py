@@ -57,10 +57,10 @@ class PowerCase:
     def __post_init__(self):
         buses = tuple((float(v), float(p)) for v, p in self.buses)
         branches = tuple((int(i), int(j), float(b)) for i, j, b in self.branches)
-        if any(v <= 0.0 for v, _ in buses):
-            raise InputError("all voltage magnitudes must be positive")
-        if any(b <= 0.0 for _, _, b in branches):
-            raise InputError("all branch susceptances must be positive")
+        if not all(0.0 < v < math.inf and math.isfinite(p) for v, p in buses):
+            raise InputError("all voltage magnitudes must be finite and positive, and all powers finite")
+        if not all(0.0 < b < math.inf for _, _, b in branches):
+            raise InputError("all branch susceptances must be finite and positive")
         p = np.array([pw for _, pw in buses])
         imbalance = float(np.sum(p))
         total_gen = float(np.sum(p[p > 0.0]))
@@ -262,8 +262,8 @@ def _winding_ptc(
     problem: FlowNetworkProblem, basis: CycleBasis, u, tol: float, rho: float, curve_points: int = 9
 ) -> SweepResult:
     """`ptc` on the case's problem and a basis, built once per sweep."""
-    if tol <= 0.0:
-        raise InputError("tol must be positive")
+    if not (0.0 < tol < math.inf and 0.0 < rho < math.inf):
+        raise InputError("tol and rho must be finite and positive")
     u = np.asarray(u, dtype=np.int64)
     if u.shape != (basis.size,):
         raise InputError(f"need a winding vector of length {basis.size}, not shape {u.shape}")
@@ -426,16 +426,3 @@ def builtin_case(name: str, data_path: str | Path | None = None) -> PowerCase:
         return PowerCase(buses=buses, branches=branches, base_mva=100.0, name="rts24-mod")
     raise UnknownCaseError(f"unknown built-in case {name!r}")
 
-
-def matpower_branch_to_edge(record) -> tuple[int, int, float]:
-    """Map one MATPOWER branch row to (i, j, susceptance).
-
-    MATPOWER's branch matrix stores [fbus, tbus, r, x, b, ...] with 1-based
-    bus numbers.  For the lossless model used here the series resistance r
-    and shunt charging b are dropped and the line susceptance is 1/x.  Full
-    MATPOWER case parsing is intentionally not provided.
-    """
-    fbus, tbus, _r, x = record[0], record[1], record[2], record[3]
-    if x <= 0:
-        raise InputError("branch reactance must be positive for the lossless model")
-    return int(fbus) - 1, int(tbus) - 1, 1.0 / float(x)

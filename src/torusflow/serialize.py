@@ -136,8 +136,7 @@ def flow_family_from_dict(doc: dict) -> FlowFunction:
 
 
 def problem_to_dict(problem: FlowNetworkProblem) -> dict:
-    fams = {id(f): f for f in problem.flow_functions}
-    if len(fams) == 1:
+    if len(problem._edge_groups) == 1:
         flow_doc: Any = flow_family_to_dict(problem.flow_functions[0])
     else:
         flow_doc = [flow_family_to_dict(f) for f in problem.flow_functions]

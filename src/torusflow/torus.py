@@ -46,16 +46,6 @@ def ccw_difference(alpha: float, beta: float) -> float:
     return float(wrap(float(alpha) - float(beta)))
 
 
-def canonical_phases(theta) -> np.ndarray:
-    """Canonical representative of a phase vector, each entry in [-pi, pi)."""
-    return wrap(theta)
-
-
-def rotate(theta, s: float) -> np.ndarray:
-    """Rigid rotation rot_s(theta), re-canonicalized."""
-    return wrap(np.asarray(theta, dtype=float) + float(s))
-
-
 def canonical_rotation(theta) -> np.ndarray:
     """Rotate so node 0 has phase 0 (representative modulo rotation), along
     the last axis."""

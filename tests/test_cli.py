@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import ring_graph, sin_problem
-from torusflow import cli
+from torusflow import cli, fundamental_cycle_basis
 from torusflow.cli import main
 from torusflow.serialize import dumps_canonical, problem_to_dict
 
@@ -124,6 +124,16 @@ class TestWindings:
         assert "unique-solution regime" in doc["note"]
         assert doc["candidates"] == 1
 
+    def test_csv_format(self, tmp_path):
+        out = tmp_path / "w.csv"
+        gamma = math.pi / 2 - 0.01
+        assert run(["windings", "--case", "ring12-sym", "--gamma", gamma, "--format", "csv", "--out", out]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "cycle,length,bound"
+        assert len(lines) == 3 and lines[1].split(",")[1:] == ["12", "2"]
+        assert lines[1].split(",")[0] == "-".join(map(str, fundamental_cycle_basis(ring_graph(12)).cycles[0].nodes))
+        assert lines[2] == "candidates,5,"
+
 
 class TestBasis:
     def test_fundamental_and_minimum(self, tmp_path):
@@ -142,6 +152,10 @@ class TestBasis:
 
 
 class TestSweep:
+    def test_needs_a_case_or_a_file_exit_1(self, capsys):
+        assert run(["sweep"]) == 1
+        assert "sweep needs --case NAME or a case JSON file" in capsys.readouterr().err
+
     def test_gamma_zero_only_u0(self, tmp_path):
         out = tmp_path / "s.csv"
         code = run(
@@ -233,6 +247,22 @@ class TestCheckAndDecompose:
         assert run(["check", pentagon_file, sol_path]) == 4
         assert "balance residual nan" in capsys.readouterr().err
 
+    def test_check_winding_vector_of_the_wrong_length_exit_1(self, pentagon_file, tmp_path, capsys):
+        sol_path, doc = self._solve_to_files(pentagon_file, tmp_path)
+        sol = doc["solutions"][2]
+        sol["u"] = [0, 0]
+        sol_path.write_text(json.dumps(sol))
+        assert run(["check", pentagon_file, sol_path]) == 1
+        assert "winding vector length does not match the basis" in capsys.readouterr().err
+
+    def test_decompose_flow_of_the_wrong_length_exit_1(self, pentagon_file, tmp_path, capsys):
+        sol_path, doc = self._solve_to_files(pentagon_file, tmp_path)
+        sol = doc["solutions"][2]
+        sol["f"] = sol["f"][:-1]
+        sol_path.write_text(json.dumps(sol))
+        assert run(["decompose", pentagon_file, sol_path]) == 1
+        assert "flow length does not match the graph" in capsys.readouterr().err
+
     def test_decompose(self, pentagon_file, tmp_path):
         sol_path, _ = self._solve_to_files(pentagon_file, tmp_path)
         out = tmp_path / "dec.json"
@@ -261,6 +291,33 @@ class TestGen:
 
     def test_unknown_case_exit_1(self):
         assert run(["gen", "--gen-case", "nonsense"]) == 1
+
+
+class TestNonFiniteInputs:
+    """NaN and inf are refused as input errors (exit 1), from flags and from
+    JSON, which parses NaN and Infinity."""
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_sweep_tol(self, tol, tmp_path, capsys):
+        assert run(["sweep", "--case", "ring12-sym", "--tol", tol, "--out", tmp_path / "s.json"]) == 1
+        assert "tol and rho must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--rho", "inf"], ["--rho", "nan"], ["--scale", "nan"], ["--scale", "inf"]])
+    def test_solve_flags(self, flags, tmp_path):
+        with np.errstate(invalid="ignore"):  # --scale inf meets p's zeros
+            assert run(["solve", "--case", "pentagon", "--gamma", 1.4, *flags, "--out", tmp_path / "s.json"]) == 1
+
+    @pytest.mark.parametrize("field", ["weight", "p"])
+    def test_json_document(self, field, pentagon_file, tmp_path, capsys):
+        doc = json.loads(pentagon_file.read_text())
+        if field == "weight":
+            doc["graph"]["edges"][0][2] = math.nan
+        else:
+            doc["p"][0], doc["p"][1] = math.inf, -math.inf
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        assert run(["solve", path, "--out", tmp_path / "s.json"]) == 1
+        assert "must be finite" in capsys.readouterr().err
 
 
 class _ReadRecorder(argparse.Namespace):

@@ -68,6 +68,12 @@ class TestElasticEnergy:
             assert energy(prob, theta + s) == pytest.approx(energy(prob, theta))
 
 
+def test_non_finite_torque_rejected():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InputError, match="tau must be finite"):
+            spacing_problem(ring_graph(4), [bad, -bad, 0.0, 0.0], 1.0)
+
+
 class TestGradient:
     def test_zero_at_origin(self):
         prob = spacing_problem(ring_graph(5), np.zeros(5), 1.4)

@@ -46,7 +46,6 @@ from torusflow import (
     decompose_flow,
     edge_differences,
     explicit_cycle_basis,
-    extended_inverse,
     feasible_winding_vectors,
     fundamental_cycle_basis,
     integer_cycle_shift,
@@ -97,7 +96,7 @@ class TestFlowFunction:
         lin = FlowFunction.linear(2.0)
         cert = lin.certify(2.0)
         assert cert.lmin == cert.lmax == 2.0
-        assert extended_inverse(ExtendedFlowFunction(lin, 2.0), 1.0) == pytest.approx(0.5)
+        assert float(ExtendedFlowFunction(lin, 2.0).inverse(1.0)) == pytest.approx(0.5)
 
     def test_fourier_family_monotone_window(self):
         fn = FlowFunction.fourier([1.0, 0.15])
@@ -136,16 +135,16 @@ class TestFlowFunction:
 class TestExtendedInverse:
     def test_zero(self):
         ext = ExtendedFlowFunction(FlowFunction.sin_family(), 1.0)
-        assert extended_inverse(ext, 0.0) == 0.0
+        assert float(ext.inverse(0.0)) == 0.0
 
     def test_interior(self):
         ext = ExtendedFlowFunction(FlowFunction.sin_family(), 1.0)
-        assert extended_inverse(ext, math.sin(0.5)) == pytest.approx(0.5, abs=1e-12)
+        assert float(ext.inverse(math.sin(0.5))) == pytest.approx(0.5, abs=1e-12)
 
     def test_linear_tail(self):
         ext = ExtendedFlowFunction(FlowFunction.sin_family(), 1.0)
         v = math.sin(1.0) + math.cos(1.0) * 0.3
-        assert extended_inverse(ext, v) == pytest.approx(1.3, abs=1e-12)
+        assert float(ext.inverse(v)) == pytest.approx(1.3, abs=1e-12)
 
     def test_round_trip_everywhere(self, rng):
         for fn in (
@@ -328,6 +327,52 @@ class TestProjectionIteration:
         basis = fundamental_cycle_basis(prob.graph)
         with pytest.raises(InputError):
             projection_iteration(prob, basis, [0], rho=0.0)
+
+
+class TestNonFiniteInputs:
+    """NaN and inf are refused where a problem, a family or a tolerance is
+    built, rather than surfacing as NaN rates or undecided cells."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: FlowFunction.linear(math.nan),
+            lambda: FlowFunction.linear(math.inf),
+            lambda: FlowFunction.fourier([math.nan]),
+            lambda: FlowFunction.fourier([1.0, math.inf]),
+        ],
+        ids=["linear-nan", "linear-inf", "fourier-nan", "fourier-inf"],
+    )
+    def test_family_parameters(self, make):
+        before = len(flows_module._FAMILIES)
+        with pytest.raises(InputError, match="finite"):
+            make()
+        assert len(flows_module._FAMILIES) == before
+
+    def test_certify_refuses_a_nan_slope(self):
+        fn = FlowFunction(evaluate=np.sin, derivative=lambda y: np.full_like(y, math.nan))
+        with pytest.raises(GammaError):
+            fn.certify(1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_supply(self, bad):
+        with pytest.raises(InputError, match="p must be finite"):
+            sin_problem(ring_graph(5), [bad, -bad, 0.0, 0.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf])
+    def test_rho(self, rho):
+        prob = sin_problem(ring_graph(5), np.zeros(5), 1.4)
+        basis = fundamental_cycle_basis(prob.graph)
+        with pytest.raises(InputError, match="rho must be finite and positive"):
+            solve_all(prob, rho=rho)
+        with pytest.raises(InputError, match="rho must be finite and positive"):
+            projection_iteration(prob, basis, [0], rho=rho)
+        # A verdict-only solve takes rho = inf; NaN is refused.
+        if math.isnan(rho):
+            with pytest.raises(InputError, match="rho must be positive"):
+                decide_cells(prob, basis, [[0]], rho)
+        else:
+            assert decide_cells(prob, basis, [[-1], [0], [1], [2]], rho)[1].feasible.tolist() == [True] * 3 + [False]
 
 
 class TestFeasibility:
@@ -573,6 +618,22 @@ class TestVerifySolution:
         assert not report.within_tolerance()
         assert [s.split()[0] for s in report.failures()] == ["physics", "constraint", "winding"]
 
+    @pytest.mark.parametrize("slope, within, past", [(2.0, 3e-10, 7e-10), (0.01, 5e-8, 2e-7)])
+    def test_angle_allowance_follows_the_edge_slope(self, slope, within, past):
+        # A feasible verdict lets |f_e| pass capacity by FEASIBILITY_SLACK.  On
+        # the linear extension that is an angle FEASIBILITY_SLACK / (a h'(gamma))
+        # past gamma: 5e-10 for slope 2, tighter than the slack itself, and
+        # 1e-7 for slope 0.01.
+        g = WeightedGraph.from_edges(2, [(0, 1)])
+        for excess, ok in ((within, True), (past, False)):
+            theta = np.array([0.0, -(1.0 + excess)])
+            f = slope * edge_differences(g, theta)
+            prob = FlowNetworkProblem.single_family(g, FlowFunction.linear(slope), [f[0], -f[0]], 1.0)
+            report = verify_solution(prob, None, f, theta, [])
+            assert report.constraint_margin == pytest.approx(-excess, abs=1e-14)
+            assert report.within_allowance == ok
+            assert [s.split()[0] for s in report.failures()] == ([] if ok else ["constraint"])
+
 
 def _mixed_problem(rng, g, gamma=1.3):
     """Per-edge linear flows of mixed slopes with some sine edges: lmin varies."""
@@ -717,15 +778,18 @@ def _reference_recover(problem, basis, u, f):
 
 def _reference_verify(problem, basis, f, theta, u):
     """The residuals of one row, from its own f and theta and the dense
-    incidence: balance, physics, margin, winding deviation, boundary."""
+    incidence: balance, physics, margin, winding deviation, boundary, and
+    whether each edge's angle is within its allowance past gamma."""
     B = problem.graph.incidence
     delta = wrap(B.T @ theta)
+    slopes = np.abs([float(h.derivative(np.array(problem.gamma))) for h in problem.flow_functions])
     return (
         np.max(np.abs(B @ f - problem.p)),
         np.max(np.abs(f - problem.edge_flows(delta))),
         problem.gamma - np.max(np.abs(delta)),
         np.max(np.abs(basis.matrix @ delta / TWO_PI - u)),
         np.min(problem.capacity - np.abs(f)) <= FEASIBILITY_SLACK,
+        bool(np.all(np.abs(delta) <= problem.gamma + FEASIBILITY_SLACK / (problem.graph.weight_vector * slopes))),
     )
 
 
@@ -756,7 +820,7 @@ def _check_stacked_rows(problem, basis, U, F, rng):
         got = dataclasses.astuple(report)
         view = dataclasses.astuple(verify_solution(problem, basis, f, theta, u))
         for want in (_reference_verify(problem, basis, f, theta, u), view):
-            assert got[4] == want[4]
+            assert got[4:] == want[4:]
             assert np.max(np.abs(np.subtract(got[:4], want[:4]))) <= 1e-12
     return empty
 

@@ -83,6 +83,11 @@ class TestWeightedGraph:
         with pytest.raises(WeightError):
             WeightedGraph.from_edges(2, [(0, 1)], [0.0])
 
+    @pytest.mark.parametrize("w", [math.nan, math.inf])
+    def test_rejects_non_finite_weight(self, w):
+        with pytest.raises(WeightError, match="finite"):
+            WeightedGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)], [1.0, w, 1.0])
+
     def test_rejects_disconnected(self):
         with pytest.raises(SingularityError):
             WeightedGraph.from_edges(4, [(0, 1), (2, 3)])

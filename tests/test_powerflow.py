@@ -17,7 +17,6 @@ from torusflow import (
     congestion,
     feasible_winding_vectors,
     fundamental_cycle_basis,
-    matpower_branch_to_edge,
     ptc,
     solve_all,
 )
@@ -59,6 +58,22 @@ class TestPowerCase:
     def test_large_imbalance_rejected(self):
         with pytest.raises(InputError, match="imbalance"):
             PowerCase(buses=((1.0, 1.1), (1.0, -1.0)), branches=((0, 1, 1.0),))
+
+    @pytest.mark.parametrize(
+        "buses, branches",
+        [
+            (((math.nan, 1.0), (1.0, -1.0)), ((0, 1, 1.0),)),
+            (((math.inf, 1.0), (1.0, -1.0)), ((0, 1, 1.0),)),
+            (((1.0, math.nan), (1.0, -1.0)), ((0, 1, 1.0),)),
+            (((1.0, math.inf), (1.0, -math.inf)), ((0, 1, 1.0),)),
+            (((1.0, 1.0), (1.0, -1.0)), ((0, 1, math.nan),)),
+            (((1.0, 1.0), (1.0, -1.0)), ((0, 1, math.inf),)),
+        ],
+        ids=["v-nan", "v-inf", "p-nan", "p-inf", "b-nan", "b-inf"],
+    )
+    def test_non_finite_entries_rejected(self, buses, branches):
+        with pytest.raises(InputError, match="finite"):
+            PowerCase(buses=buses, branches=branches)
 
     def test_bad_voltage_rejected(self):
         with pytest.raises(InputError):
@@ -119,12 +134,6 @@ class TestBuiltinCases:
         assert case.n == 24
         assert abs(float(np.sum(case.supply))) < 1e-12
         assert case.supply[2] == pytest.approx(-268.48 / 100.0)
-
-    def test_matpower_stub(self):
-        i, j, b = matpower_branch_to_edge([1, 3, 0.01, 0.2, 0.0])
-        assert (i, j, b) == (0, 2, 5.0)
-        with pytest.raises(InputError):
-            matpower_branch_to_edge([1, 2, 0.0, -1.0, 0.0])
 
 
 class TestCongestion:
@@ -331,6 +340,24 @@ class TestPtc:
             assert res.curve[0].scale == 0.0 and res.curve[0].exists
             assert res.curve[0].congestion == 0.0 and res.curve[0].loop_flows == (0.0,)
 
+    @pytest.mark.parametrize("name", ["ring12-sym", "ring12-asym"])
+    def test_solve_at_each_ptc_finds_its_winding(self, name):
+        # Near pi/2 the slack that a feasible verdict allows on a flow is an
+        # angle 1 / cos(gamma) ~ 100 times wider, and the certificate of the
+        # solution at a certified PTC must allow the same.
+        case = builtin_case(name)
+        problem = case_to_problem(case, GAMMA)
+        basis = fundamental_cycle_basis(problem.graph)
+        for u in feasible_winding_vectors(basis, GAMMA):
+            res = ptc(case, u, GAMMA, tol=1e-9, basis=basis)
+            solutions = solve_all(problem.with_supply(res.ptc * problem.p), basis=basis)
+            assert u.tolist() in [s.u.tolist() for s in solutions]
+
+    @pytest.mark.parametrize("bad", [{"tol": math.nan}, {"tol": math.inf}, {"rho": math.nan}, {"rho": math.inf}])
+    def test_non_finite_tol_or_rho_rejected(self, bad):
+        with pytest.raises(InputError, match="tol and rho must be finite and positive"):
+            ptc(builtin_case("ring12-sym"), [0], GAMMA, **bad)
+
     def test_zero_profile_rejected(self):
         with pytest.raises(InputError):
             ptc(builtin_case("pentagon"), [0], 1.4)
@@ -482,6 +509,30 @@ class TestPtcPrediction:
                 self.assert_certified(res, problem, basis, self.TOL)
                 checked += 1
         assert checked
+
+    @pytest.mark.parametrize("u, give_up", [([1], "loop solve"), ([0], "scale solve"), ([1], "ceiling")])
+    def test_prediction_gives_up(self, monkeypatch, u, give_up):
+        # One Newton step is too few for u = [1]'s loop solve at s = 0, and
+        # for the scale solve of u = [0], whose loop solve starts at its root.
+        # A ceiling below the PTC stops the scale solve once s passes it.
+        # Each gives None, and the multisection certifies the same PTC.
+        case = builtin_case("ring12-asym")
+        problem = case_to_problem(case, GAMMA)
+        basis = fundamental_cycle_basis(problem.graph)
+        want = ptc(case, u, GAMMA, tol=self.TOL, basis=basis).ptc
+        predict, guesses = powerflow._predict_ptc, []
+
+        def patched(problem, basis, u, ceiling):
+            guesses.append(predict(problem, basis, u, want / 2 if give_up == "ceiling" else ceiling))
+            return guesses[-1]
+
+        monkeypatch.setattr(powerflow, "_predict_ptc", patched)
+        if give_up != "ceiling":
+            monkeypatch.setattr(powerflow, "PREDICT_STEPS", 1)
+        res = ptc(case, u, GAMMA, tol=self.TOL, basis=basis)
+        assert guesses == [None]
+        assert res.ptc == pytest.approx(want, abs=self.TOL)
+        self.assert_certified(res, problem, basis, self.TOL)
 
     @pytest.mark.parametrize("points", [0, 1, 2])
     def test_short_curves_certify_in_one_call(self, monkeypatch, points):

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import ring_graph, sin_problem, square_with_diagonal
 from torusflow import (
     FlowFunction,
+    FlowNetworkProblem,
     InputError,
     cli,
     fundamental_cycle_basis,
@@ -256,6 +257,25 @@ class TestProblemDocuments:
         prob = problem_from_dict(doc)
         assert prob.flow_functions[1].name == "linear"
         assert prob.flow_functions[0] is prob.flow_functions[2]
+
+    def test_per_edge_families_round_trip(self):
+        funcs = (FlowFunction.sin_family(), FlowFunction.linear(2.0), FlowFunction.fourier([1.0, 0.1]))
+        prob = FlowNetworkProblem(graph=ring_graph(3), flow_functions=funcs, p=[0.1, -0.1, 0.0], gamma=1.0)
+        doc = problem_to_dict(prob)
+        assert doc["flow"] == [
+            {"family": "sin"},
+            {"family": "linear", "slope": 2.0},
+            {"family": "custom", "fourier": [1.0, 0.1]},
+        ]
+        again = problem_from_dict(json.loads(dumps_canonical(doc)))
+        assert again.flow_functions == funcs
+        assert problem_to_dict(again) == doc
+
+    def test_non_finite_numbers_rejected(self):
+        # json parses NaN and Infinity.
+        for text in ('{"family": "linear", "slope": NaN}', '{"family": "custom", "fourier": [1.0, Infinity]}'):
+            with pytest.raises(InputError, match="finite"):
+                flow_family_from_dict(json.loads(text))
 
     def test_missing_field(self):
         with pytest.raises(InputError):

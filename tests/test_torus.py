@@ -25,7 +25,6 @@ from torusflow import (
     case_to_problem,
     PolytopeMembershipError,
     PuncturedTorusError,
-    canonical_phases,
     ccw_difference,
     count_feasible_winding_vectors,
     edge_differences,
@@ -36,12 +35,12 @@ from torusflow import (
     minimum_cycle_basis,
     phases_equal_mod_rotation,
     polytope_to_torus,
-    rotate,
     torus_to_polytope,
     winding_blocks,
     winding_cuts,
     winding_number,
     winding_vector,
+    wrap,
 )
 from torusflow.torus import winding_vector_from_differences
 
@@ -84,7 +83,7 @@ class TestEdgeDifferences:
         theta = rng.uniform(-2.5, 2.5, 6) * 0.4
         for s in rng.uniform(-math.pi, math.pi, 10):
             assert np.allclose(
-                edge_differences(g, rotate(theta, s)),
+                edge_differences(g, wrap(theta + s)),
                 edge_differences(g, theta),
                 atol=1e-12,
             )
@@ -140,7 +139,7 @@ class TestWindingVector:
         theta = np.array([0.1, 1.2, -2.0, 2.8])
         u0 = winding_vector(basis, theta)
         for s in rng.uniform(-math.pi, math.pi, 100):
-            assert np.array_equal(winding_vector(basis, rotate(theta, s)), u0)
+            assert np.array_equal(winding_vector(basis, wrap(theta + s)), u0)
 
     def test_integrality_raw_values(self, rng):
         # Kirchhoff angle law: raw windings are integers to 1e-9.
@@ -426,6 +425,6 @@ class TestPolytopeCorrespondence:
 class TestCanonical:
     def test_canonical_phases_range(self, rng):
         theta = rng.uniform(-10, 10, 8)
-        c = canonical_phases(theta)
+        c = wrap(theta)
         assert np.all(c >= -math.pi) and np.all(c < math.pi)
         assert np.allclose(np.mod(c - theta, TWO_PI), 0.0, atol=1e-9)
