@@ -191,6 +191,8 @@ def _make_basis(graph: WeightedGraph, kind: str):
 
 def _cmd_solve(args) -> int:
     problem = _load_problem(args)
+    if not np.isfinite(args.scale):
+        raise InputError(f"--scale must be finite, not {args.scale!r}")
     if args.scale != 1.0:
         problem = problem.with_supply(args.scale * problem.p)
     basis = _make_basis(problem.graph, args.basis) if problem.graph.cycle_space_dim else None

@@ -61,6 +61,13 @@ class PowerCase:
             raise InputError("all voltage magnitudes must be finite and positive, and all powers finite")
         if not all(0.0 < b < math.inf for _, _, b in branches):
             raise InputError("all branch susceptances must be finite and positive")
+        if self.base_mva is not None:
+            try:
+                ok = 0.0 < float(self.base_mva) < math.inf
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise InputError(f"base_mva must be finite and positive, not {self.base_mva!r}")
         p = np.array([pw for _, pw in buses])
         imbalance = float(np.sum(p))
         total_gen = float(np.sum(p[p > 0.0]))

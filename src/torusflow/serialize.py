@@ -186,7 +186,7 @@ def solution_to_dict(sol: Solution, basis: CycleBasis | None = None) -> dict:
         report["contraction_rate"] = sol.iteration.rate
         report["final_step"] = sol.iteration.final_step
     doc = {
-        "u": [int(x) for x in sol.u],
+        "u": sol.u.tolist(),
         "f": sol.f.tolist(),
         "theta": sol.theta.tolist(),
         "report": report,

@@ -50,6 +50,16 @@ def random_connected_graph(rng, n, extra_edges=None):
     return WeightedGraph.from_edges(n, edges, weights)
 
 
+def bridged_blocks():
+    """Three blocks: a pentagon 0..4, a bridge (4, 5), an 8-ring 5..12 with
+    the chord (5, 9), which makes two 5-cycles, and a hexagon 12..17 on the
+    cut vertex 12.  k = 4, in blocks of 1, 2 and 1 cycles; at gamma = 1.4
+    every cycle has windings -1, 0 and 1."""
+    rings = [(0, 1, 2, 3, 4), tuple(range(5, 13)), (12, 13, 14, 15, 16, 17)]
+    edges = [(r[i], r[(i + 1) % len(r)]) for r in rings for i in range(len(r))]
+    return WeightedGraph.from_edges(18, edges + [(4, 5), (5, 9)])
+
+
 def sin_problem(graph, p, gamma):
     return FlowNetworkProblem.single_family(graph, FlowFunction.sin_family(), p, gamma)
 

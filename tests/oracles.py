@@ -327,3 +327,24 @@ def horton_minimum_basis(g):
             prev, cur = cur, step
         cycles.append((tuple(nodes), vector))
     return cycles
+
+
+def cycle_blocks(cycle_matrix) -> set[frozenset[int]]:
+    """The classes of "shares an edge with" over a basis's rows, taken
+    transitively, by a depth-first search over the rows' edge sets: each
+    class as a frozenset of row indices."""
+    edge_sets = [set(np.flatnonzero(row).tolist()) for row in np.asarray(cycle_matrix)]
+    classes, seen = set(), set()
+    for start in range(len(edge_sets)):
+        if start in seen:
+            continue
+        members, stack = {start}, [start]
+        while stack:
+            i = stack.pop()
+            for j, edges in enumerate(edge_sets):
+                if j not in members and edges & edge_sets[i]:
+                    members.add(j)
+                    stack.append(j)
+        seen |= members
+        classes.add(frozenset(members))
+    return classes

@@ -304,8 +304,22 @@ class TestNonFiniteInputs:
 
     @pytest.mark.parametrize("flags", [["--rho", "inf"], ["--rho", "nan"], ["--scale", "nan"], ["--scale", "inf"]])
     def test_solve_flags(self, flags, tmp_path):
-        with np.errstate(invalid="ignore"):  # --scale inf meets p's zeros
-            assert run(["solve", "--case", "pentagon", "--gamma", 1.4, *flags, "--out", tmp_path / "s.json"]) == 1
+        assert run(["solve", "--case", "pentagon", "--gamma", 1.4, *flags, "--out", tmp_path / "s.json"]) == 1
+
+    @pytest.mark.parametrize("scale", ["inf", "nan"])
+    def test_solve_scale_stderr_is_one_line(self, scale):
+        # In its own process, so that a numpy warning would reach stderr: the
+        # scale is refused before it multiplies p, whose zeros inf turns to NaN.
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "torusflow.cli", "solve", "--case", "pentagon", "--gamma", "1.4", "--scale", scale],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"input error: --scale must be finite, not {float(scale)!r}\n"
 
     @pytest.mark.parametrize("field", ["weight", "p"])
     def test_json_document(self, field, pentagon_file, tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import (
+    bridged_blocks,
     complete_graph,
     grid_2x3,
     random_connected_graph,
@@ -522,6 +523,38 @@ class TestCycleSpaceAlgebra:
             basis.gram(np.ones((2, basis.graph.m)))
             assert len(calls) == by_pattern
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_blocks_match_the_edge_sharing_classes(self, seed):
+        # Meshes chained by bridges and cut vertices: several blocks a basis.
+        rng = np.random.default_rng([seed, 24])
+        parts = [random_connected_graph(rng, int(rng.integers(4, 10)), int(rng.integers(1, 6))) for _ in range(4)]
+        n, edges = 0, []
+        for i, part in enumerate(parts):
+            base = n - (i % 2)  # odd parts share their node 0 with the last node; even parts hang by a bridge
+            if i and i % 2 == 0:
+                edges.append((n - 1, n))
+            edges += [(a + base, b + base) for a, b in part.edges]
+            n = base + part.n
+        g = WeightedGraph.from_edges(n, edges)
+        for basis in (fundamental_cycle_basis(g), minimum_cycle_basis(g)):
+            blocks = basis.blocks
+            assert {frozenset(row) for idx in blocks for row in idx.tolist()} == oracles.cycle_blocks(basis.matrix)
+            sizes = [idx.shape[1] for idx in blocks]
+            assert sizes == sorted(set(sizes)) and sum(idx.size for idx in blocks) == basis.size
+            for idx in blocks:
+                assert np.all(np.diff(idx, axis=1) > 0) and np.all(np.diff(idx[:, 0]) > 0)
+
+    def test_block_grams_are_the_gram_diagonal_blocks(self):
+        rng = np.random.default_rng(6)
+        for g in (bridged_blocks(), _seeded_graph(3), _lattice(2, 3)):
+            for basis in (fundamental_cycle_basis(g), minimum_cycle_basis(g)):
+                W = rng.uniform(0.01, 100.0, size=(7, g.m))
+                dense = self._dense_gram(basis, W)
+                for idx, grams in zip(basis.blocks, basis.block_grams(W)):
+                    want = dense[:, idx[:, :, None], idx[:, None, :]]
+                    assert grams.shape == want.shape
+                    assert np.max(np.abs(grams - want)) <= 1e-12 * np.max(np.abs(dense))
+
     def test_weighted_pinv_matches_the_dense_solve(self):
         rng = np.random.default_rng(9)
         bases = list(_library_bases(range(6))) + [minimum_cycle_basis(_lattice(14))]
@@ -614,6 +647,12 @@ class TestCycleProjection:
     def test_weight_error(self):
         with pytest.raises(WeightError):
             cycle_projection(triangle(), [1.0, -1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight_error(self, bad):
+        # Refused, rather than turned into an all-NaN projection.
+        with pytest.raises(WeightError, match="finite"):
+            cycle_projection(triangle(), [1.0, bad, 1.0])
 
     def test_eigenvalues_zero_one(self, rng):
         g = random_connected_graph(rng, 7)

@@ -14,6 +14,8 @@ import torusflow.flows as flows
 from torusflow import serialize
 from conftest import (
     balanced_vector,
+    bridged_blocks,
+    complete_graph,
     lattice_with_detours,
     random_connected_graph,
     ring_graph,
@@ -737,3 +739,64 @@ def test_stacked_contraction_flag_matches_step_pairs(seed, n, extra):
     for record in (verdicts, tampered):
         flags = [it.contraction_verified for it in record]
         assert flags == [_steps_contract(record.rate, it.weighted_steps) for it in record]
+
+
+def _block_cases():
+    """expo(3) on both bases (three 1-cycle blocks), the bridged mesh (blocks
+    of 1, 2 and 1 cycles) and K5, one block of six cycles."""
+    expo = case_to_problem(builtin_case("expo(3)"), 1.4)
+    bridged = sin_problem(bridged_blocks(), balanced_vector(np.random.default_rng(3), 18, 0.1), 1.4)
+    one = sin_problem(complete_graph(5), balanced_vector(np.random.default_rng(4), 5, 0.1), 1.4)
+    return {
+        "expo3-fundamental": (expo, fundamental_cycle_basis(expo.graph)),
+        "expo3-minimum": (expo, minimum_cycle_basis(expo.graph)),
+        "bridged": (bridged, fundamental_cycle_basis(bridged.graph)),
+        "one-block": (one, fundamental_cycle_basis(one.graph)),
+    }
+
+
+@pytest.mark.parametrize("height", [1, 2, 7, 64, 256])
+@pytest.mark.parametrize("case", ["expo3-fundamental", "expo3-minimum", "bridged", "one-block"])
+def test_block_newton_steps_match_the_dense_solve(case, height, monkeypatch):
+    problem, basis = _block_cases()[case]
+    C = basis.matrix
+    rng = np.random.default_rng([height, 24])
+    w = problem.inverse_slopes(rng.uniform(-problem.gamma, problem.gamma, size=(height, basis.graph.m)))
+    G = rng.normal(size=(height, basis.size))
+    dense = np.linalg.solve((C * w[:, None, :]) @ C.T, G[:, :, None])[:, :, 0] @ C
+    by_blocks = flows._newton_coordinates(basis, w, G, True) @ C
+    assert np.max(np.abs(by_blocks - dense)) <= 1e-12 * max(1.0, np.max(np.abs(dense)))
+    # Every step of a stacked solve, with the block path forced on and off.
+    box = np.array(list(feasible_winding_vectors(basis, problem.gamma)))
+    U = box[np.arange(height) % len(box)]
+    runs = []
+    for on in (True, False):
+        monkeypatch.setattr(flows, "_solves_by_blocks", lambda basis, rows: on)
+        runs.append(decide_cells(problem, basis, U))
+    (f_on, on), (f_off, off) = runs
+    assert np.max(np.abs(f_on - f_off)) <= 1e-12
+    assert np.array_equal(on.feasible, off.feasible) and np.array_equal(on.iterations, off.iterations)
+    assert np.allclose(on.steps, off.steps, rtol=0.0, atol=1e-12, equal_nan=True)
+
+
+@pytest.mark.parametrize("case", ["expo3-fundamental", "expo3-minimum", "bridged"])
+def test_block_path_keeps_the_solution_bytes(case, monkeypatch):
+    problem, basis = _block_cases()[case]
+    docs = []
+    for on in (True, False):
+        monkeypatch.setattr(flows, "_solves_by_blocks", lambda basis, rows: on)
+        solutions = solve_all(problem, basis=basis)
+        docs.append(serialize.dumps_canonical([serialize.solution_to_dict(s, basis) for s in solutions]))
+    assert len(json.loads(docs[0])) > 1 and docs[0] == docs[1]
+
+
+def test_block_rule():
+    # A one-row stack never forms the partition; expo and the bridged mesh
+    # go by blocks from BLOCK_MIN_ROWS rows; a one-block basis never does.
+    cases = _block_cases()
+    lattice = minimum_cycle_basis(lattice_with_detours())
+    assert not flows._solves_by_blocks(lattice, 1) and "blocks" not in vars(lattice)
+    for name, by_blocks in [("expo3-fundamental", True), ("expo3-minimum", True), ("bridged", True), ("one-block", False)]:
+        basis = cases[name][1]
+        assert not flows._solves_by_blocks(basis, flows.BLOCK_MIN_ROWS - 1)
+        assert flows._solves_by_blocks(basis, flows.BLOCK_MIN_ROWS) == by_blocks

@@ -75,6 +75,17 @@ class TestPowerCase:
         with pytest.raises(InputError, match="finite"):
             PowerCase(buses=buses, branches=branches)
 
+    @pytest.mark.parametrize("base_mva", [math.nan, math.inf, 0.0, -100.0, "abc"])
+    def test_bad_base_mva_rejected(self, base_mva):
+        # Each would mislead without an error: NaN makes the supply NaN, inf
+        # zeroes it, 0 reads as per-unit and a negative base flips every sign.
+        # from_dict builds through the same check.
+        with pytest.raises(InputError, match="base_mva"):
+            PowerCase(buses=((1.0, 50.0), (1.0, -50.0)), branches=((0, 1, 1.0),), base_mva=base_mva)
+        doc = {"buses": [{"v": 1.0, "p": 50.0}, {"v": 1.0, "p": -50.0}], "branches": [[0, 1, 1.0]], "base_mva": base_mva}
+        with pytest.raises(InputError, match="base_mva"):
+            PowerCase.from_dict(doc)
+
     def test_bad_voltage_rejected(self):
         with pytest.raises(InputError):
             PowerCase(buses=((0.0, 0.0), (1.0, 0.0)), branches=((0, 1, 1.0),))

@@ -298,6 +298,7 @@ class TestSolutionDocuments:
         basis = fundamental_cycle_basis(prob.graph)
         sol = solve_all(prob)[2]
         doc = solution_to_dict(sol, basis)
+        assert doc["u"] == [1] and type(doc["u"][0]) is int
         u, f, theta = solution_from_dict(doc)
         assert np.array_equal(u, sol.u)
         assert np.array_equal(f, sol.f)
