@@ -44,23 +44,16 @@ FEASIBILITY_SLACK = 1e-9
 DEFAULT_RHO = 1e-10
 TIGHT_RHO = 1e-15  # below any reachable bound: a solve to the rounding floor
 CERT_GRID = 1001
-# `decide_cells` solves its Newton Hessians block by block (`_solves_by_blocks`)
-# only for a stack of at least BLOCK_MIN_ROWS rows: below that, gathering and
-# scattering each block size costs about what the smaller products save.  With
-# one BLAS thread (2-core x86_64, numpy 2.4.6), on k = 6 bases of blocks
-# (1, 5), (2, 4) or (1, 1, 4), a 32-row stack took 38-63 us by blocks against
-# 37-39 us dense, and 243 rows 182-263 us against 233-236 us.  An all-1-cycle
-# basis is faster by blocks at any height (6 against 10 us at one row), but
-# the check stays one comparison: a one-row solve never forms the partition.
-BLOCK_MIN_ROWS = 64
-# numpy's batched LAPACK solve costs about 0.8 us per matrix beyond its
-# arithmetic, as much as 2,400 multiply-adds of a stacked product (0.33 ns
-# each).  So splitting a basis's Hessian into n > 1 blocks of two or more
-# cycles pays only when it saves more than (n - 1) times that many: at 243
-# rows, blocks (3, 3) on 24 edges took 584 us against 330 us dense, and
-# (6, 6) on 48 edges 564 us against 779 us.  (Timings of this paragraph and
-# the last on random +-1 cycle rows over disjoint edge sets, best of 5.)
-BLOCK_SOLVE_COST = 2400
+# `decide_cells` divides by diagonal Hessians (`_newton_coordinates`) only in
+# a stack of at least DIAGONAL_MIN_ROWS rows.  The division beats the stacked
+# Gram and LAPACK solve at any height (one BLAS thread, 2-core x86_64: on
+# expo(5), 3 against 15 us a step at one row, 9 against 234 us at 243), but
+# its diagonal w @ (C * C)^T sums in another order than `gram`'s product, so
+# it can move a Newton step's last bit, and a solve that ends on a zero step
+# by an ulp.  Short stacks, where a step saves at most about 12 us, keep the
+# dense path and its bits; on expo(n), tall stacks give the same output
+# bytes either way.
+DIAGONAL_MIN_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -538,34 +531,15 @@ def _map_step(problem, basis, inverse, F, twopi_u):
     return delta, grad, step, problem.map_norm(step)
 
 
-def _solves_by_blocks(basis: CycleBasis, rows: int) -> bool:
-    """Whether `decide_cells` solves a stack of `rows` Newton systems block by
-    block: for a stack of at least BLOCK_MIN_ROWS rows, when the per-row
-    multiply-adds the blocks save, (k^2 - sum of size^2) m, are positive (a
-    one-block basis saves none) and exceed BLOCK_SOLVE_COST per LAPACK solve
-    beyond the first."""
-    if rows < BLOCK_MIN_ROWS:
-        return False
-    blocks = basis.blocks
-    solves = sum(len(idx) for idx in blocks if idx.shape[1] > 1)
-    saved = (basis.size**2 - sum(idx.size * idx.shape[1] for idx in blocks)) * basis.graph.m
-    return saved > max(0, (solves - 1) * BLOCK_SOLVE_COST)
-
-
-def _newton_coordinates(basis: CycleBasis, w: np.ndarray, G: np.ndarray, by_blocks: bool) -> np.ndarray:
+def _newton_coordinates(basis: CycleBasis, w: np.ndarray, G: np.ndarray, diagonal: bool) -> np.ndarray:
     """x = H^{-1} g for each row g of the (B, k) stack G, H = C diag(w) C^T of
-    the matching row of the (B, m) stack w.  Dense, one stacked k x k solve;
-    or by blocks, a division per 1-cycle block and one stacked solve per
-    larger block size."""
-    if not by_blocks:
-        return np.linalg.solve(basis.gram(w), G[:, :, None])[:, :, 0]
-    x = np.empty_like(G)
-    for idx, hessians in zip(basis.blocks, basis.block_grams(w)):
-        if idx.shape[1] == 1:
-            x[:, idx[:, 0]] = G[:, idx[:, 0]] / hessians[:, :, 0, 0]
-        else:
-            x[:, idx] = np.linalg.solve(hessians, G[:, idx][..., None])[..., 0]
-    return x
+    the matching row of the (B, m) stack w: one stacked k x k solve, or, with
+    `diagonal` on a basis whose cycles share no edge (`basis.disjoint`), one
+    division by H's diagonal."""
+    if diagonal:
+        C = basis.matrix
+        return G / (w @ (C * C).T)
+    return np.linalg.solve(basis.gram(w), G[:, :, None])[:, :, 0]
 
 
 def _step_budget(rate: float, ratio) -> np.ndarray:
@@ -643,17 +617,15 @@ def decide_cells(
     taken with `basis`, formed once per call) minimises the strictly convex
     loop-flow potential Psi_u(c), whose gradient is
     g = C h_gamma^{-1}(A^{-1} f) - 2pi u and whose Hessian is
-    C diag(1 / (a h'(clip(delta)))) C^T.  A cycle shares no edge with a
-    cycle of another of `basis.blocks`, so each Hessian is block-diagonal by
-    them.  When `_solves_by_blocks` says so for the stack, a step assembles
-    them block by block (`basis.block_grams`): a 1-cycle block's Newton
-    coordinate is one division, and each larger block size takes one
-    stacked solve.  Otherwise the Hessians come from one `basis.gram` call
-    per step, and a step solves each k x k system.  The T_u step of a row
-    with gradient g is `_map_step`'s g K^T = (g M^{-1}) C, with the k x k
-    inverse M^{-1} of `_map_inverse` taken once per call: with one Lmin on
-    every edge, the start flow's inverse scaled, so one k x k inverse
-    serves both.  A Newton point f - t N (t = 1, 1/2, 1/4, ...
+    C diag(1 / (a h'(clip(delta)))) C^T.  The stack's Hessians come from one
+    `basis.gram` call per step, and a step solves each k x k system; in a
+    stack of at least DIAGONAL_MIN_ROWS rows on a basis whose cycles share
+    no edge (`basis.disjoint`, as on expo(n)), a step divides by each
+    Hessian's diagonal instead (`_newton_coordinates`).  The
+    T_u step of a row with gradient g is `_map_step`'s g K^T = (g M^{-1}) C,
+    with the k x k inverse M^{-1} of `_map_inverse` taken once per call: with one
+    Lmin on every edge, the start flow's inverse scaled, so one k x k
+    inverse serves both.  A Newton point f - t N (t = 1, 1/2, 1/4, ...
     while t >= 1 - rate) is taken when its T_u step is at most `rate` times
     the current one in the `map_norm`; failing that the plain T_u step is,
     so no step contracts less than T_u does.
@@ -672,10 +644,10 @@ def decide_cells(
     nor infeasible is undecided.  `iterations` counts the steps taken.
 
     Every row runs exactly this per-cell solve; the rows only share their
-    array operations (per step, one stacked Hessian solve, or one per block
-    size), and a row leaves the stack when its verdict is final.  Its
-    results are stored in the record's arrays as it leaves, and the step
-    history grows by one column per step.
+    array operations (one stacked Hessian solve or division per step), and
+    a row leaves the stack when its verdict is final.  Its results are
+    stored in the record's arrays as it leaves, and the step history grows
+    by one column per step.
     """
     if not rho > 0.0:
         raise InputError("rho must be positive")
@@ -715,7 +687,7 @@ def decide_cells(
         budget = _step_budget(rate, TIGHT_RHO / (d * to_bound))
     first_limit = 2 * int(budget.min()) if rows.size else 0
     floor = np.zeros(rows.size, dtype=bool)
-    by_blocks = _solves_by_blocks(basis, rows.size)
+    diagonal = rows.size >= DIAGONAL_MIN_ROWS and basis.disjoint
 
     def finish(leave, bound, ok):
         """Record the stack rows in the mask `leave`, with their verdicts at f
@@ -752,7 +724,7 @@ def decide_cells(
                 f"Newton solve exceeded 2x its budget of {budget[i]} steps "
                 f"(certified distance {bound[i]:.3e})"
             )
-        newton = _newton_coordinates(basis, problem.inverse_slopes(D), G, by_blocks) @ C
+        newton = _newton_coordinates(basis, problem.inverse_slopes(D), G, diagonal) @ C
         trial = F - newton
         state = _map_step(problem, basis, inverse, trial, twopi_u)
         pending = (state[3] > rate * d).nonzero()[0]

@@ -326,7 +326,9 @@ class CycleBasis:
         and cycles i != j share an edge exactly when (i, j) has one."""
         C = self.matrix
         k, m = C.shape
-        nonzero = self._nonzeros_by_edge
+        values = C.ravel()
+        nonzero = np.flatnonzero(values != 0.0)
+        nonzero = nonzero[np.argsort(nonzero % m, kind="stable")]  # by edge, then by cycle
         cycle, edge = np.divmod(nonzero, m)
         # Nonzero a pairs with the count[a] nonzeros of its edge, from that
         # edge's first one, first[a]; its block of pairs starts at start[a].
@@ -335,14 +337,8 @@ class CycleBasis:
         start = np.cumsum(count) - count
         a = np.repeat(np.arange(edge.size), count)
         b = np.arange(a.size) - np.repeat(start - first, count)
-        coef = C.ravel()[nonzero]
+        coef = values[nonzero]
         return cycle[a] * k + cycle[b], edge[a], coef[a] * coef[b]
-
-    @cached_property
-    def _nonzeros_by_edge(self) -> np.ndarray:
-        """The flat indices i m + e of C's nonzeros, by edge e, then by cycle i."""
-        nonzero = np.flatnonzero(self.matrix.ravel() != 0.0)
-        return nonzero[np.argsort(nonzero % self.graph.m, kind="stable")]
 
     def gram(self, w: np.ndarray) -> np.ndarray:
         """C diag(w) C^T for a float weight vector w, or one per row of a
@@ -375,59 +371,12 @@ class CycleBasis:
         return GRAM_PATTERN_RATIO * sum(self.lengths) <= work and GRAM_PATTERN_RATIO * self.edge_pairs[0].size <= work
 
     @cached_property
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        """The cycles split into blocks, the classes of "shares an edge with"
-        taken transitively, grouped by block size: one (count, size) array
-        of cycle indices per size, in increasing size, with each block's
-        cycles ascending and the blocks in order of their first cycle.
-
-        A simple cycle lies inside one biconnected block of the graph
-        (Hopcroft & Tarjan, CACM 1973), and so does each of these classes.
-        C diag(w) C^T is block-diagonal by them: `block_grams`.
-        """
-        cycle, edge = np.divmod(self._nonzeros_by_edge, self.graph.m)
-        same = edge[1:] == edge[:-1]
-        a, b = cycle[:-1][same], cycle[1:][same]  # pairs of cycles on one edge
-        # Union-find on whole arrays: each round hooks every root that meets a
-        # smaller root onto the least one it meets, then points every cycle
-        # at its root.  Roots only decrease, so the rounds end, with each
-        # class's root at its first cycle.
-        root = np.arange(self.size)
-        while ((ra := root[a]) != (rb := root[b])).any():
-            np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
-            while ((up := root[root]) != root).any():
-                root = up
-        members = np.argsort(root, kind="stable")  # by class, then ascending
-        size = np.bincount(root)[root[members]]
-        return tuple(members[size == s].reshape(-1, s) for s in sorted(set(size.tolist())))
-
-    @cached_property
-    def _block_supports(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per entry of `blocks`: the (count, L) edges of each block, the
-        ones its cycles use first, in edge order, then unused ones up to the
-        group's largest L, and C's (count, size, L) entries on them, which
-        are 0 on the unused edges."""
-        supports = []
-        for idx in self.blocks:
-            rows = self.matrix[idx]
-            used = (rows != 0.0).any(axis=1)
-            edges = np.argsort(~used, axis=1, kind="stable")[:, : used.sum(axis=1).max()]
-            supports.append((edges, np.take_along_axis(rows, edges[:, None, :], axis=2)))
-        return tuple(supports)
-
-    def block_grams(self, w: np.ndarray) -> list[np.ndarray]:
-        """C diag(w) C^T block by block for a (B, m) float stack w: per entry
-        of `blocks`, a (B, count, size, size) stack of diagonal blocks.  A
-        1-cycle block's is the sum of w over the cycle's edges; a larger
-        block's is the stacked product on its own edges."""
-        grams = []
-        for edges, local in self._block_supports:
-            part = w[:, edges]
-            if local.shape[1] == 1:
-                grams.append((part * (local[:, 0] * local[:, 0])).sum(axis=-1)[..., None, None])
-            else:
-                grams.append((local * part[:, :, None, :]) @ local.swapaxes(-1, -2))
-        return grams
+    def disjoint(self) -> bool:
+        """Whether no two cycles share an edge, so that every C diag(w) C^T
+        is diagonal, with the sums of w over each cycle's edges on it.  Such
+        cycles' lengths sum to at most m, so a basis whose lengths sum to
+        more is decided without looking at C."""
+        return sum(self.lengths) <= self.graph.m and bool(np.all(np.count_nonzero(self.matrix, axis=0) <= 1))
 
     @cached_property
     def weighted_gram_inverse(self) -> np.ndarray:

@@ -329,22 +329,8 @@ def horton_minimum_basis(g):
     return cycles
 
 
-def cycle_blocks(cycle_matrix) -> set[frozenset[int]]:
-    """The classes of "shares an edge with" over a basis's rows, taken
-    transitively, by a depth-first search over the rows' edge sets: each
-    class as a frozenset of row indices."""
+def cycles_share_an_edge(cycle_matrix) -> bool:
+    """Whether two rows of a basis's cycle matrix both use some edge, by
+    intersecting the rows' edge sets pair by pair."""
     edge_sets = [set(np.flatnonzero(row).tolist()) for row in np.asarray(cycle_matrix)]
-    classes, seen = set(), set()
-    for start in range(len(edge_sets)):
-        if start in seen:
-            continue
-        members, stack = {start}, [start]
-        while stack:
-            i = stack.pop()
-            for j, edges in enumerate(edge_sets):
-                if j not in members and edges & edge_sets[i]:
-                    members.add(j)
-                    stack.append(j)
-        seen |= members
-        classes.add(frozenset(members))
-    return classes
+    return any(a & b for i, a in enumerate(edge_sets) for b in edge_sets[i + 1 :])

@@ -524,10 +524,12 @@ class TestCycleSpaceAlgebra:
             assert len(calls) == by_pattern
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_blocks_match_the_edge_sharing_classes(self, seed):
-        # Meshes chained by bridges and cut vertices: several blocks a basis.
+    def test_disjoint_matches_the_oracle(self, seed):
+        # Random meshes chained by bridges and cut vertices.  On odd seeds
+        # each mesh has one cycle, so no two basis cycles share an edge.
         rng = np.random.default_rng([seed, 24])
-        parts = [random_connected_graph(rng, int(rng.integers(4, 10)), int(rng.integers(1, 6))) for _ in range(4)]
+        extra = [1] * 4 if seed % 2 else [2, *rng.integers(1, 6, size=3).tolist()]
+        parts = [random_connected_graph(rng, int(rng.integers(4, 10)), e) for e in extra]
         n, edges = 0, []
         for i, part in enumerate(parts):
             base = n - (i % 2)  # odd parts share their node 0 with the last node; even parts hang by a bridge
@@ -537,23 +539,22 @@ class TestCycleSpaceAlgebra:
             n = base + part.n
         g = WeightedGraph.from_edges(n, edges)
         for basis in (fundamental_cycle_basis(g), minimum_cycle_basis(g)):
-            blocks = basis.blocks
-            assert {frozenset(row) for idx in blocks for row in idx.tolist()} == oracles.cycle_blocks(basis.matrix)
-            sizes = [idx.shape[1] for idx in blocks]
-            assert sizes == sorted(set(sizes)) and sum(idx.size for idx in blocks) == basis.size
-            for idx in blocks:
-                assert np.all(np.diff(idx, axis=1) > 0) and np.all(np.diff(idx[:, 0]) > 0)
+            assert basis.disjoint is (not oracles.cycles_share_an_edge(basis.matrix)) is bool(seed % 2)
 
-    def test_block_grams_are_the_gram_diagonal_blocks(self):
-        rng = np.random.default_rng(6)
-        for g in (bridged_blocks(), _seeded_graph(3), _lattice(2, 3)):
-            for basis in (fundamental_cycle_basis(g), minimum_cycle_basis(g)):
-                W = rng.uniform(0.01, 100.0, size=(7, g.m))
-                dense = self._dense_gram(basis, W)
-                for idx, grams in zip(basis.blocks, basis.block_grams(W)):
-                    want = dense[:, idx[:, :, None], idx[:, None, :]]
-                    assert grams.shape == want.shape
-                    assert np.max(np.abs(grams - want)) <= 1e-12 * np.max(np.abs(dense))
+    def test_disjoint_reads_the_lengths_first(self, monkeypatch):
+        # A 14 x 14 lattice with a pentagon hung on a bridge: k = 170 cycles
+        # whose lengths sum past m, so the answer needs no look at C.
+        lattice = _lattice(14)
+        pentagon = [(196 + i, 196 + (i + 1) % 5) for i in range(5)]
+        g = WeightedGraph.from_edges(201, list(lattice.edges) + [(195, 196)] + pentagon)
+        bases = (fundamental_cycle_basis(g), minimum_cycle_basis(g))
+        monkeypatch.setattr(np, "count_nonzero", None)
+        for basis in bases:
+            assert basis.size == 170 and not basis.disjoint
+        monkeypatch.undo()
+        # Here the lengths sum to m, so C is read: two cycles share the chord.
+        basis = minimum_cycle_basis(bridged_blocks())
+        assert sum(basis.lengths) == basis.graph.m and not basis.disjoint
 
     def test_weighted_pinv_matches_the_dense_solve(self):
         rng = np.random.default_rng(9)

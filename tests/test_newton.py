@@ -741,9 +741,9 @@ def test_stacked_contraction_flag_matches_step_pairs(seed, n, extra):
         assert flags == [_steps_contract(record.rate, it.weighted_steps) for it in record]
 
 
-def _block_cases():
-    """expo(3) on both bases (three 1-cycle blocks), the bridged mesh (blocks
-    of 1, 2 and 1 cycles) and K5, one block of six cycles."""
+def _disjoint_cases():
+    """expo(3) on both bases (three pentagons that share no edge), the
+    bridged mesh (two of its four cycles share the chord) and K5."""
     expo = case_to_problem(builtin_case("expo(3)"), 1.4)
     bridged = sin_problem(bridged_blocks(), balanced_vector(np.random.default_rng(3), 18, 0.1), 1.4)
     one = sin_problem(complete_graph(5), balanced_vector(np.random.default_rng(4), 5, 0.1), 1.4)
@@ -757,46 +757,43 @@ def _block_cases():
 
 @pytest.mark.parametrize("height", [1, 2, 7, 64, 256])
 @pytest.mark.parametrize("case", ["expo3-fundamental", "expo3-minimum", "bridged", "one-block"])
-def test_block_newton_steps_match_the_dense_solve(case, height, monkeypatch):
-    problem, basis = _block_cases()[case]
+def test_newton_steps_match_the_dense_solve(case, height, monkeypatch):
+    problem, basis = _disjoint_cases()[case]
+    assert basis.disjoint is case.startswith("expo")
     C = basis.matrix
     rng = np.random.default_rng([height, 24])
     w = problem.inverse_slopes(rng.uniform(-problem.gamma, problem.gamma, size=(height, basis.graph.m)))
     G = rng.normal(size=(height, basis.size))
     dense = np.linalg.solve((C * w[:, None, :]) @ C.T, G[:, :, None])[:, :, 0] @ C
-    by_blocks = flows._newton_coordinates(basis, w, G, True) @ C
-    assert np.max(np.abs(by_blocks - dense)) <= 1e-12 * max(1.0, np.max(np.abs(dense)))
-    # Every step of a stacked solve, with the block path forced on and off.
+    steps = flows._newton_coordinates(basis, w, G, basis.disjoint) @ C
+    assert np.max(np.abs(steps - dense)) <= 1e-12 * max(1.0, np.max(np.abs(dense)))
+    # Every step of a stacked solve, with the division forced on at any
+    # height, and off.
     box = np.array(list(feasible_winding_vectors(basis, problem.gamma)))
     U = box[np.arange(height) % len(box)]
-    runs = []
-    for on in (True, False):
-        monkeypatch.setattr(flows, "_solves_by_blocks", lambda basis, rows: on)
-        runs.append(decide_cells(problem, basis, U))
-    (f_on, on), (f_off, off) = runs
+    monkeypatch.setattr(flows, "DIAGONAL_MIN_ROWS", 1)
+    f_on, on = decide_cells(problem, basis, U)
+    monkeypatch.setitem(vars(basis), "disjoint", False)
+    f_off, off = decide_cells(problem, basis, U)
     assert np.max(np.abs(f_on - f_off)) <= 1e-12
     assert np.array_equal(on.feasible, off.feasible) and np.array_equal(on.iterations, off.iterations)
     assert np.allclose(on.steps, off.steps, rtol=0.0, atol=1e-12, equal_nan=True)
 
 
-@pytest.mark.parametrize("case", ["expo3-fundamental", "expo3-minimum", "bridged"])
-def test_block_path_keeps_the_solution_bytes(case, monkeypatch):
-    problem, basis = _block_cases()[case]
+@pytest.mark.parametrize("case", ["expo3-fundamental", "expo3-minimum"])
+def test_diagonal_newton_keeps_the_solution_bytes(case, monkeypatch):
+    problem, basis = _disjoint_cases()[case]
     docs = []
-    for on in (True, False):
-        monkeypatch.setattr(flows, "_solves_by_blocks", lambda basis, rows: on)
+    for min_rows in (1, flows.DIAGONAL_MIN_ROWS):  # expo(3)'s box is one stack of 27 rows
+        monkeypatch.setattr(flows, "DIAGONAL_MIN_ROWS", min_rows)
         solutions = solve_all(problem, basis=basis)
         docs.append(serialize.dumps_canonical([serialize.solution_to_dict(s, basis) for s in solutions]))
     assert len(json.loads(docs[0])) > 1 and docs[0] == docs[1]
 
 
-def test_block_rule():
-    # A one-row stack never forms the partition; expo and the bridged mesh
-    # go by blocks from BLOCK_MIN_ROWS rows; a one-block basis never does.
-    cases = _block_cases()
-    lattice = minimum_cycle_basis(lattice_with_detours())
-    assert not flows._solves_by_blocks(lattice, 1) and "blocks" not in vars(lattice)
-    for name, by_blocks in [("expo3-fundamental", True), ("expo3-minimum", True), ("bridged", True), ("one-block", False)]:
-        basis = cases[name][1]
-        assert not flows._solves_by_blocks(basis, flows.BLOCK_MIN_ROWS - 1)
-        assert flows._solves_by_blocks(basis, flows.BLOCK_MIN_ROWS) == by_blocks
+def test_short_stacks_never_read_the_disjoint_check():
+    # The lattice's one-cell solve pays one comparison for the division rule.
+    problem = sin_problem(lattice_with_detours(), np.zeros(lattice_with_detours().n), 1.4)
+    basis = minimum_cycle_basis(problem.graph)
+    decide_cells(problem, basis, np.zeros((flows.DIAGONAL_MIN_ROWS - 1, basis.size), dtype=np.int64))
+    assert "disjoint" not in vars(basis)
