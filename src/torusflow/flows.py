@@ -619,9 +619,10 @@ def decide_cells(
     g = C h_gamma^{-1}(A^{-1} f) - 2pi u and whose Hessian is
     C diag(1 / (a h'(clip(delta)))) C^T.  The stack's Hessians come from one
     `basis.gram` call per step, and a step solves each k x k system; in a
-    stack of at least DIAGONAL_MIN_ROWS rows on a basis whose cycles share
-    no edge (`basis.disjoint`, as on expo(n)), a step divides by each
-    Hessian's diagonal instead (`_newton_coordinates`).  The
+    call of at least DIAGONAL_MIN_ROWS rows on a basis whose cycles share
+    no edge (`basis.disjoint`, as on expo(n)), every step divides by each
+    Hessian's diagonal instead (`_newton_coordinates`), also once rows
+    have left the stack.  The
     T_u step of a row with gradient g is `_map_step`'s g K^T = (g M^{-1}) C,
     with the k x k inverse M^{-1} of `_map_inverse` taken once per call: with one
     Lmin on every edge, the start flow's inverse scaled, so one k x k
