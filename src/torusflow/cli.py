@@ -207,7 +207,7 @@ def _cmd_solve(args) -> int:
             "rho": args.rho,
             "basis": serialize.basis_to_dict(basis) if basis is not None else None,
             "solution_count": len(solutions),
-            "solutions": [serialize.solution_to_dict(s, basis) for s in solutions],
+            "solutions": serialize.solution_rows(solutions, basis),
         }
         text = serialize.dumps_canonical(doc)
     _write(text, args.out)
@@ -347,13 +347,16 @@ def _cmd_check(args) -> int:
     u, f, theta = serialize.solution_from_dict(
         json.loads(Path(args.solution).read_text())
     )
-    basis = (
-        _make_basis(problem.graph, args.basis)
-        if problem.graph.cycle_space_dim > 0
-        else None
-    )
-    if basis is not None and u.shape != (basis.size,):
-        raise InputError("winding vector length does not match the basis")
+    if f.shape != (problem.graph.m,):
+        raise InputError("flow length does not match the graph")
+    if problem.graph.cycle_space_dim > 0:
+        basis = _make_basis(problem.graph, args.basis)
+        if u.shape != (basis.size,):
+            raise InputError("winding vector length does not match the basis")
+    else:
+        basis = None
+        if u.size:
+            raise InputError("an acyclic graph has no cycles: its winding vector must be empty")
     report = verify_solution(problem, basis, f, theta, u)
     flagged = report.failures()
     doc = {

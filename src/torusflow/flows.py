@@ -902,9 +902,10 @@ def solve_all(
     have their phases recovered by one `recover_cells` call; the rows of
     empty cells are dropped, and the rest are certified by one
     `verify_cells` call, each row from its own flow and phases.  The first
-    failed certificate in box order raises; each solution gets its own
-    arrays and report, in box order.  A block with no feasible row skips
-    both calls.
+    failed certificate in box order raises.  The solutions come in box
+    order: their f and theta are rows of the block's (solutions, m) and
+    (solutions, n) arrays, which hold nothing else, and each u is an array
+    of its own.  A block with no feasible row skips both calls.
     """
     if not 0.0 < rho < math.inf:
         raise InputError("rho must be finite and positive")
@@ -937,12 +938,13 @@ def solve_all(
         thetas, empty = recover_cells(problem, basis, U[rows], flows[rows])
         # A row of an empty cell admits no integer cycle shift: no solution.
         rows, thetas = rows[~empty], thetas[~empty]
-        reports = verify_cells(problem, basis, flows[rows], thetas, U[rows])
-        for r, theta, report in zip(rows.tolist(), thetas, reports):
-            u = U[r].copy()
+        F, U_rows = flows[rows], U[rows]
+        reports = verify_cells(problem, basis, F, thetas, U_rows)
+        for u, report in zip(U_rows, reports):
             if report.failures():
                 raise TorusFlowError(f"certification failed for winding vector {u.tolist()}: {report}")
-            solutions.append(Solution(f=flows[r].copy(), theta=theta.copy(), u=u, report=report, iteration=verdicts[r]))
+        iterations = map(verdicts.__getitem__, rows.tolist())
+        solutions += map(Solution, F, thetas, map(np.ndarray.copy, U_rows), reports, iterations)
     return solutions
 
 

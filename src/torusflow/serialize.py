@@ -3,14 +3,19 @@
 Documents are written by a small recursive writer whose bytes equal the
 standard encoder's, `json.dumps(obj, indent=2)`, plus a newline: it joins
 each list of plain floats or ints with one `str.join` instead of one
-encoder step per number.  Floats, in JSON and CSV alike, are Python's
-shortest round-trip text, so they read back to the same double and
+encoder step per number.  The solutions of a solve document go in as one
+`solution_rows` value, written with one %-template per solution instead of
+one recursive walk per solution.  Floats, in JSON and CSV alike, are
+Python's shortest round-trip text, so they read back to the same double and
 identical inputs produce byte-identical reports; non-finite floats are
 spelled NaN, Infinity and -Infinity.
 """
 from __future__ import annotations
 
+import functools
 import json
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any
 
 import numpy as np
@@ -21,8 +26,12 @@ from .graphs import CycleBasis, WeightedGraph
 
 
 def _numpy_to_python(obj: Any) -> Any:
+    """The plain value of a numpy array or scalar, or the list of solution
+    documents of a `solution_rows` value: the standard encoder's `default`."""
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
+    if isinstance(obj, _SolutionRows):
+        return [solution_to_dict(s, obj.basis) for s in obj.solutions]
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
@@ -84,14 +93,73 @@ def _write(obj: Any, indent: str) -> str:
         inner = indent + "  "
         body = (",\n" + inner).join([_encode_str(k) + ": " + _write(v, inner) for k, v in obj.items()])
         return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(obj, _SolutionRows):
+        return _write_rows(obj, indent)
     return _write(_numpy_to_python(obj), indent)
+
+
+def _template(obj: Any, indent: str) -> str:
+    """The text of a solution document obj nested at `indent`, as `_write`
+    lays it out, with a %s slot for each scalar and for each item of a flat
+    list; strings, keys among them, are literal text with % escaped."""
+    if isinstance(obj, str):
+        return _encode_str(obj).replace("%", "%%")
+    inner = indent + "  "
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        return "[\n" + inner + (",\n" + inner).join(["%s"] * len(obj)) + "\n" + indent + "]"
+    if isinstance(obj, dict):
+        body = (",\n" + inner).join(
+            [_template(k, inner) + ": " + _template(v, inner) for k, v in obj.items()]
+        )
+        return "{\n" + inner + body + "\n" + indent + "}"
+    return "%s"
+
+
+def _write_rows(rows: _SolutionRows, indent: str) -> str:
+    """`_write` of `solution_to_dict(s, rows.basis)` for each solution s, as
+    one list: each solution fills the slots of one template, made from the
+    first solution's document, with its u, f, theta and report values.  A
+    solution whose document has another layout, or that holds a NaN or an
+    infinity (a %s slot spells those with an "n"), is walked by `_write`,
+    and so is a lone solution, for which making the template costs more
+    than the walk."""
+    if len(rows.solutions) < 2:
+        return _write([solution_to_dict(s, rows.basis) for s in rows.solutions], indent)
+    inner = indent + "  "
+    first = rows.solutions[0]
+    template = _template(solution_to_dict(first, rows.basis), inner)
+    letters_n = template.count("n")
+    keys, report_values = _report_layout(first.iteration is not None)
+    at_boundary = keys.index("boundary")
+    layout = (first.u.shape, first.f.shape, first.theta.shape, first.iteration is None)
+    texts = []
+    for s in rows.solutions:
+        if (s.u.shape, s.f.shape, s.theta.shape, s.iteration is None) == layout:
+            report = report_values(s)
+            text = template % (
+                *s.u.tolist(),
+                *s.f.tolist(),
+                *s.theta.tolist(),
+                *report[:at_boundary],
+                _SCALARS[bool](report[at_boundary]),
+                *report[at_boundary + 1 :],
+            )
+            if text.count("n") == letters_n:
+                texts.append(text)
+                continue
+        texts.append(_write(solution_to_dict(s, rows.basis), inner))
+    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
 
 
 def dumps_canonical(obj: Any) -> str:
     """Deterministic JSON, numpy arrays and scalars included: the bytes of
     `json.dumps(obj, indent=2, default=_numpy_to_python) + "\n"` for a
-    document of str-keyed dicts, lists, tuples, str, int, float, bool, None
-    and numpy values.  Any other key or value raises TypeError."""
+    document of str-keyed dicts, lists, tuples, str, int, float, bool, None,
+    numpy values and `solution_rows` values, which that hook expands to
+    their lists of solution documents.  Any other key or value raises
+    TypeError."""
     return _write(obj, "") + "\n"
 
 
@@ -173,23 +241,55 @@ def basis_to_dict(basis: CycleBasis) -> dict:
     }
 
 
+# The report of a solution document, in order: each key and the `Solution`
+# attribute it holds.  The iteration keys are written when there is an
+# iteration record.
+_REPORT_FIELDS = (
+    ("balance_residual", "report.balance_residual"),
+    ("physics_residual", "report.physics_residual"),
+    ("constraint_margin", "report.constraint_margin"),
+    ("winding_deviation", "report.winding_deviation"),
+    ("boundary", "report.boundary"),
+)
+_ITERATION_FIELDS = (
+    ("iterations", "iteration.iterations"),
+    ("contraction_rate", "iteration.rate"),
+    ("final_step", "iteration.final_step"),
+)
+
+
+@functools.cache
+def _report_layout(has_iteration: bool) -> tuple[tuple[str, ...], attrgetter]:
+    """The report's keys, and the getter of its values from a `Solution`."""
+    keys, attributes = zip(*(_REPORT_FIELDS + _ITERATION_FIELDS if has_iteration else _REPORT_FIELDS))
+    return keys, attrgetter(*attributes)
+
+
+@dataclass(frozen=True, eq=False)
+class _SolutionRows:
+    """The "solutions" list of a solve document, unwritten: the solutions of
+    one problem and the basis that tags them.  See `solution_rows`."""
+
+    solutions: list[Solution]
+    basis: CycleBasis | None
+
+
+def solution_rows(solutions: list[Solution], basis: CycleBasis | None = None) -> _SolutionRows:
+    """A document value that `dumps_canonical` writes as
+    `[solution_to_dict(s, basis) for s in solutions]`, filling one template
+    per solution; `_numpy_to_python` expands it to that list for the
+    standard encoder.  The solutions of one problem, as `solve_all` returns
+    them, share one template."""
+    return _SolutionRows(solutions, basis)
+
+
 def solution_to_dict(sol: Solution, basis: CycleBasis | None = None) -> dict:
-    report = {
-        "balance_residual": sol.report.balance_residual,
-        "physics_residual": sol.report.physics_residual,
-        "constraint_margin": sol.report.constraint_margin,
-        "winding_deviation": sol.report.winding_deviation,
-        "boundary": sol.report.boundary,
-    }
-    if sol.iteration is not None:
-        report["iterations"] = sol.iteration.iterations
-        report["contraction_rate"] = sol.iteration.rate
-        report["final_step"] = sol.iteration.final_step
+    keys, report_values = _report_layout(sol.iteration is not None)
     doc = {
         "u": sol.u.tolist(),
         "f": sol.f.tolist(),
         "theta": sol.theta.tolist(),
-        "report": report,
+        "report": dict(zip(keys, report_values(sol))),
     }
     if basis is not None:
         doc["basis_fingerprint"] = basis.fingerprint

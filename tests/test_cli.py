@@ -255,6 +255,35 @@ class TestCheckAndDecompose:
         assert run(["check", pentagon_file, sol_path]) == 1
         assert "winding vector length does not match the basis" in capsys.readouterr().err
 
+    def test_check_flow_of_the_wrong_length_exit_1(self, tmp_path, capsys):
+        problem = tmp_path / "mesh.json"
+        assert run(["gen", "--nodes", 6, "--extra-edges", 2, "--seed", 1, "--out", problem]) == 0
+        out = tmp_path / "sols.json"
+        assert run(["solve", problem, "--out", out]) == 0
+        sol = json.loads(out.read_text())["solutions"][0]
+        assert len(sol["f"]) == 7
+        sol["f"] = sol["f"][:-1]
+        sol_path = tmp_path / "one.json"
+        sol_path.write_text(json.dumps(sol))
+        assert run(["check", problem, sol_path]) == 1
+        assert "flow length does not match the graph" in capsys.readouterr().err
+
+    def test_check_winding_vector_on_a_tree_exit_1(self, tmp_path, capsys):
+        problem = tmp_path / "tree.json"
+        argv = ["gen", "--nodes", 5, "--extra-edges", 0, "--seed", 3, "--p-scale", 0.05, "--out", problem]
+        assert run(argv) == 0
+        out = tmp_path / "sols.json"
+        assert run(["solve", problem, "--out", out]) == 0
+        sol = json.loads(out.read_text())["solutions"][0]
+        assert sol["u"] == []
+        sol_path = tmp_path / "one.json"
+        sol_path.write_text(json.dumps(sol))
+        assert run(["check", problem, sol_path]) == 0
+        sol["u"] = [3]
+        sol_path.write_text(json.dumps(sol))
+        assert run(["check", problem, sol_path]) == 1
+        assert "winding vector must be empty" in capsys.readouterr().err
+
     def test_decompose_flow_of_the_wrong_length_exit_1(self, pentagon_file, tmp_path, capsys):
         sol_path, doc = self._solve_to_files(pentagon_file, tmp_path)
         sol = doc["solutions"][2]

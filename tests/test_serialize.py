@@ -1,5 +1,7 @@
 import json
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,11 +14,13 @@ from torusflow import (
     FlowFunction,
     FlowNetworkProblem,
     InputError,
+    WeightedGraph,
     cli,
     fundamental_cycle_basis,
     serialize,
     solve_all,
 )
+from torusflow.flows import IterationReport, Solution, SolutionReport
 from torusflow.serialize import (
     _numpy_to_python,
     csv_line,
@@ -26,6 +30,7 @@ from torusflow.serialize import (
     problem_from_dict,
     problem_to_dict,
     solution_from_dict,
+    solution_rows,
     solution_to_dict,
     solutions_csv,
 )
@@ -205,6 +210,145 @@ class TestStandardEncoderBytes:
         if case != "ring12-asym":
             expected.discard("sweep")  # its supply profile is zero: nothing to sweep
         assert set(emitted) == expected
+
+
+def _rows_text(solutions, basis) -> str:
+    """dumps_canonical of a solve-like document holding the rows value,
+    checked against the standard encoder's text of the same document."""
+    doc = {"solution_count": len(solutions), "solutions": solution_rows(solutions, basis)}
+    text = dumps_canonical(doc)
+    assert text == _standard(doc)
+    return text
+
+
+def _solution(u, f, theta, residuals=(0.0, 1e-15, 0.1, 0.0)) -> Solution:
+    return Solution(
+        f=np.asarray(f, dtype=float),
+        theta=np.asarray(theta, dtype=float),
+        u=np.asarray(u, dtype=np.int64),
+        report=SolutionReport(*residuals, boundary=False, within_allowance=True),
+        iteration=IterationReport(iterations=7, final_step=4.8e-15, rate=0.83),
+    )
+
+
+def _pentagon():
+    prob = sin_problem(ring_graph(5), np.zeros(5), 1.4)
+    basis = fundamental_cycle_basis(prob.graph)
+    return solve_all(prob, basis=basis), basis
+
+
+_fingerprints = st.sampled_from(["0123abcd", "%", "%s%%d", "100%", "caf\u00e9 %(x)s"]) | _texts
+_int64s = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def _stacks(draw):
+    """A list of solutions that mostly share one layout, and a basis or None."""
+    sizes = st.lists(st.integers(0, 4), min_size=3, max_size=3)
+    stack_sizes = draw(sizes)
+    # True three times in four: most rows take the stack's sizes and an iteration record.
+    often = st.booleans().flatmap(lambda a: st.just(True) if a else st.booleans())
+    solutions = []
+    for _ in range(draw(st.integers(0, 4))):
+        k, m, n = stack_sizes if draw(often) else draw(sizes)
+        residuals = [draw(_floats) for _ in range(4)]
+        it = None
+        if draw(often):
+            it = IterationReport(iterations=draw(st.integers(0, 10**6)), final_step=draw(_floats), rate=draw(_floats))
+        solutions.append(
+            Solution(
+                f=np.array(draw(st.lists(_floats, min_size=m, max_size=m)), dtype=float),
+                theta=np.array(draw(st.lists(_floats, min_size=n, max_size=n)), dtype=float),
+                u=np.array(draw(st.lists(_int64s, min_size=k, max_size=k)), dtype=np.int64),
+                report=SolutionReport(*residuals, boundary=draw(st.booleans()), within_allowance=True),
+                iteration=it,
+            )
+        )
+    basis = draw(st.none() | _fingerprints.map(lambda text: SimpleNamespace(fingerprint=text)))
+    return solutions, basis
+
+
+class TestSolutionRows:
+    """The rows value of a solve document, written one template per solution,
+    must give the standard encoder's bytes for the expanded solution documents."""
+
+    def test_solved_rows(self):
+        solutions, basis = _pentagon()
+        assert len(solutions) == 3
+        text = _rows_text(solutions, basis)
+        assert text.count(basis.fingerprint) == 3
+        assert _rows_text(solutions[1:2], basis).count(basis.fingerprint) == 1
+
+    def test_zero_solutions(self):
+        _, basis = _pentagon()
+        assert _rows_text([], basis).endswith('"solutions": []\n}\n')
+        assert _rows_text([], None).endswith('"solutions": []\n}\n')
+
+    def test_tree(self):
+        tree = WeightedGraph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
+        solutions = solve_all(sin_problem(tree, [0.1, -0.2, 0.05, 0.05], 1.4))
+        assert len(solutions) == 1 and solutions[0].u.size == 0
+        text = _rows_text(solutions * 2, None)
+        assert '"u": [],' in text and "basis_fingerprint" not in text
+
+    def test_no_iteration_record(self):
+        solutions, basis = _pentagon()
+        bare = [replace(s, iteration=None) for s in solutions]
+        text = _rows_text(bare, basis)
+        assert "iterations" not in text
+        # A stack whose first solution has a record and whose second has none.
+        _rows_text([solutions[0], bare[1], solutions[2]], basis)
+
+    def test_boundary_true(self):
+        solutions, basis = _pentagon()
+        marked = [replace(s, report=replace(s.report, boundary=True)) for s in solutions]
+        assert _rows_text(marked, basis).count('"boundary": true') == 3
+        assert _rows_text([solutions[0], marked[1]], basis).count('"boundary": true') == 1
+
+    def test_edge_values(self):
+        values = [-0.0, 5e-324, 1e-05, 1e16, 0.0001, 1e-16, -1e16, 123456789012345.6, 0.1]
+        row = _solution([0, -3], values, values[::-1], residuals=(-0.0, 5e-324, 1e16, 1e-05))
+        text = _rows_text([row, row], SimpleNamespace(fingerprint="f0"))
+        for token in ("-0.0", "5e-324", "1e-05", "1e+16", "0.0001"):
+            assert token in text
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values(self, bad):
+        solutions, basis = _pentagon()
+        in_flow = _solution([1], [0.5, bad, 0.5, 0.5, 0.5], np.zeros(5))
+        in_report = _solution([1], np.full(5, 0.5), np.zeros(5), residuals=(0.0, bad, 0.1, 0.0))
+        text = _rows_text([solutions[0], in_flow, solutions[1], in_report], basis)
+        assert text.count({"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[repr(bad)]) == 2
+
+    def test_percent_in_literal_text(self):
+        solutions, _ = _pentagon()
+        for fingerprint in ("%s", "%%", "100%", "%(u)s %d"):
+            assert fingerprint in json.loads(_rows_text(solutions, SimpleNamespace(fingerprint=fingerprint)))["solutions"][2]["basis_fingerprint"]
+
+    def test_lattice_row(self):
+        # A 30x30 lattice: k = 841 winding numbers, m = 1740 flows, n = 900 phases.
+        side = 30
+        edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
+        edges += [(r * side + c, r * side + c + side) for r in range(side - 1) for c in range(side)]
+        basis = fundamental_cycle_basis(WeightedGraph.from_edges(side * side, edges))
+        assert basis.size == 841
+        rng = np.random.default_rng(30)
+        rows = [
+            _solution(rng.integers(-2, 3, 841), rng.normal(size=1740), rng.uniform(-math.pi, math.pi, 900))
+            for _ in range(2)
+        ]
+        doc = json.loads(_rows_text(rows, basis))
+        assert len(doc["solutions"][1]["u"]) == 841
+
+    def test_standard_encoder_expands_rows(self):
+        solutions, basis = _pentagon()
+        assert _numpy_to_python(solution_rows(solutions, basis)) == [solution_to_dict(s, basis) for s in solutions]
+
+    @given(_stacks())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_random_stacks(self, stack):
+        solutions, basis = stack
+        _rows_text(solutions, basis)
 
 
 class TestFlowFamilies:
