@@ -44,16 +44,12 @@ FEASIBILITY_SLACK = 1e-9
 DEFAULT_RHO = 1e-10
 TIGHT_RHO = 1e-15  # below any reachable bound: a solve to the rounding floor
 CERT_GRID = 1001
-# `decide_cells` divides by diagonal Hessians (`_newton_coordinates`) only in
-# a stack of at least DIAGONAL_MIN_ROWS rows.  The division beats the stacked
-# Gram and LAPACK solve at any height (one BLAS thread, 2-core x86_64: on
-# expo(5), 3 against 15 us a step at one row, 9 against 234 us at 243), but
-# its diagonal w @ (C * C)^T sums in another order than `gram`'s product, so
-# it can move a Newton step's last bit, and a solve that ends on a zero step
-# by an ulp.  Short stacks, where a step saves at most about 12 us, keep the
-# dense path and its bits; on expo(n), tall stacks give the same output
-# bytes either way.
-DIAGONAL_MIN_ROWS = 64
+UNIT_ROUNDOFF = 2.0**-53  # eps: fl(x op y) = (x op y)(1 + t), |t| <= eps
+# The accuracy model of h_gamma^{-1} in `decide_cells`' rounding term: the
+# computed inverse lies within INVERSE_ULPS eps |delta| of h_gamma^{-1} of its
+# computed argument.  numpy's arcsin and the bisection inverse's Newton
+# polish stay within a few ulps; the inverse does not report its own error.
+INVERSE_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -385,14 +381,27 @@ def _map_inverse(problem: FlowNetworkProblem, basis: CycleBasis) -> np.ndarray:
     return np.linalg.inv(basis.gram(1.0 / problem._lmin_a))
 
 
+def _map_inverse_norm(problem: FlowNetworkProblem, basis: CycleBasis, inverse: np.ndarray) -> float:
+    """||M^{-1}||_inf for `inverse` = `_map_inverse(problem, basis)`: with one
+    Lmin l on every edge, l times the basis's cached ||W^{-1}||_inf."""
+    lmin = problem.lmin
+    if (lmin == lmin[0]).all():
+        return float(lmin[0]) * basis.weighted_gram_inverse_norm
+    return float(np.abs(inverse).sum(axis=1).max(initial=0.0))
+
+
 @dataclass
 class IterationReport:
     """Convergence record of one projection-iteration or Newton run.
 
-    `error_bound` is the certified per-edge distance of the returned flow
-    from the cell's fixed point, in exact arithmetic: it does not cover the
-    rounding of the T_u step it is read from, so at the rounding floor a
-    solve can report 0.0.  A cell is decided when it is `feasible`
+    `error_bound` is a Newton solve's certified per-edge distance of the
+    returned flow from the cell's fixed point (0.0 in a projection run's
+    report).  It is the exact-arithmetic bound read from the T_u step plus
+    a rounding term r, which covers the rounding of that step's h_gamma^{-1}
+    evaluation (the division by A included) and of its loop residual, and
+    treats M^{-1} as exact; `decide_cells` says what r leaves out.  So it
+    reads 0.0 only where r is 0: at the zero flow of the cell u = 0, where
+    the step is exact.  A cell is decided when it is `feasible`
     or has `infeasible_edges`; otherwise it is undecided.  For a Newton
     solve this is the one-row view `CellVerdicts[r]` of its stack's record.
     """
@@ -453,15 +462,17 @@ class CellVerdicts:
         # An index past the end raises IndexError, which also ends iteration.
         iterations, steps, verified, final_step, feasible, refuted, error_bound = self._lists
         taken = iterations[r]
-        return _report(
+        # Positional, in field order: one view per solution, and keywords cost
+        # more than twice as much.
+        return IterationReport(
+            taken,
+            final_step[r],
             self.rate,
-            steps[r][: taken + 1],
+            feasible[r],
+            tuple(self.infeasible[r].nonzero()[0].tolist()) if refuted[r] else (),
             verified[r],
-            iterations=taken,
-            final_step=final_step[r],
-            feasible=feasible[r],
-            infeasible_edges=tuple(self.infeasible[r].nonzero()[0].tolist()) if refuted[r] else (),
-            error_bound=error_bound[r],
+            tuple(steps[r][: taken + 1]),
+            error_bound[r],
         )
 
 
@@ -557,11 +568,6 @@ def _contracts(rate: float, steps: np.ndarray) -> np.ndarray:
     return ~(steps[..., 1:] > rate * steps[..., :-1] + 1e-12).any(axis=-1)
 
 
-def _report(rate: float, steps: list[float], verified: bool, **fields) -> IterationReport:
-    """A run's report, with `verified` the `_contracts` flag of its steps."""
-    return IterationReport(rate=rate, contraction_verified=verified, weighted_steps=tuple(steps), **fields)
-
-
 def projection_iteration(
     problem: FlowNetworkProblem,
     basis: CycleBasis,
@@ -597,7 +603,14 @@ def projection_iteration(
         steps.append(d)
 
     verified = bool(_contracts(rate, np.array(steps)))
-    return f - step, _report(rate, steps, verified, iterations=len(steps), final_step=step_inf)
+    report = IterationReport(
+        iterations=len(steps),
+        final_step=step_inf,
+        rate=rate,
+        contraction_verified=verified,
+        weighted_steps=tuple(steps),
+    )
+    return f - step, report
 
 
 def decide_cells(
@@ -607,35 +620,55 @@ def decide_cells(
     its three-way verdict: the (B, m) flows and one `CellVerdicts` record
     of B rows, whose row view `verdicts[r]` is row r's `IterationReport`.
 
-    With a (B,) array `scales`, row r decides cell U[r] of
-    `problem.with_supply(scales[r] * problem.p)`.  p enters only through
-    the start flow, which is then scales[r] f0: every step lies in
-    Img C^T, so B f = scales[r] p stays exact, and the capacity, rate, map
-    factor and verdict do not read p.
-
     In cell u the fixed point f* = f0 + C^T c* of T_u (f0 the cutset flow
     taken with `basis`, formed once per call) minimises the strictly convex
     loop-flow potential Psi_u(c), whose gradient is
     g = C h_gamma^{-1}(A^{-1} f) - 2pi u and whose Hessian is
-    C diag(1 / (a h'(clip(delta)))) C^T.  The stack's Hessians come from one
-    `basis.gram` call per step, and a step solves each k x k system; in a
-    call of at least DIAGONAL_MIN_ROWS rows on a basis whose cycles share
-    no edge (`basis.disjoint`, as on expo(n)), every step divides by each
-    Hessian's diagonal instead (`_newton_coordinates`), also once rows
-    have left the stack.  The
-    T_u step of a row with gradient g is `_map_step`'s g K^T = (g M^{-1}) C,
-    with the k x k inverse M^{-1} of `_map_inverse` taken once per call: with one
-    Lmin on every edge, the start flow's inverse scaled, so one k x k
-    inverse serves both.  A Newton point f - t N (t = 1, 1/2, 1/4, ...
+    C diag(1 / (a h'(clip(delta)))) C^T.  A row with u != 0 starts at its
+    loop flow linearised at delta = 0, f0 + l C^T W^{-1} 2pi u, with
+    W^{-1} = `basis.weighted_gram_inverse` and one slope l = max Lmax
+    (h'(0) = 1 for sine); a row with u = 0 starts at f0.  Psi_u is
+    strictly convex and every verdict certified, so the start sets only
+    the speed and the last bits.
+
+    With a (B,) array `scales`, row r decides cell U[r] of
+    `problem.with_supply(scales[r] * problem.p)`.  p enters only through
+    the start flow, which is then scales[r] f0 plus the unscaled loop flow:
+    every step lies in Img C^T, so B f = scales[r] p stays exact, and the
+    capacity, rate, map factor and verdict do not read p.
+
+    The stack's Hessians come from one `basis.gram` call per step, and a
+    step solves each k x k system; on a basis whose cycles share no edge
+    (`basis.disjoint`), a stack of any height divides by each Hessian's
+    diagonal instead (`_newton_coordinates`).  The T_u step of a row with
+    gradient g is `_map_step`'s g K^T = (g M^{-1}) C, with the k x k
+    inverse M^{-1} of `_map_inverse` taken once per call: with one Lmin on
+    every edge, the start flow's inverse scaled, so one k x k inverse
+    serves both.  A Newton point f - t N (t = 1, 1/2, 1/4, ...
     while t >= 1 - rate) is taken when its T_u step is at most `rate` times
     the current one in the `map_norm`; failing that the plain T_u step is,
     so no step contracts less than T_u does.
 
     The certified per-edge distance of f from f* is the row's `error_bound`
-    b = ||T_u f - f|| sqrt(max Lmin A) / (1 - rate), in exact arithmetic: it
-    does not cover the rounding of the T_u step, so at the rounding floor it
-    can read 0.0.  With s = FEASIBILITY_SLACK the cell is feasible when every
-    margin - b >= -s, and infeasible on the edges whose margin + b < -s.
+    b = (d + e) c, c = sqrt(max Lmin A) / (1 - rate), where d is the
+    computed map norm ||T_u f - f|| and e bounds the map norm of the
+    computed step's error (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 3.1; eps = UNIT_ROUNDOFF, gamma_n = n eps /
+    (1 - n eps)): e = ||M^{-1}||_inf^{1/2} (sqrt(k) L max_e x_e +
+    gamma_{L+3} ||2pi u||_2), L = `basis.longest_cycle`, and x_e =
+    gamma_{L+3} |delta_e| + INVERSE_ULPS eps (|delta_e| + |f_e| /
+    (a_e Lmin_e)).  So the rounding term r = e c covers the evaluation of
+    h_gamma^{-1}, the division by a_e carried through its slope (at most
+    1 / Lmin_e); the loop residual's dot products of at most L differences
+    and 2pi u_i (whose two roundings gamma_{L+3} includes); and their way
+    into the map norm, (x M^{-1} x^T)^{1/2} <= ||M^{-1}||_inf^{1/2} ||x||_2,
+    with ||M^{-1}||_inf Lmin times the basis's cached ||W^{-1}||_inf when
+    Lmin is one number.  M^{-1} is treated as exact, and r leaves out the
+    rounding of the products by M^{-1} and C and of the norm, which are
+    relative to the step and vanish with it.  Only b reads r: the budget, the
+    rounding-floor test and the contraction flags read d.  With s =
+    FEASIBILITY_SLACK the cell is feasible when every margin - b >= -s, and
+    infeasible on the edges whose margin + b < -s.
     A row stops as soon as some edge proves it infeasible, whatever b is:
     that verdict is final, and an infeasible row's f is accurate only to
     its b.  A feasible row stops once b < rho as well, so every feasible
@@ -664,52 +697,68 @@ def decide_cells(
     rows = np.arange(twopi_u.shape[0])
     flows = np.empty((rows.size, basis.graph.m))
     feasible = np.empty(rows.size, dtype=bool)
-    infeasible = np.empty(flows.shape, dtype=bool)
     error_bound = np.empty(rows.size)
     final_step = np.empty(rows.size)
     iterations = np.empty(rows.size, dtype=int)
 
     # Every row starts from the cutset flow taken with this basis, scaled by
-    # the row's scale when there is one.
+    # the row's scale when there is one; a row with u != 0 adds its
+    # linearised loop flow, unscaled.
     f0 = problem.graph.cutset_flow(problem.p, basis)
     if scales is None:
         F = f0[None, :].repeat(rows.size, axis=0)
-        delta0, G, S, d = _map_step(problem, basis, inverse, f0, twopi_u)
-        D = delta0[None, :].repeat(rows.size, axis=0)
     else:
         scales = np.asarray(scales, dtype=float)
         if scales.shape != rows.shape:
             raise InputError(f"need one scale per cell: {scales.shape} for {rows.size} cells")
         F = scales[:, None] * f0
+    loops = twopi_u.any(axis=1).nonzero()[0]
+    if scales is None and not loops.size:
+        # Every row starts at f0, so one row's T_u step serves the stack.
+        delta0, G, S, d = _map_step(problem, basis, inverse, f0, twopi_u)
+        D = delta0[None, :].repeat(rows.size, axis=0)
+    else:
+        if loops.size:
+            # C A^{-1} C^T c = slope 2pi u, as C A^{-1} f0 = 0.
+            slope = float(problem.lmax.max())
+            F[loops] += ((slope * twopi_u[loops]) @ basis.weighted_gram_inverse) @ C
         D, G, S, d = _map_step(problem, basis, inverse, F, twopi_u)
+    # Each row's rounding term r = e c (see above), as
+    # edge_round max_e(|delta_e| + ratio_e |f_e|) + loop_round.
+    through = to_bound * math.sqrt(_map_inverse_norm(problem, basis, inverse))
+    n = basis.longest_cycle + 3
+    sums = n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)  # gamma_{L+3}
+    inverse_err = INVERSE_ULPS * UNIT_ROUNDOFF
+    edge_round = through * math.sqrt(basis.size) * basis.longest_cycle * (sums + inverse_err)
+    ratio = (inverse_err / (sums + inverse_err)) / problem._lmin_a
+    loop_round = (through * sums) * np.sqrt((twopi_u * twopi_u).sum(axis=1))
     history = [(rows, d)]  # per step taken: the stack's rows and their map-norm steps
     # No step contracts less than T_u, so this many reach the rounding floor.
     with np.errstate(divide="ignore"):
         budget = _step_budget(rate, TIGHT_RHO / (d * to_bound))
     first_limit = 2 * int(budget.min()) if rows.size else 0
     floor = np.zeros(rows.size, dtype=bool)
-    diagonal = rows.size >= DIAGONAL_MIN_ROWS and basis.disjoint
 
     def finish(leave, bound, ok):
         """Record the stack rows in the mask `leave`, with their verdicts at f
-        and `bound`: `ok` is the feasible flag of every stack row, and the
-        infeasible-edge mask is formed here, for the leaving rows only."""
+        and `bound`: `ok` is the feasible flag of every stack row."""
         leave = leave.nonzero()[0]
-        at_rows, f, b = rows[leave], F[leave], bound[leave]
-        margins = problem.capacity - np.abs(f)
-        flows[at_rows] = f
+        at_rows = rows[leave]
+        flows[at_rows] = F[leave]
         feasible[at_rows] = ok[leave]
-        infeasible[at_rows] = margins + b[:, None] < -FEASIBILITY_SLACK
-        error_bound[at_rows] = b
+        error_bound[at_rows] = bound[leave]
         final_step[at_rows] = np.abs(S[leave]).max(axis=1)
         iterations[at_rows] = len(history) - 1
 
     while rows.size:
-        bound = d * to_bound
+        size = np.abs(F)
+        low = (problem.capacity - size).min(axis=1, initial=math.inf)
+        size *= ratio
+        size += np.abs(D)
+        bound = d * to_bound + (edge_round * size.max(axis=1, initial=0.0) + loop_round)
         # Rounding is monotone, so the least margin of a row gives its verdict
         # exactly: low - b >= -s iff every margin - b >= -s, and low + b < -s
         # iff some margin + b < -s.
-        low = (problem.capacity - np.abs(F)).min(axis=1, initial=math.inf)
         ok = low - bound >= -FEASIBILITY_SLACK
         done = floor | (low + bound < -FEASIBILITY_SLACK) | (ok & (bound < rho))
         if leaving := np.count_nonzero(done):
@@ -718,14 +767,14 @@ def decide_cells(
                 break
             keep = ~done
             F, D, G, S, d, bound, ok = F[keep], D[keep], G[keep], S[keep], d[keep], bound[keep], ok[keep]
-            twopi_u, rows, budget = twopi_u[keep], rows[keep], budget[keep]
+            twopi_u, loop_round, rows, budget = twopi_u[keep], loop_round[keep], rows[keep], budget[keep]
         if len(history) > first_limit and (late := len(history) > 2 * budget).any():
             i = int(late.argmax())
             raise ConvergenceBudgetError(
                 f"Newton solve exceeded 2x its budget of {budget[i]} steps "
                 f"(certified distance {bound[i]:.3e})"
             )
-        newton = _newton_coordinates(basis, problem.inverse_slopes(D), G, diagonal) @ C
+        newton = _newton_coordinates(basis, problem.inverse_slopes(D), G, basis.disjoint) @ C
         trial = F - newton
         state = _map_step(problem, basis, inverse, trial, twopi_u)
         pending = (state[3] > rate * d).nonzero()[0]
@@ -751,12 +800,16 @@ def decide_cells(
             if not progress.any():
                 break
             trial, state, d = trial[progress], tuple(x[progress] for x in state), d[progress]
-            twopi_u, rows, budget = twopi_u[progress], rows[progress], budget[progress]
+            twopi_u, loop_round, rows = twopi_u[progress], loop_round[progress], rows[progress]
+            budget = budget[progress]
         # T_u contracts by rate; a step that shrinks d less is at the rounding floor.
         floor = state[3] > rate * d
         F, (D, G, S, d) = trial, state
         history.append((rows, d))
 
+    # The edges that prove each row infeasible, for all rows at once: a
+    # feasible row has every margin - b >= -s, so it has none.
+    infeasible = (problem.capacity - np.abs(flows)) + error_bound[:, None] < -FEASIBILITY_SLACK
     steps = np.full((len(flows), len(history)), np.nan)
     for j, (at_rows, column) in enumerate(history):
         steps[:, j][at_rows] = column

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import torusflow.flows as flows
@@ -121,6 +121,66 @@ def test_feasible_verdicts_clear_their_error_bound(index):
         # The bound holds against the same cell solved to the rounding floor.
         tight, tight_it = decide_cell(problem, basis, sol.u, flows.TIGHT_RHO)
         assert np.max(np.abs(sol.f - tight)) <= it.error_bound + tight_it.error_bound
+
+
+def test_a_solve_at_the_rounding_floor_bounds_its_rounding():
+    # ring12-asym's cell [0] near the limit, solved to the rounding floor,
+    # ends on a T_u step that rounds to exactly 0.0.  Its bound is then the
+    # rounding term alone, and the default solve lies within the two bounds.
+    ring = _near_limit_cases()[2]
+    basis = fundamental_cycle_basis(ring.graph)
+    tight, tight_it = decide_cell(ring, basis, [0], flows.TIGHT_RHO)
+    assert tight_it.feasible and tight_it.final_step == 0.0
+    assert 0.0 < tight_it.error_bound < 1e-12
+    f, it = decide_cell(ring, basis, [0])
+    assert np.max(np.abs(f - tight)) <= it.error_bound + tight_it.error_bound
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 10),
+    extra=st.integers(1, 3),
+    gamma=st.sampled_from([1.0, 1.4, NEAR_LIMIT]),
+    mixed=st.booleans(),
+    rho=st.sampled_from([flows.DEFAULT_RHO, flows.TIGHT_RHO]),
+)
+def test_decided_rows_never_read_a_zero_bound(seed, n, extra, gamma, mixed, rho):
+    # With p != 0 no row's flow is exactly 0, so every bound holds a rounding
+    # term, also where the last T_u step rounds to 0.0 (as it can on linear
+    # edges, where the step is exact).
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, extra_edges=extra)
+    if g.cycle_space_dim == 0:
+        return
+    sine = FlowFunction.sin_family()
+    funcs = tuple(sine if not mixed or rng.random() < 0.5 else FlowFunction.linear(2.0) for _ in range(g.m))
+    p = balanced_vector(rng, n, 0.6)
+    assume(np.any(p != 0.0))
+    problem = FlowNetworkProblem(graph=g, flow_functions=funcs, p=p, gamma=gamma)
+    for basis in (fundamental_cycle_basis(g), minimum_cycle_basis(g)):
+        box = np.array(list(feasible_winding_vectors(basis, gamma)))
+        _, verdicts = decide_cells(problem, basis, box, rho)
+        decided = verdicts.feasible | verdicts.infeasible.any(axis=1)
+        assert decided.any() and np.all(verdicts.error_bound[decided] > 0.0)
+
+
+def test_linearised_start_saves_newton_steps():
+    # From the cutset flow, expo(5)'s 243 cells took 6.97 steps a row.
+    expo = case_to_problem(builtin_case("expo(5)"), 1.4)
+    basis = fundamental_cycle_basis(expo.graph)
+    box = np.array(list(feasible_winding_vectors(basis, 1.4)))
+    _, verdicts = decide_cells(expo, basis, box)
+    assert len(box) == 243 and verdicts.feasible.all()
+    assert verdicts.iterations.mean() <= 5.5
+    # Linear flows are their own linearisation: every cell starts at its
+    # fixed point, and a feasible one takes no step.
+    g = square_with_diagonal()
+    p = balanced_vector(np.random.default_rng(5), g.n)
+    linear = FlowNetworkProblem.single_family(g, FlowFunction.linear(2.0), p, 1.4)
+    basis = fundamental_cycle_basis(g)
+    _, verdicts = decide_cells(linear, basis, np.array(list(feasible_winding_vectors(basis, 1.4))))
+    assert verdicts.feasible.any() and np.all(verdicts.iterations[verdicts.feasible] == 0)
 
 
 def _two_cycles_weights_apart():
@@ -302,8 +362,8 @@ def test_rounding_floor_ends_the_solve():
 
 @pytest.mark.parametrize("index", [0, 3])
 def test_newton_takes_few_steps_near_the_limit(index):
-    # From the zero start a full Newton step overshoots the pentagon's splay
-    # cell into the linear tail, so the step is halved before it is taken.
+    # The pentagon's splay cell starts in the linear tail: its linearised
+    # loop flow, 2pi/5 on every edge, passes the capacity sin(gamma).
     problem = _near_limit_cases()[index]
     basis = fundamental_cycle_basis(problem.graph)
     f, it = decide_cell(problem, basis, [1])
@@ -404,10 +464,24 @@ def _reference_decide_cell(problem, basis, u, rho=flows.DEFAULT_RHO, polish=Fals
     u = np.asarray(u, dtype=float)
     rate = problem.contraction_rate
     C = basis.matrix
+    k, a, lmin_a = basis.size, problem.graph.weight_vector, problem._lmin_a
     # The map factor K = C^T M^{-1}, M = C (Lmin A)^{-1} C^T, by the dense
     # m-column solve.
-    K = np.linalg.solve((C / problem._lmin_a) @ C.T, C).T
+    K = np.linalg.solve((C / lmin_a) @ C.T, C).T
     to_bound = problem.map_norm_to_edge / (1.0 - rate)
+    # The rounding term: a loop residual sums at most L differences and
+    # 2pi u_i (gamma_{L+3}, with the two roundings of 2pi u_i), each
+    # difference within INVERSE_ULPS ulps of its own size plus as many of
+    # f_e / a_e through the inverse's slope, at most 1 / Lmin_e; the
+    # residual's error reaches the step's map norm through ||M^{-1}||^{1/2}.
+    ulp = 2.0**-53
+    L = max(basis.lengths)
+    sums = (L + 3) * ulp / (1.0 - (L + 3) * ulp)
+    through = to_bound * math.sqrt(np.linalg.norm(np.linalg.inv((C / lmin_a) @ C.T), np.inf))
+
+    def rounding(f, delta):
+        per_edge = sums * np.abs(delta) + flows.INVERSE_ULPS * ulp * (np.abs(delta) + np.abs(f) / lmin_a)
+        return through * (math.sqrt(k) * L * np.max(per_edge) + sums * np.linalg.norm(flows.TWO_PI * u))
 
     def at(f):
         delta = problem.inverse_differences(f)
@@ -415,12 +489,16 @@ def _reference_decide_cell(problem, basis, u, rho=flows.DEFAULT_RHO, polish=Fals
         step = K @ grad
         return delta, grad, step, problem.map_norm(step)
 
+    # A cell u != 0 starts at its loop flow linearised at delta = 0, with
+    # the problem's largest slope bound.
     f = problem.graph.cutset_flow(problem.p, basis)
+    if u.any():
+        f = f + C.T @ np.linalg.solve((C / a) @ C.T, np.max(problem.lmax) * flows.TWO_PI * u)
     delta, grad, step, d = at(f)
     budget = flows._step_budget(rate, flows.TIGHT_RHO / (d * to_bound) if d > 0.0 else math.inf)
     steps, floor = [d], False
     while True:
-        bound = d * to_bound
+        bound = d * to_bound + rounding(f, delta)
         margins = check_feasibility(problem, f)[1]
         feasible = bool(np.all(margins - bound >= -FEASIBILITY_SLACK))
         infeasible = np.flatnonzero(margins + bound < -FEASIBILITY_SLACK)
@@ -444,14 +522,14 @@ def _reference_decide_cell(problem, basis, u, rho=flows.DEFAULT_RHO, polish=Fals
         floor = state[3] > rate * d
         f, (delta, grad, step, d) = trial, state
         steps.append(d)
-    return f, flows._report(
-        rate,
-        steps,
-        _steps_contract(rate, steps),
+    return f, flows.IterationReport(
         iterations=len(steps) - 1,
         final_step=float(np.max(np.abs(step))),
+        rate=rate,
         feasible=feasible,
         infeasible_edges=tuple(int(e) for e in infeasible),
+        contraction_verified=_steps_contract(rate, steps),
+        weighted_steps=tuple(steps),
         error_bound=bound,
     )
 
@@ -592,8 +670,8 @@ def test_solve_all_builds_reports_for_feasible_rows_only(monkeypatch):
     problem = sin_problem(g, balanced_vector(rng, g.n), 1.4)
     _, verdicts = decide_cells(problem, basis, np.array(list(feasible_winding_vectors(basis, 1.4))))
     calls = []
-    report = flows._report
-    monkeypatch.setattr(flows, "_report", lambda *args, **kw: calls.append(args) or report(*args, **kw))
+    view = flows.CellVerdicts.__getitem__
+    monkeypatch.setattr(flows.CellVerdicts, "__getitem__", lambda self, r: calls.append(r) or view(self, r))
     solve_all(problem, basis=basis)
     assert 0 < len(calls) == int(verdicts.feasible.sum()) < len(verdicts)
 
@@ -767,11 +845,10 @@ def test_newton_steps_match_the_dense_solve(case, height, monkeypatch):
     dense = np.linalg.solve((C * w[:, None, :]) @ C.T, G[:, :, None])[:, :, 0] @ C
     steps = flows._newton_coordinates(basis, w, G, basis.disjoint) @ C
     assert np.max(np.abs(steps - dense)) <= 1e-12 * max(1.0, np.max(np.abs(dense)))
-    # Every step of a stacked solve, with the division forced on at any
-    # height, and off.
+    # Every step of a stacked solve at any height, with the division where
+    # the basis allows it, and with the dense solve.
     box = np.array(list(feasible_winding_vectors(basis, problem.gamma)))
     U = box[np.arange(height) % len(box)]
-    monkeypatch.setattr(flows, "DIAGONAL_MIN_ROWS", 1)
     f_on, on = decide_cells(problem, basis, U)
     monkeypatch.setitem(vars(basis), "disjoint", False)
     f_off, off = decide_cells(problem, basis, U)
@@ -784,16 +861,8 @@ def test_newton_steps_match_the_dense_solve(case, height, monkeypatch):
 def test_diagonal_newton_keeps_the_solution_bytes(case, monkeypatch):
     problem, basis = _disjoint_cases()[case]
     docs = []
-    for min_rows in (1, flows.DIAGONAL_MIN_ROWS):  # expo(3)'s box is one stack of 27 rows
-        monkeypatch.setattr(flows, "DIAGONAL_MIN_ROWS", min_rows)
+    for disjoint in (True, False):  # the division, then the dense solve
+        monkeypatch.setitem(vars(basis), "disjoint", disjoint)
         solutions = solve_all(problem, basis=basis)
         docs.append(serialize.dumps_canonical([serialize.solution_to_dict(s, basis) for s in solutions]))
     assert len(json.loads(docs[0])) > 1 and docs[0] == docs[1]
-
-
-def test_short_stacks_never_read_the_disjoint_check():
-    # The lattice's one-cell solve pays one comparison for the division rule.
-    problem = sin_problem(lattice_with_detours(), np.zeros(lattice_with_detours().n), 1.4)
-    basis = minimum_cycle_basis(problem.graph)
-    decide_cells(problem, basis, np.zeros((flows.DIAGONAL_MIN_ROWS - 1, basis.size), dtype=np.int64))
-    assert "disjoint" not in vars(basis)
