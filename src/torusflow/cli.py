@@ -32,6 +32,7 @@ from .flows import (
     DEFAULT_RHO,
     FlowFunction,
     FlowNetworkProblem,
+    Solution,
     decompose_flow,
     solve_all,
     verify_solution,
@@ -359,14 +360,7 @@ def _cmd_check(args) -> int:
             raise InputError("an acyclic graph has no cycles: its winding vector must be empty")
     report = verify_solution(problem, basis, f, theta, u)
     flagged = report.failures()
-    doc = {
-        "ok": not flagged,
-        "balance_residual": report.balance_residual,
-        "physics_residual": report.physics_residual,
-        "constraint_margin": report.constraint_margin,
-        "winding_deviation": report.winding_deviation,
-        "boundary": report.boundary,
-    }
+    doc = {"ok": not flagged, **serialize.solution_to_dict(Solution(f, theta, u, report))["report"]}
     _write(serialize.dumps_canonical(doc), args.out)
     if flagged:
         print("verification failed: " + "; ".join(flagged), file=sys.stderr)

@@ -381,13 +381,13 @@ def _map_inverse(problem: FlowNetworkProblem, basis: CycleBasis) -> np.ndarray:
     return np.linalg.inv(basis.gram(1.0 / problem._lmin_a))
 
 
-def _map_inverse_norm(problem: FlowNetworkProblem, basis: CycleBasis, inverse: np.ndarray) -> float:
-    """||M^{-1}||_inf for `inverse` = `_map_inverse(problem, basis)`: with one
-    Lmin l on every edge, l times the basis's cached ||W^{-1}||_inf."""
-    lmin = problem.lmin
-    if (lmin == lmin[0]).all():
-        return float(lmin[0]) * basis.weighted_gram_inverse_norm
-    return float(np.abs(inverse).sum(axis=1).max(initial=0.0))
+def _linear_loop_flow(problem: FlowNetworkProblem, basis: CycleBasis, twopi_u: np.ndarray) -> np.ndarray:
+    """The loop flow l C^T W^{-1} 2pi u of a row 2pi u, or of each row of a
+    (B, k) stack: f0 plus it solves cell u's loop equation linearised at
+    delta = 0, with W^{-1} = `basis.weighted_gram_inverse` and one slope
+    l = max Lmax (h'(0) = 1 for sine), as C A^{-1} f0 = 0."""
+    slope = float(problem.lmax.max())
+    return ((slope * twopi_u) @ basis.weighted_gram_inverse) @ basis.matrix
 
 
 @dataclass
@@ -542,12 +542,12 @@ def _map_step(problem, basis, inverse, F, twopi_u):
     return delta, grad, step, problem.map_norm(step)
 
 
-def _newton_coordinates(basis: CycleBasis, w: np.ndarray, G: np.ndarray, diagonal: bool) -> np.ndarray:
+def _newton_coordinates(basis: CycleBasis, w: np.ndarray, G: np.ndarray) -> np.ndarray:
     """x = H^{-1} g for each row g of the (B, k) stack G, H = C diag(w) C^T of
-    the matching row of the (B, m) stack w: one stacked k x k solve, or, with
-    `diagonal` on a basis whose cycles share no edge (`basis.disjoint`), one
-    division by H's diagonal."""
-    if diagonal:
+    the matching row of the (B, m) stack w, or of its one row when w is
+    (1, m): one stacked k x k solve, or, on a basis whose cycles share no
+    edge (`basis.disjoint`), one division by H's diagonal."""
+    if basis.disjoint:
         C = basis.matrix
         return G / (w @ (C * C).T)
     return np.linalg.solve(basis.gram(w), G[:, :, None])[:, :, 0]
@@ -624,12 +624,10 @@ def decide_cells(
     taken with `basis`, formed once per call) minimises the strictly convex
     loop-flow potential Psi_u(c), whose gradient is
     g = C h_gamma^{-1}(A^{-1} f) - 2pi u and whose Hessian is
-    C diag(1 / (a h'(clip(delta)))) C^T.  A row with u != 0 starts at its
-    loop flow linearised at delta = 0, f0 + l C^T W^{-1} 2pi u, with
-    W^{-1} = `basis.weighted_gram_inverse` and one slope l = max Lmax
-    (h'(0) = 1 for sine); a row with u = 0 starts at f0.  Psi_u is
-    strictly convex and every verdict certified, so the start sets only
-    the speed and the last bits.
+    C diag(1 / (a h'(clip(delta)))) C^T.  A row with u != 0 starts at f0
+    plus its loop flow linearised at delta = 0 (`_linear_loop_flow`); a
+    row with u = 0 starts at f0.  Psi_u is strictly convex and every
+    verdict certified, so the start sets only the speed and the last bits.
 
     With a (B,) array `scales`, row r decides cell U[r] of
     `problem.with_supply(scales[r] * problem.p)`.  p enters only through
@@ -662,8 +660,8 @@ def decide_cells(
     1 / Lmin_e); the loop residual's dot products of at most L differences
     and 2pi u_i (whose two roundings gamma_{L+3} includes); and their way
     into the map norm, (x M^{-1} x^T)^{1/2} <= ||M^{-1}||_inf^{1/2} ||x||_2,
-    with ||M^{-1}||_inf Lmin times the basis's cached ||W^{-1}||_inf when
-    Lmin is one number.  M^{-1} is treated as exact, and r leaves out the
+    with ||M^{-1}||_inf the largest absolute row sum of the call's M^{-1}.
+    M^{-1} is treated as exact, and r leaves out the
     rounding of the products by M^{-1} and C and of the norm, which are
     relative to the step and vanish with it.  Only b reads r: the budget, the
     rounding-floor test and the contraction flags read d.  With s =
@@ -713,19 +711,11 @@ def decide_cells(
             raise InputError(f"need one scale per cell: {scales.shape} for {rows.size} cells")
         F = scales[:, None] * f0
     loops = twopi_u.any(axis=1).nonzero()[0]
-    if scales is None and not loops.size:
-        # Every row starts at f0, so one row's T_u step serves the stack.
-        delta0, G, S, d = _map_step(problem, basis, inverse, f0, twopi_u)
-        D = delta0[None, :].repeat(rows.size, axis=0)
-    else:
-        if loops.size:
-            # C A^{-1} C^T c = slope 2pi u, as C A^{-1} f0 = 0.
-            slope = float(problem.lmax.max())
-            F[loops] += ((slope * twopi_u[loops]) @ basis.weighted_gram_inverse) @ C
-        D, G, S, d = _map_step(problem, basis, inverse, F, twopi_u)
+    F[loops] += _linear_loop_flow(problem, basis, twopi_u[loops])
+    D, G, S, d = _map_step(problem, basis, inverse, F, twopi_u)
     # Each row's rounding term r = e c (see above), as
     # edge_round max_e(|delta_e| + ratio_e |f_e|) + loop_round.
-    through = to_bound * math.sqrt(_map_inverse_norm(problem, basis, inverse))
+    through = to_bound * math.sqrt(float(np.abs(inverse).sum(axis=1).max(initial=0.0)))
     n = basis.longest_cycle + 3
     sums = n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)  # gamma_{L+3}
     inverse_err = INVERSE_ULPS * UNIT_ROUNDOFF
@@ -736,7 +726,6 @@ def decide_cells(
     # No step contracts less than T_u, so this many reach the rounding floor.
     with np.errstate(divide="ignore"):
         budget = _step_budget(rate, TIGHT_RHO / (d * to_bound))
-    first_limit = 2 * int(budget.min()) if rows.size else 0
     floor = np.zeros(rows.size, dtype=bool)
 
     def finish(leave, bound, ok):
@@ -768,13 +757,13 @@ def decide_cells(
             keep = ~done
             F, D, G, S, d, bound, ok = F[keep], D[keep], G[keep], S[keep], d[keep], bound[keep], ok[keep]
             twopi_u, loop_round, rows, budget = twopi_u[keep], loop_round[keep], rows[keep], budget[keep]
-        if len(history) > first_limit and (late := len(history) > 2 * budget).any():
+        if (late := len(history) > 2 * budget).any():
             i = int(late.argmax())
             raise ConvergenceBudgetError(
                 f"Newton solve exceeded 2x its budget of {budget[i]} steps "
                 f"(certified distance {bound[i]:.3e})"
             )
-        newton = _newton_coordinates(basis, problem.inverse_slopes(D), G, basis.disjoint) @ C
+        newton = _newton_coordinates(basis, problem.inverse_slopes(D), G) @ C
         trial = F - newton
         state = _map_step(problem, basis, inverse, trial, twopi_u)
         pending = (state[3] > rate * d).nonzero()[0]

@@ -386,12 +386,6 @@ class CycleBasis:
         return np.linalg.inv(self.gram(1.0 / self.graph.weight_vector))
 
     @cached_property
-    def weighted_gram_inverse_norm(self) -> float:
-        """||W^{-1}||_inf, the largest absolute row sum of W^{-1}; as W^{-1}
-        is symmetric, it bounds the spectral norm too."""
-        return float(np.abs(self.weighted_gram_inverse).sum(axis=1).max(initial=0.0))
-
-    @cached_property
     def longest_cycle(self) -> int:
         """The most edges on one basis cycle: the terms of a loop residual."""
         return max(self.lengths, default=0)

@@ -2,12 +2,12 @@
 
 Covers case ingestion (with rebalancing), translation to sin-family flow
 problems, power-transmission-capacity sweeps, and congestion reporting.  A
-PTC is predicted, then certified: an uncertified point-of-collapse Newton
-solve guesses it, and one stacked certified call decides the emitted curve
-and a bracket of width tol around the guess.  When that bracket does not
-hold, a certified multisection takes over from the tightest bracket the
-call gave; its probes are verdict-only, each Newton solve stopping once its
-cell is decided.  Voltage magnitudes are inputs, never solved for.
+PTC is predicted, then certified: one uncertified point-of-collapse Newton
+loop on the flow and the scale guesses it, and one stacked certified call
+decides the emitted curve and a bracket of width tol around the guess.
+When that bracket does not hold, a certified multisection takes over from
+the tightest bracket the call gave; its probes are verdict-only, each
+Newton solve stopping once its cell is decided.  Voltage magnitudes are inputs, never solved for.
 """
 from __future__ import annotations
 
@@ -26,6 +26,8 @@ from .flows import (
     FlowFunction,
     FlowNetworkProblem,
     Solution,
+    _linear_loop_flow,
+    _newton_coordinates,
     decide_cells,
 )
 from .graphs import CycleBasis, WeightedGraph, fundamental_cycle_basis
@@ -35,7 +37,7 @@ REBALANCE_LIMIT = 0.01
 GAMMA_LIMIT = math.pi / 2 - 1e-9
 PTC_TOL = 1e-6  # default width of the certified PTC bracket
 SECTIONS = 16  # parts each PTC multisection round cuts its bracket into
-PREDICT_STEPS = 25  # Newton steps each solve of the PTC prediction may take
+PREDICT_STEPS = 25  # Newton steps the PTC prediction may take
 SWEEP_GAMMA = math.pi / 2 - 0.01  # the sweep's default maximum power angle
 
 
@@ -163,62 +165,39 @@ class SweepResult:
 def _predict_ptc(problem: FlowNetworkProblem, basis: CycleBasis, u: np.ndarray, ceiling: float) -> float | None:
     """Uncertified guess of the PTC of cell u, or None when it gives up.
 
-    The point-of-collapse method: a damped Newton solve for the cycle
-    coordinates c of the fixed point f = s f0 + C^T c at s = 0, then Newton
-    on the k + 1 unknowns (c, s) of C h^-1(A^-1 f) = 2 pi u together with
-    sigma f_e = capacity_e + FEASIBILITY_SLACK on a binding edge e.  Its
-    Jacobian is [[C W C^T, C W f0], [sigma C[:, e]^T, sigma f0_e]] with
-    W = `inverse_slopes`; each step solves it by eliminating c, and binds
-    the edge whose linearised margin runs out first, so the binding edge
-    may change while s settles.  It gives up when the flow at s = 0 already
-    exceeds a capacity, as soon as s leaves [0, ceiling], and after
-    PREDICT_STEPS steps of either solve.  Nothing it returns is trusted: it
-    only picks the scales that `decide_cells` certifies.
+    The point-of-collapse method: Newton on the flow f and the scale s for
+    the loop equation g = C h^-1(A^-1 f) - 2 pi u = 0 together with
+    sigma f_e = capacity_e + FEASIBILITY_SLACK on a binding edge e, from
+    s = 0 and the linearised loop flow (`_linear_loop_flow`).  With
+    W = `inverse_slopes` and H = C W C^T, a scale step ds moves f to
+    f - C^T H^-1 (g + C W f0 ds) + f0 ds, so each step solves for
+    [g, C W f0] (`_newton_coordinates`) and binds the edge whose linearised
+    margin runs out first; s may dip below 0 on the way.  It gives up when
+    |s| passes the ceiling, when it converges to an s below 0, and after
+    PREDICT_STEPS steps.  Nothing it returns is trusted: it only picks the
+    scales that `decide_cells` certifies.
     """
     C = basis.matrix
     f0 = problem.graph.cutset_flow(problem.p, basis)
     twopi_u = TWO_PI * u
     cap = problem.capacity + FEASIBILITY_SLACK
-
-    def at(c, s):
-        """f, the loop residual g and the Jacobian blocks dg/dc, dg/ds at (c, s)."""
-        f = s * f0 + c @ C
+    f, s = _linear_loop_flow(problem, basis, twopi_u), 0.0
+    for _ in range(PREDICT_STEPS):
         delta = problem.inverse_differences(f)
         W = problem.inverse_slopes(delta)
-        return f, C @ delta - twopi_u, basis.gram(W), (C * W) @ f0
-
-    # A short enough Newton step lowers the loop residual, so the step is
-    # halved until it does.
-    c = np.zeros(basis.size)
-    f, g, H, b = at(c, 0.0)
-    for _ in range(PREDICT_STEPS):
-        step, t = np.linalg.solve(H, g), 1.0
-        if np.abs(step).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(c).max(initial=0.0)):
-            break
-        while (trial := at(c - t * step, 0.0))[1].dot(trial[1]) >= g.dot(g) and t > 1e-6:
-            t /= 2.0
-        c = c - t * step
-        f, g, H, b = trial
-    else:
-        return None
-    if np.any(np.abs(f) > cap):
-        return None
-
-    s = 0.0
-    for _ in range(PREDICT_STEPS):
-        # The Newton step in c for a scale step ds is -H^-1 (g + b ds), which
-        # moves f to f1 + df ds; edge e's margin runs out at ds = reach_e.
-        cg, cb = np.linalg.solve(H, np.stack((g, b), axis=1)).T
-        f1, df = f - cg @ C, f0 - cb @ C
+        rhs = np.stack((C @ delta - twopi_u, (C * W) @ f0))
+        loop, lift = _newton_coordinates(basis, W[None], rhs) @ C
+        # Edge e's linearised margin runs out at ds = reach_e.
+        f1, df = f - loop, f0 - lift
         with np.errstate(divide="ignore", invalid="ignore"):
             reach = np.where(df != 0.0, (cap - np.sign(df) * f1) / np.abs(df), math.inf)
         ds = float(reach.min())
-        c, s = c - cg - ds * cb, s + ds
-        if not 0.0 <= s <= ceiling:
+        s += ds
+        if not abs(s) <= ceiling:
             return None
-        if abs(ds) < 1e-14 * s:
-            return s
-        f, g, H, b = at(c, s)
+        f = f1 + ds * df
+        if abs(ds) <= 1e-14 * abs(s):
+            return s if s >= 0.0 else None
     return None
 
 
@@ -233,11 +212,12 @@ def ptc(
 ) -> SweepResult:
     """Largest scale P of the case's profile with a winding-u solution.
 
-    Predict, then certify.  An uncertified point-of-collapse Newton solve
+    Predict, then certify.  An uncertified point-of-collapse Newton loop
     (`_predict_ptc`) guesses the scale P* at which the first edge flow of
     cell u reaches capacity.  One stacked `decide_cells` call on the case's
     own problem, with per-row supply scales and solved to `rho`, then
-    decides the curve's `curve_points` scales linspace(0, lo) together with
+    decides the curve's `curve_points` scales linspace(0, lo) (a
+    non-negative integer, checked before any solve) together with
     0, lo = P* - tol/2 and hi = lo + tol.  When its first row that is not
     feasible is hi, that call is the whole result: lo is the PTC, with
     existence certified there and failing or undecided at hi.  An
@@ -271,6 +251,8 @@ def _winding_ptc(
     """`ptc` on the case's problem and a basis, built once per sweep."""
     if not (0.0 < tol < math.inf and 0.0 < rho < math.inf):
         raise InputError("tol and rho must be finite and positive")
+    if not (isinstance(curve_points, (int, np.integer)) and curve_points >= 0):
+        raise InputError(f"curve_points must be a non-negative integer, not {curve_points!r}")
     u = np.asarray(u, dtype=np.int64)
     if u.shape != (basis.size,):
         raise InputError(f"need a winding vector of length {basis.size}, not shape {u.shape}")

@@ -223,6 +223,16 @@ class TestCheckAndDecompose:
         sol_path, _ = self._solve_to_files(pentagon_file, tmp_path)
         assert run(["check", pentagon_file, sol_path]) == 0
 
+    def test_check_keys_are_the_solve_report_keys(self, pentagon_file, tmp_path):
+        # check writes "ok", then a solve document's report keys in their
+        # order, all but the iteration keys that trail them.
+        sol_path, doc = self._solve_to_files(pentagon_file, tmp_path)
+        out = tmp_path / "check.json"
+        assert run(["check", pentagon_file, sol_path, "--out", out]) == 0
+        keys, report = list(json.loads(out.read_text())), list(doc["solutions"][2]["report"])
+        assert keys[0] == "ok" and keys[1:] == report[: len(keys) - 1]
+        assert report[len(keys) - 1 :] == ["iterations", "contraction_rate", "final_step"]
+
     def test_check_perturbed_flow(self, pentagon_file, tmp_path, capsys):
         sol_path, doc = self._solve_to_files(pentagon_file, tmp_path)
         sol = doc["solutions"][2]

@@ -843,7 +843,7 @@ def test_newton_steps_match_the_dense_solve(case, height, monkeypatch):
     w = problem.inverse_slopes(rng.uniform(-problem.gamma, problem.gamma, size=(height, basis.graph.m)))
     G = rng.normal(size=(height, basis.size))
     dense = np.linalg.solve((C * w[:, None, :]) @ C.T, G[:, :, None])[:, :, 0] @ C
-    steps = flows._newton_coordinates(basis, w, G, basis.disjoint) @ C
+    steps = flows._newton_coordinates(basis, w, G) @ C
     assert np.max(np.abs(steps - dense)) <= 1e-12 * max(1.0, np.max(np.abs(dense)))
     # Every step of a stacked solve at any height, with the division where
     # the basis allows it, and with the dense solve.

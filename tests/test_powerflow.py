@@ -369,6 +369,16 @@ class TestPtc:
         with pytest.raises(InputError, match="tol and rho must be finite and positive"):
             ptc(builtin_case("ring12-sym"), [0], GAMMA, **bad)
 
+    @pytest.mark.parametrize("points", [-1, 2.5])
+    def test_bad_curve_points_rejected_before_any_solve(self, monkeypatch, points):
+        def fail(*args, **kw):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(powerflow, "_predict_ptc", fail)
+        monkeypatch.setattr(powerflow, "decide_cells", fail)
+        with pytest.raises(InputError, match="curve_points must be a non-negative integer"):
+            ptc(builtin_case("ring12-sym"), [0], GAMMA, curve_points=points)
+
     def test_zero_profile_rejected(self):
         with pytest.raises(InputError):
             ptc(builtin_case("pentagon"), [0], 1.4)
@@ -521,11 +531,12 @@ class TestPtcPrediction:
                 checked += 1
         assert checked
 
-    @pytest.mark.parametrize("u, give_up", [([1], "loop solve"), ([0], "scale solve"), ([1], "ceiling")])
+    @pytest.mark.parametrize("u, give_up", [([1], "one step"), ([0], "scale solve"), ([1], "ceiling")])
     def test_prediction_gives_up(self, monkeypatch, u, give_up):
-        # One Newton step is too few for u = [1]'s loop solve at s = 0, and
-        # for the scale solve of u = [0], whose loop solve starts at its root.
-        # A ceiling below the PTC stops the scale solve once s passes it.
+        # One step of the single loop is too few for u = [1], and for u = [0],
+        # whose start at s = 0 already solves its loop equation, so that only
+        # its scale is left to solve.  A ceiling below the PTC stops the loop
+        # once s passes it.
         # Each gives None, and the multisection certifies the same PTC.
         case = builtin_case("ring12-asym")
         problem = case_to_problem(case, GAMMA)
@@ -543,6 +554,21 @@ class TestPtcPrediction:
         res = ptc(case, u, GAMMA, tol=self.TOL, basis=basis)
         assert guesses == [None]
         assert res.ptc == pytest.approx(want, abs=self.TOL)
+        self.assert_certified(res, problem, basis, self.TOL)
+
+    @pytest.mark.parametrize("gamma, want", [(1.4, 0.0172), (GAMMA, 0.0413)])
+    def test_scale_may_dip_below_zero(self, monkeypatch, gamma, want):
+        # The linearised start of u = [1, -1] on this mesh exceeds a capacity
+        # at s = 0, so the loop's scale goes below 0 before it settles; a
+        # prediction that gives up there leaves the PTC to the multisection.
+        case = _mesh_case(79)
+        problem = case_to_problem(case, gamma)
+        basis = fundamental_cycle_basis(problem.graph)
+        decide, calls = powerflow.decide_cells, []
+        monkeypatch.setattr(powerflow, "decide_cells", lambda *a, **kw: calls.append(1) or decide(*a, **kw))
+        res = ptc(case, [1, -1], gamma, tol=self.TOL, basis=basis)
+        assert len(calls) == 1
+        assert res.ptc == pytest.approx(want, abs=1e-4)
         self.assert_certified(res, problem, basis, self.TOL)
 
     @pytest.mark.parametrize("points", [0, 1, 2])
