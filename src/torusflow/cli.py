@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -178,10 +177,19 @@ def _load_problem(args) -> FlowNetworkProblem:
     if not args.input:
         raise InputError("give a problem file or --case NAME")
     doc = json.loads(Path(args.input).read_text())
-    problem = serialize.problem_from_dict(doc)
-    if gamma is not None and gamma != problem.gamma:
-        problem = replace(problem, gamma=gamma)
-    return problem
+    if gamma is not None and isinstance(doc, dict):
+        doc["gamma"] = gamma
+    return serialize.problem_from_dict(doc)
+
+
+def _load_solution(args):
+    """The problem, its basis (None on a tree) and the solution file's (u, f, theta)."""
+    problem = _load_problem(args)
+    u, f, theta = serialize.solution_from_dict(json.loads(Path(args.solution).read_text()))
+    if f.shape != (problem.graph.m,):
+        raise InputError("flow length does not match the graph")
+    basis = _make_basis(problem.graph, args.basis) if problem.graph.cycle_space_dim else None
+    return problem, basis, u, f, theta
 
 
 def _make_basis(graph: WeightedGraph, kind: str):
@@ -219,25 +227,21 @@ def _cmd_windings(args) -> int:
     problem = _load_problem(args)
     g = problem.graph
     if g.cycle_space_dim == 0:
+        rows = []
+        doc = {"acyclic": True, "note": "acyclic: unique-solution regime", "candidates": 1}
+    else:
+        basis = _make_basis(g, args.basis)
+        bounds = feasible_winding_bounds(basis, problem.gamma)
+        rows = [
+            {"nodes": list(c.nodes), "length": c.length, "bound": b}
+            for c, b in zip(basis.cycles, bounds)
+        ]
         doc = {
-            "acyclic": True,
-            "note": "acyclic: unique-solution regime",
-            "candidates": 1,
+            "basis": serialize.basis_to_dict(basis),
+            "gamma": problem.gamma,
+            "cycles": rows,
+            "candidates": count_feasible_winding_vectors(basis, problem.gamma),
         }
-        _write(serialize.dumps_canonical(doc), args.out)
-        return EXIT_OK
-    basis = _make_basis(g, args.basis)
-    bounds = feasible_winding_bounds(basis, problem.gamma)
-    rows = [
-        {"nodes": list(c.nodes), "length": c.length, "bound": b}
-        for c, b in zip(basis.cycles, bounds)
-    ]
-    doc = {
-        "basis": serialize.basis_to_dict(basis),
-        "gamma": problem.gamma,
-        "cycles": rows,
-        "candidates": count_feasible_winding_vectors(basis, problem.gamma),
-    }
     if args.format == "csv":
         lines = [serialize.csv_line(["cycle", "length", "bound"])]
         for row in rows:
@@ -320,12 +324,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    problem = _load_problem(args)
-    _, f, _ = serialize.solution_from_dict(
-        json.loads(Path(args.solution).read_text())
-    )
-    if f.shape != (problem.graph.m,):
-        raise InputError("flow length does not match the graph")
+    problem, basis, _, f, _ = _load_solution(args)
     f_cut, f_cyc = decompose_flow(problem.graph, f)
     doc = {
         "f": f.tolist(),
@@ -335,8 +334,7 @@ def _cmd_decompose(args) -> int:
             np.max(np.abs(problem.graph.divergence(f) - problem.p))
         ),
     }
-    if problem.graph.cycle_space_dim > 0:
-        basis = _make_basis(problem.graph, args.basis)
+    if basis is not None:
         doc["basis_fingerprint"] = basis.fingerprint
         doc["loop_flows"] = basis.matrix @ f
     _write(serialize.dumps_canonical(doc), args.out)
@@ -344,20 +342,12 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    problem = _load_problem(args)
-    u, f, theta = serialize.solution_from_dict(
-        json.loads(Path(args.solution).read_text())
-    )
-    if f.shape != (problem.graph.m,):
-        raise InputError("flow length does not match the graph")
-    if problem.graph.cycle_space_dim > 0:
-        basis = _make_basis(problem.graph, args.basis)
+    problem, basis, u, f, theta = _load_solution(args)
+    if basis is not None:
         if u.shape != (basis.size,):
             raise InputError("winding vector length does not match the basis")
-    else:
-        basis = None
-        if u.size:
-            raise InputError("an acyclic graph has no cycles: its winding vector must be empty")
+    elif u.size:
+        raise InputError("an acyclic graph has no cycles: its winding vector must be empty")
     report = verify_solution(problem, basis, f, theta, u)
     flagged = report.failures()
     doc = {"ok": not flagged, **serialize.solution_to_dict(Solution(f, theta, u, report))["report"]}

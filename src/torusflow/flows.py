@@ -249,10 +249,7 @@ class FlowNetworkProblem:
 
     def __post_init__(self):
         g = self.graph
-        funcs = self.flow_functions
-        if isinstance(funcs, FlowFunction):
-            funcs = (funcs,) * g.m
-        funcs = tuple(funcs)
+        funcs = tuple(self.flow_functions)
         if len(funcs) != g.m:
             raise InputError("need one flow function per edge")
         object.__setattr__(self, "flow_functions", funcs)
@@ -520,6 +517,12 @@ class Solution:
     iteration: IterationReport | None = None
 
 
+def _check_basis(problem: FlowNetworkProblem, basis: CycleBasis) -> None:
+    """Raise InputError unless basis is of the problem's graph, equal by value."""
+    if basis.graph != problem.graph:
+        raise InputError("the cycle basis is of another graph than the problem's")
+
+
 def winding_fixed_point_map(problem: FlowNetworkProblem, basis: CycleBasis, u, f) -> np.ndarray:
     """One application of T_u; preserves the balance constraint B f = p."""
     f = np.asarray(f, dtype=float)
@@ -584,6 +587,7 @@ def projection_iteration(
     """
     if not 0.0 < rho < math.inf:
         raise InputError("rho must be finite and positive")
+    _check_basis(problem, basis)
     twopi_u = TWO_PI * np.asarray(u, dtype=float)
     rate = problem.contraction_rate
     inverse = _map_inverse(problem, basis)
@@ -683,6 +687,7 @@ def decide_cells(
     """
     if not rho > 0.0:
         raise InputError("rho must be positive")
+    _check_basis(problem, basis)
     rate = problem.contraction_rate
     C = basis.matrix
     inverse = _map_inverse(problem, basis)
@@ -700,16 +705,12 @@ def decide_cells(
     iterations = np.empty(rows.size, dtype=int)
 
     # Every row starts from the cutset flow taken with this basis, scaled by
-    # the row's scale when there is one; a row with u != 0 adds its
+    # the row's scale (1 when none is given); a row with u != 0 adds its
     # linearised loop flow, unscaled.
-    f0 = problem.graph.cutset_flow(problem.p, basis)
-    if scales is None:
-        F = f0[None, :].repeat(rows.size, axis=0)
-    else:
-        scales = np.asarray(scales, dtype=float)
-        if scales.shape != rows.shape:
-            raise InputError(f"need one scale per cell: {scales.shape} for {rows.size} cells")
-        F = scales[:, None] * f0
+    scales = np.ones(rows.size) if scales is None else np.asarray(scales, dtype=float)
+    if scales.shape != rows.shape:
+        raise InputError(f"need one scale per cell: {scales.shape} for {rows.size} cells")
+    F = scales[:, None] * problem.graph.cutset_flow(problem.p, basis)
     loops = twopi_u.any(axis=1).nonzero()[0]
     F[loops] += _linear_loop_flow(problem, basis, twopi_u[loops])
     D, G, S, d = _map_step(problem, basis, inverse, F, twopi_u)
@@ -836,6 +837,7 @@ def recover_cells(problem: FlowNetworkProblem, basis: CycleBasis, U, F) -> tuple
     marks the empty cells.  The first row that exceeds a capacity raises
     FeasibilityError.
     """
+    _check_basis(problem, basis)
     F = np.asarray(F, dtype=float)
     margins = problem.capacity - np.abs(F)
     over = ~(margins >= -FEASIBILITY_SLACK).all(axis=-1)

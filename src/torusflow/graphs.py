@@ -213,13 +213,23 @@ class WeightedGraph:
     @classmethod
     def from_dict(cls, doc: dict) -> "WeightedGraph":
         try:
-            n = int(doc["n"])
+            n = _wire_int(doc["n"])
             rows = doc["edges"]
-            edges = [(int(r[0]), int(r[1])) for r in rows]
+            edges = [(_wire_int(r[0]), _wire_int(r[1])) for r in rows]
             weights = [float(r[2]) if len(r) > 2 else 1.0 for r in rows]
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
+        except (KeyError, TypeError, IndexError, ValueError, InputError) as exc:
             raise InputError(f"bad graph document: {exc}") from exc
         return cls.from_edges(n, edges, weights)
+
+
+def _wire_int(x) -> int:
+    """The int that a document's number x stands for.  Raises InputError on a
+    bool, a non-number, a non-integral value (1.7, inf, NaN) or one outside
+    int64, which int(x) would take, truncate or overflow on."""
+    integral = isinstance(x, (int, np.integer)) or isinstance(x, (float, np.floating)) and float(x).is_integer()
+    if isinstance(x, bool) or not integral or not -(2**63) <= x < 2**63:
+        raise InputError(f"{x!r} is not an int64 integer")
+    return int(x)
 
 
 def deflated_pinv(lap: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from .flows import (
     _newton_coordinates,
     decide_cells,
 )
-from .graphs import CycleBasis, WeightedGraph, fundamental_cycle_basis
+from .graphs import CycleBasis, WeightedGraph, _wire_int, fundamental_cycle_basis
 from .torus import TWO_PI
 
 REBALANCE_LIMIT = 0.01
@@ -112,9 +112,9 @@ class PowerCase:
         try:
             buses = tuple((float(b["v"]), float(b["p"])) for b in doc["buses"])
             branches = tuple(
-                (int(r[0]), int(r[1]), float(r[2])) for r in doc["branches"]
+                (_wire_int(r[0]), _wire_int(r[1]), float(r[2])) for r in doc["branches"]
             )
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
+        except (KeyError, TypeError, IndexError, ValueError, InputError) as exc:
             raise InputError(f"bad power case document: {exc}") from exc
         return cls(
             buses=buses,
@@ -405,9 +405,9 @@ def builtin_case(name: str, data_path: str | Path | None = None) -> PowerCase:
         try:
             volts = [float(b["v"]) for b in doc["buses"]]
             branches = tuple(
-                (int(r[0]), int(r[1]), float(r[2])) for r in doc["branches"]
+                (_wire_int(r[0]), _wire_int(r[1]), float(r[2])) for r in doc["branches"]
             )
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
+        except (KeyError, TypeError, IndexError, ValueError, InputError) as exc:
             raise InputError(f"bad rts24 data file: {exc}") from exc
         if len(volts) != 24:
             raise InputError("rts24-mod expects 24 buses")

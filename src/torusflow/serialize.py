@@ -1,9 +1,9 @@
 """JSON/CSV emission and the problem/solution wire formats.
 
 Documents are written by a small recursive writer whose bytes equal the
-standard encoder's, `json.dumps(obj, indent=2)`, plus a newline: it joins
-each list of plain floats or ints with one `str.join` instead of one
-encoder step per number.  The solutions of a solve document go in as one
+standard encoder's, `json.dumps(obj, indent=2)`, plus a newline: it writes
+each flat list of JSON scalars, an edge row as much as a flow, with one
+`str.join` of their texts.  The solutions of a solve document go in as one
 `solution_rows` value, written with one %-template per solution instead of
 one recursive walk per solution.  Floats, in JSON and CSV alike, are
 Python's shortest round-trip text, so they read back to the same double and
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InputError
 from .flows import FlowFunction, FlowNetworkProblem, Solution, check_feasibility
-from .graphs import CycleBasis, WeightedGraph
+from .graphs import CycleBasis, WeightedGraph, _wire_int
 
 
 def _numpy_to_python(obj: Any) -> Any:
@@ -45,12 +45,13 @@ def _float_text(x: float) -> str:
     return _NONFINITE.get(text, text)
 
 
-# The text of each scalar type, looked up by exact type.  numpy scalars,
-# np.float64 among them, go through `_numpy_to_python` to the equal Python
-# scalar, whose text the standard encoder also writes.
+# The text of each scalar type, looked up by exact type; np.float64 is a
+# float.  Other numpy scalars go through `_numpy_to_python` to the equal
+# Python scalar, whose text the standard encoder also writes.
 _SCALARS = {
     str: _encode_str,
     float: _float_text,
+    np.float64: _float_text,
     int: int.__repr__,
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
@@ -58,19 +59,12 @@ _SCALARS = {
 
 
 def _leaf_text(items: list | tuple, sep: str) -> str | None:
-    """A list of floats or of exact ints as one join, or None to write it item
-    by item: a NaN or an infinity reprs with an "n", and `int.__repr__`
-    would print a bool as 1."""
-    first = items[0]
-    if isinstance(first, float):
-        try:
-            text = sep.join(map(float.__repr__, items))
-        except TypeError:  # an item that is not a float
-            return None
-        return None if "n" in text else text
-    if type(first) is int and set(map(type, items)) == {int}:
-        return sep.join(map(int.__repr__, items))
-    return None
+    """A flat list of JSON scalars as one join of their `_SCALARS` texts, or
+    None when some item is a list, a dict or a numpy value, for `_write` to walk."""
+    try:
+        return sep.join([_SCALARS[type(x)](x) for x in items])
+    except KeyError:
+        return None
 
 
 def _write(obj: Any, indent: str) -> str:
@@ -227,6 +221,8 @@ def problem_from_dict(doc: dict) -> FlowNetworkProblem:
     if isinstance(flow_doc, dict):
         functions = (flow_family_from_dict(flow_doc),) * graph.m
     else:
+        if not (isinstance(flow_doc, list) and all(isinstance(d, dict) for d in flow_doc)):
+            raise InputError(f'"flow" must be an object or a list of objects, not {flow_doc!r}')
         if len(flow_doc) != graph.m:
             raise InputError("per-edge flow list must match the edge count")
         functions = tuple(map(flow_family_from_dict, flow_doc))
@@ -299,10 +295,10 @@ def solution_to_dict(sol: Solution, basis: CycleBasis | None = None) -> dict:
 def solution_from_dict(doc: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(u, f, theta) parsed from a solution document."""
     try:
-        u = np.array([int(x) for x in doc["u"]], dtype=np.int64)
+        u = np.array([_wire_int(x) for x in doc["u"]], dtype=np.int64)
         f = np.array([float(x) for x in doc["f"]])
         theta = np.array([float(x) for x in doc["theta"]])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InputError) as exc:
         raise InputError(f"bad solution document: {exc}") from exc
     return u, f, theta
 

@@ -216,16 +216,6 @@ def integrate_cells(g: WeightedGraph, delta) -> tuple[np.ndarray, np.ndarray]:
     return theta, residue.max(axis=-1, initial=0.0) > TWO_PI * WINDING_INT_TOL
 
 
-def integrate_differences(g: WeightedGraph, delta, u) -> np.ndarray:
-    """`integrate_cells` on the single row delta; an empty cell raises
-    NonIntegerWindingError naming u."""
-    theta, empty = integrate_cells(g, np.asarray(delta, dtype=float)[None, :])
-    if empty[0]:
-        u = np.asarray(u, dtype=np.int64)
-        raise NonIntegerWindingError(f"no integer shift for u={u.tolist()}: cell is empty")
-    return theta[0]
-
-
 def torus_to_polytope(basis: CycleBasis, theta) -> tuple[np.ndarray, np.ndarray]:
     """Map theta to its polytope coordinate: (x in 1^perp, winding vector u).
 
@@ -255,8 +245,10 @@ def polytope_to_torus(basis: CycleBasis, x, u) -> np.ndarray:
         raise PolytopeMembershipError(
             "B^T x + 2pi C^+ u leaves the open cube (-pi, pi)^m"
         )
-    theta = integrate_differences(g, target, u)
-    return wrap(theta - np.mean(theta))
+    theta, empty = integrate_cells(g, target[None, :])
+    if empty[0]:
+        raise NonIntegerWindingError(f"no integer shift for u={u.tolist()}: cell is empty")
+    return wrap(theta[0] - np.mean(theta[0]))
 
 
 def phases_equal_mod_rotation(a, b, tol: float = 1e-9) -> bool:

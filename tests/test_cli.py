@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import ring_graph, sin_problem
-from torusflow import cli, fundamental_cycle_basis
+from torusflow import WeightedGraph, cli, fundamental_cycle_basis
 from torusflow.cli import main
 from torusflow.serialize import dumps_canonical, problem_to_dict
 
@@ -74,6 +74,39 @@ class TestSolve:
         assert run(["solve", out, "--case-data", data]) == 1
         assert "--case-data" in capsys.readouterr().err
 
+    def test_gamma_replaces_the_files_gamma_before_the_build(self, tmp_path, capsys):
+        # The sine's certificate fails at 1.6 > pi/2: only --gamma's value builds.
+        doc = problem_to_dict(sin_problem(ring_graph(3), [0.1, 0.0, -0.1], 1.4))
+        at_14, at_16 = tmp_path / "at-1.4.json", tmp_path / "at-1.6.json"
+        at_14.write_text(json.dumps(doc))
+        at_16.write_text(json.dumps(dict(doc, gamma=1.6)))
+        assert run(["solve", at_16]) == 1
+        assert "input error:" in capsys.readouterr().err
+        overridden, rewritten = tmp_path / "overridden.json", tmp_path / "rewritten.json"
+        assert run(["solve", at_16, "--gamma", 1.4, "--out", overridden]) == 0
+        assert run(["solve", at_14, "--out", rewritten]) == 0
+        assert overridden.read_bytes() == rewritten.read_bytes()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"graph": {"n": 3.9, "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0]]}},
+            {"graph": {"n": 3, "edges": [[0, 1.7, 1.0], [1, 2, 1.0], [2, 0, 1.0]]}},
+            {"flow": None},
+            {"flow": 5},
+            {"flow": "sin"},
+            {"flow": [1, 2, 3]},
+        ],
+        ids=["fractional-n", "fractional-endpoint", "flow-null", "flow-5", "flow-sin", "flow-ints"],
+    )
+    def test_malformed_document_is_one_input_error_line(self, change, tmp_path, capsys):
+        doc = problem_to_dict(sin_problem(ring_graph(3), [0.1, 0.0, -0.1], 1.4))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(doc, **change)))
+        assert run(["solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
     def test_csv_format(self, pentagon_file, tmp_path):
         out = tmp_path / "sol.csv"
         assert run(["solve", pentagon_file, "--format", "csv", "--out", out]) == 0
@@ -123,6 +156,14 @@ class TestWindings:
         assert doc["acyclic"] is True
         assert "unique-solution regime" in doc["note"]
         assert doc["candidates"] == 1
+
+    def test_tree_csv_format(self, tmp_path):
+        prob = sin_problem(WeightedGraph.from_edges(3, [(0, 1), (1, 2)]), [0.1, 0.0, -0.1], 1.0)
+        path = tmp_path / "tree.json"
+        path.write_text(dumps_canonical(problem_to_dict(prob)))
+        out = tmp_path / "w.csv"
+        assert run(["windings", path, "--format", "csv", "--out", out]) == 0
+        assert out.read_text() == "cycle,length,bound\ncandidates,1,\n"
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "w.csv"
@@ -256,6 +297,15 @@ class TestCheckAndDecompose:
         sol_path.write_text(json.dumps(sol))
         assert run(["check", pentagon_file, sol_path]) == 4
         assert "balance residual nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("u", [[0.7], [1e30]])
+    def test_check_non_integer_winding_vector_exit_1(self, u, pentagon_file, tmp_path, capsys):
+        # int() would read 0.7 as 0, which passes check, and overflow on 1e30.
+        sol_path, doc = self._solve_to_files(pentagon_file, tmp_path)
+        sol_path.write_text(json.dumps(dict(doc["solutions"][1], u=u)))
+        assert run(["check", pentagon_file, sol_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: bad solution document: ") and "is not an int64 integer" in err
 
     def test_check_winding_vector_of_the_wrong_length_exit_1(self, pentagon_file, tmp_path, capsys):
         sol_path, doc = self._solve_to_files(pentagon_file, tmp_path)

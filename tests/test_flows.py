@@ -63,7 +63,7 @@ from torusflow import (
     winding_vector,
     wrap,
 )
-from torusflow.flows import FEASIBILITY_SLACK, decide_cells, recover_cells, verify_cells
+from torusflow.flows import FEASIBILITY_SLACK, decide_cell, decide_cells, recover_cells, verify_cells
 from torusflow.torus import WINDING_INT_TOL
 
 TWO_PI = 2 * math.pi
@@ -984,3 +984,43 @@ def test_pruned_solve_matches_exhaustive_on_fixed_boxes():
     ]
     counts = [len(_assert_pruned_solve_is_exhaustive(problem, basis)) for problem, basis in cases]
     assert cases[0][1].size > 64 and counts[2] == 243
+
+
+class TestBasisOfAnotherGraph:
+    # g1 and g2 share four edges and have two independent cycles each: g2's
+    # basis on g1's problem must raise, not let solve_all return [].
+    g1 = WeightedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    g2 = WeightedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)])
+    p = [0.3, -0.1, -0.1, -0.1]
+
+    def problem(self):
+        return sin_problem(self.g1, self.p, 1.4)
+
+    def test_own_basis_finds_the_one_solution(self):
+        # An equal graph built anew is the same graph: the check is by value.
+        twin = WeightedGraph.from_edges(4, list(self.g1.edges))
+        solutions = solve_all(self.problem(), basis=fundamental_cycle_basis(twin))
+        assert [s.u.tolist() for s in solutions] == [[0, 0]]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda problem, basis: solve_all(problem, basis=basis),
+            lambda problem, basis: decide_cells(problem, basis, np.zeros((1, 2))),
+            lambda problem, basis: decide_cell(problem, basis, [0, 0]),
+            lambda problem, basis: projection_iteration(problem, basis, [0, 0]),
+            lambda problem, basis: recover_cells(problem, basis, np.zeros((1, 2)), np.zeros((1, 5))),
+        ],
+        ids=["solve_all", "decide_cells", "decide_cell", "projection_iteration", "recover_cells"],
+    )
+    def test_another_graphs_basis_raises(self, call):
+        with pytest.raises(InputError, match="another graph"):
+            call(self.problem(), fundamental_cycle_basis(self.g2))
+
+    def test_ptc_probe_raises(self):
+        # The same ring with other weights is another graph.
+        case = builtin_case("ring12-sym")
+        graph = case_to_problem(case, 1.4).graph
+        other = WeightedGraph.from_edges(graph.n, graph.edges, 2.0 * graph.weight_vector)
+        with pytest.raises(InputError, match="another graph"):
+            ptc(case, [0], 1.4, basis=fundamental_cycle_basis(other))

@@ -36,7 +36,7 @@ from torusflow import (
     spanning_tree,
 )
 import torusflow.graphs as graphs_module
-from torusflow.graphs import _tree_path_nodes, deflated_pinv
+from torusflow.graphs import _tree_path_nodes, _wire_int, deflated_pinv
 
 
 def _lattice(side, cols=None):
@@ -96,6 +96,34 @@ class TestWeightedGraph:
     def test_json_round_trip(self):
         g = square_with_diagonal()
         assert WeightedGraph.from_dict(g.to_dict()) == g
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 3.9, "edges": [[0, 1], [1, 2], [2, 0]]},
+            {"n": 3, "edges": [[0, 1.7], [1, 2], [2, 0]]},
+            {"n": True, "edges": []},
+            {"n": 3, "edges": [[0, 1], [1, 2], [2, "0"]]},
+        ],
+        ids=["fractional-n", "fractional-endpoint", "bool-n", "string-endpoint"],
+    )
+    def test_from_dict_reads_integers_strictly(self, doc):
+        # int() would read n = 3.9 as 3 and the endpoint 1.7 as 1.
+        with pytest.raises(InputError, match="bad graph document: .* is not an int64 integer"):
+            WeightedGraph.from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [3, 3.0, -2.0, np.int64(3), np.float64(7.0), 2**63 - 1, -(2**63)])
+def test_wire_int_takes_integral_numbers(value):
+    assert _wire_int(value) == int(value) and type(_wire_int(value)) is int
+
+
+@pytest.mark.parametrize(
+    "value", [0.7, 1.7, math.inf, -math.inf, math.nan, 1e30, 2**63, -(2**63) - 1, True, np.bool_(False), "3", None, [1]]
+)
+def test_wire_int_rejects_what_int_would_truncate_overflow_or_take(value):
+    with pytest.raises(InputError, match="is not an int64 integer"):
+        _wire_int(value)
 
 
 class TestIncidence:

@@ -94,6 +94,12 @@ class TestPowerCase:
         with pytest.raises(GammaError):
             case_to_problem(builtin_case("pentagon"), math.pi / 2)
 
+    @pytest.mark.parametrize("endpoint", [1.5, 1e30, True])
+    def test_from_dict_reads_branch_endpoints_strictly(self, endpoint):
+        doc = {"buses": [{"v": 1.0, "p": 0.0}] * 3, "branches": [[0, endpoint, 1.0], [1, 2, 1.0], [2, 0, 1.0]]}
+        with pytest.raises(InputError, match="bad power case document: .* is not an int64 integer"):
+            PowerCase.from_dict(doc)
+
     def test_json_round_trip(self):
         case = builtin_case("ring12-asym")
         again = PowerCase.from_dict(case.to_dict())
@@ -145,6 +151,17 @@ class TestBuiltinCases:
         assert case.n == 24
         assert abs(float(np.sum(case.supply))) < 1e-12
         assert case.supply[2] == pytest.approx(-268.48 / 100.0)
+
+    @pytest.mark.parametrize("endpoint", [22.5, math.nan])
+    def test_rts24_reads_branch_endpoints_strictly(self, tmp_path, endpoint):
+        doc = {
+            "buses": [{"v": 1.0} for _ in range(24)],
+            "branches": [[i, i + 1, 1.0] for i in range(22)] + [[endpoint, 23, 1.0], [23, 0, 1.0]],
+        }
+        path = tmp_path / "rts.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match="bad rts24 data file: .* is not an int64 integer"):
+            builtin_case("rts24-mod", data_path=path)
 
 
 class TestCongestion:

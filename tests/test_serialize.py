@@ -130,8 +130,8 @@ _scalars = st.one_of(
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
     st.booleans().map(np.bool_),
 )
-# Leaf lists of one kind reach the writer's joined path, mixed ones its
-# per-item path.
+# Flat lists of scalars reach the writer's joined path, whatever their mix
+# of kinds; lists holding numpy values other than np.float64 reach its walk.
 _leaves = _scalars | _arrays | st.lists(_floats, min_size=1) | st.lists(_ints, min_size=1) | st.lists(
     st.booleans() | st.integers(-3, 3), min_size=1
 )
@@ -160,6 +160,7 @@ class TestStandardEncoderBytes:
             "bools": [True, False, 1, 0],
             "ints": [0, -(2**70), 2**63],
             "numpy": [np.float64(0.5), np.int64(-3), np.bool_(False), np.zeros((2, 0)), np.eye(2)],
+            "numpy_floats": [np.float64(0.5), np.float64(math.nan), 1.5, np.float64(-math.inf)],
             "tuple": (1, (2.5, ()), {}),
             "numpy_str": np.str_("s"),
             "\u00e9\n\"": "\u2028\\",
@@ -435,6 +436,13 @@ class TestProblemDocuments:
         with pytest.raises(InputError):
             problem_from_dict(doc)
 
+    @pytest.mark.parametrize("flow", [None, 5, "sin", [1, 2, 3], [{"family": "sin"}, {"family": "sin"}, "sin"]])
+    def test_flow_must_be_an_object_or_a_list_of_objects(self, flow):
+        # On a triangle "sin" and [1, 2, 3] have one entry per edge.
+        doc = {"graph": ring_graph(3).to_dict(), "flow": flow, "p": [0, 0, 0], "gamma": 1.0}
+        with pytest.raises(InputError, match='"flow" must be an object or a list of objects'):
+            problem_from_dict(doc)
+
 
 class TestSolutionDocuments:
     def test_round_trip(self):
@@ -449,6 +457,11 @@ class TestSolutionDocuments:
         assert np.array_equal(theta, sol.theta)
         assert doc["basis_fingerprint"] == basis.fingerprint
         assert doc["report"]["iterations"] >= 1
+
+    @pytest.mark.parametrize("u", [[0.7], [1e30], [math.nan], [False]])
+    def test_winding_vector_is_read_strictly(self, u):
+        with pytest.raises(InputError, match="bad solution document: .* is not an int64 integer"):
+            solution_from_dict({"u": u, "f": [0.0], "theta": [0.0]})
 
     def test_solutions_csv_shape(self):
         prob = sin_problem(ring_graph(5), np.zeros(5), 1.4)
