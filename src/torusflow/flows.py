@@ -1,11 +1,11 @@
 """Flow network problems on the n-torus.
 
 Implements the flow-function model with its monotonicity certificate, the
-linearly-extended flow function and its inverse, the acyclic closed-form
-solver, the winding fixed-point map, the contraction (projection)
-iteration, the certified Newton solve and three-way verdict per winding
-cell (batched over a stack of cells), the complete multi-solution solver,
-and flow decomposition.
+linearly-extended flow function and its inverse, the winding fixed-point
+map, the contraction (projection) iteration, the certified Newton solve
+and three-way verdict per winding cell (batched over a stack of cells),
+the complete multi-solution solver (trees included), and flow
+decomposition.
 """
 from __future__ import annotations
 
@@ -353,7 +353,7 @@ class FlowNetworkProblem:
     @cached_property
     def map_norm_to_edge(self) -> float:
         """sqrt(max Lmin a): every |x_e| <= map_norm(x) * this."""
-        return math.sqrt(float(np.max(self._lmin_a)))
+        return math.sqrt(float(self._lmin_a.max(initial=0.0)))
 
 
 def identity_groups(items: Sequence) -> list[tuple[object, np.ndarray]]:
@@ -373,7 +373,7 @@ def _map_inverse(problem: FlowNetworkProblem, basis: CycleBasis) -> np.ndarray:
     inverse: a 30x30 lattice's `solve_all` (k = 841) took 0.071 s against
     0.104 s with two (one BLAS thread).  Otherwise M is inverted here."""
     lmin = problem.lmin
-    if (lmin == lmin[0]).all():
+    if lmin.size and (lmin == lmin[0]).all():
         return lmin[0] * basis.weighted_gram_inverse
     return np.linalg.inv(basis.gram(1.0 / problem._lmin_a))
 
@@ -383,7 +383,7 @@ def _linear_loop_flow(problem: FlowNetworkProblem, basis: CycleBasis, twopi_u: n
     (B, k) stack: f0 plus it solves cell u's loop equation linearised at
     delta = 0, with W^{-1} = `basis.weighted_gram_inverse` and one slope
     l = max Lmax (h'(0) = 1 for sine), as C A^{-1} f0 = 0."""
-    slope = float(problem.lmax.max())
+    slope = float(problem.lmax.max(initial=0.0))
     return ((slope * twopi_u) @ basis.weighted_gram_inverse) @ basis.matrix
 
 
@@ -632,6 +632,8 @@ def decide_cells(
     plus its loop flow linearised at delta = 0 (`_linear_loop_flow`); a
     row with u = 0 starts at f0.  Psi_u is strictly convex and every
     verdict certified, so the start sets only the speed and the last bits.
+    A basis with no cycle (a tree's) has one cell, u = (), whose T_u is
+    constant: its rate is 0.0 and its one row is decided at the start.
 
     With a (B,) array `scales`, row r decides cell U[r] of
     `problem.with_supply(scales[r] * problem.p)`.  p enters only through
@@ -688,7 +690,7 @@ def decide_cells(
     if not rho > 0.0:
         raise InputError("rho must be positive")
     _check_basis(problem, basis)
-    rate = problem.contraction_rate
+    rate = problem.contraction_rate if basis.size else 0.0
     C = basis.matrix
     inverse = _map_inverse(problem, basis)
     # |x_e| <= sqrt(Lmin_e a_e) ||x||, and the contraction adds 1 / (1 - rate).
@@ -737,7 +739,7 @@ def decide_cells(
         flows[at_rows] = F[leave]
         feasible[at_rows] = ok[leave]
         error_bound[at_rows] = bound[leave]
-        final_step[at_rows] = np.abs(S[leave]).max(axis=1)
+        final_step[at_rows] = np.abs(S[leave]).max(axis=1, initial=0.0)
         iterations[at_rows] = len(history) - 1
 
     while rows.size:
@@ -910,24 +912,11 @@ def verify_solution(
 
 
 def acyclic_solve(problem: FlowNetworkProblem) -> Solution | None:
-    """Closed-form solver for trees: the unique solution or None.
-
-    The flow is forced to A B^T L^+ p by balance alone; a solution exists
-    iff every |(B^T L^+ p)_e| <= |h_e(gamma)|.
-    """
-    g = problem.graph
-    if g.cycle_space_dim != 0:
+    """The unique solution on a tree, or None: `solve_all`'s one cell
+    u = (), whose flow A B^T L^+ p balance alone forces."""
+    if problem.graph.cycle_space_dim != 0:
         raise CyclicGraphError("graph has cycles; use solve_all")
-    f = problem.cutset_flow
-    feasible, _ = check_feasibility(problem, f)
-    if not feasible:
-        return None
-    theta = canonical_rotation(g.tree_phases(problem.inverse_differences(f)))
-    report = verify_solution(problem, None, f, theta, np.zeros(0, dtype=np.int64))
-    if not report.within_tolerance():
-        raise TorusFlowError(f"acyclic certification failed: {report}")
-    it = IterationReport(iterations=0, final_step=0.0, rate=0.0, feasible=True)
-    return Solution(f=f, theta=theta, u=np.zeros(0, dtype=np.int64), report=report, iteration=it)
+    return next(iter(solve_all(problem)), None)
 
 
 def solve_all(
@@ -950,19 +939,20 @@ def solve_all(
     order: their f and theta are rows of the block's (solutions, m) and
     (solutions, n) arrays, which hold nothing else, and each u is an array
     of its own.  A block with no feasible row skips both calls.
+    A tree's default basis is empty, and its box the one cell u = ().  A
+    box too large to enumerate raises InputError before any cut is formed.
     """
     if not 0.0 < rho < math.inf:
         raise InputError("rho must be finite and positive")
-    if problem.graph.cycle_space_dim == 0:
-        sol = acyclic_solve(problem)
-        return [sol] if sol is not None else []
+    g = problem.graph
     if basis is None:
-        basis = fundamental_cycle_basis(problem.graph)
+        basis = fundamental_cycle_basis(g) if g.cycle_space_dim else CycleBasis(g, (), "fundamental")
+    blocks = winding_blocks(basis, problem.gamma)
     cuts, limits = winding_cuts(basis, problem.gamma)
     # In floats BLAS forms |a . u| exactly: every term is a small integer.
     cuts_t = cuts.T.astype(float)
     solutions = []
-    for U in winding_blocks(basis, problem.gamma):
+    for U in blocks:
         dots = U @ cuts_t
         np.abs(dots, out=dots)
         U = U[(dots <= limits).all(axis=1)]

@@ -48,14 +48,17 @@ GRAM_PATTERN_RATIO = 300
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Connected undirected graph with ordered, oriented, weighted edges."""
+    """Connected undirected graph with ordered, oriented, weighted edges.
+    Node ids are read strictly (`_wire_int`), and more than m + 1 nodes
+    raise SingularityError before anything is sized by n."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        edges = tuple((int(i), int(j)) for i, j in self.edges)
+        object.__setattr__(self, "n", _wire_int(self.n))
+        edges = tuple((_wire_int(i), _wire_int(j)) for i, j in self.edges)
         weights = tuple(float(w) for w in self.weights)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "weights", weights)
@@ -75,14 +78,16 @@ class WeightedGraph:
             seen.add(key)
         if not all(0.0 < w < math.inf for w in weights):
             raise WeightError("all edge weights must be finite and strictly positive")
+        if self.n > len(edges) + 1:
+            raise SingularityError("graph is not connected")
         self.tree  # raises SingularityError when the graph is not connected
 
     @classmethod
     def from_edges(cls, n, edges, weights=None) -> "WeightedGraph":
-        edges = tuple((int(i), int(j)) for i, j in edges)
+        edges = tuple(edges)
         if weights is None:
             weights = (1.0,) * len(edges)
-        return cls(n=int(n), edges=edges, weights=tuple(weights))
+        return cls(n=n, edges=edges, weights=tuple(weights))
 
     @property
     def m(self) -> int:
@@ -213,13 +218,11 @@ class WeightedGraph:
     @classmethod
     def from_dict(cls, doc: dict) -> "WeightedGraph":
         try:
-            n = _wire_int(doc["n"])
             rows = doc["edges"]
-            edges = [(_wire_int(r[0]), _wire_int(r[1])) for r in rows]
             weights = [float(r[2]) if len(r) > 2 else 1.0 for r in rows]
+            return cls.from_edges(doc["n"], [(r[0], r[1]) for r in rows], weights)
         except (KeyError, TypeError, IndexError, ValueError, InputError) as exc:
             raise InputError(f"bad graph document: {exc}") from exc
-        return cls.from_edges(n, edges, weights)
 
 
 def _wire_int(x) -> int:

@@ -58,7 +58,7 @@ class PowerCase:
 
     def __post_init__(self):
         buses = tuple((float(v), float(p)) for v, p in self.buses)
-        branches = tuple((int(i), int(j), float(b)) for i, j, b in self.branches)
+        branches = tuple((_wire_int(i), _wire_int(j), float(b)) for i, j, b in self.branches)
         if not all(0.0 < v < math.inf and math.isfinite(p) for v, p in buses):
             raise InputError("all voltage magnitudes must be finite and positive, and all powers finite")
         if not all(0.0 < b < math.inf for _, _, b in branches):
@@ -110,18 +110,14 @@ class PowerCase:
     @classmethod
     def from_dict(cls, doc: dict, name: str = "") -> "PowerCase":
         try:
-            buses = tuple((float(b["v"]), float(b["p"])) for b in doc["buses"])
-            branches = tuple(
-                (_wire_int(r[0]), _wire_int(r[1]), float(r[2])) for r in doc["branches"]
+            return cls(
+                buses=tuple((float(b["v"]), float(b["p"])) for b in doc["buses"]),
+                branches=tuple((r[0], r[1], float(r[2])) for r in doc["branches"]),
+                base_mva=doc.get("base_mva"),
+                name=name or doc.get("name", ""),
             )
         except (KeyError, TypeError, IndexError, ValueError, InputError) as exc:
             raise InputError(f"bad power case document: {exc}") from exc
-        return cls(
-            buses=buses,
-            branches=branches,
-            base_mva=doc.get("base_mva"),
-            name=name or doc.get("name", ""),
-        )
 
 
 def case_to_problem(case: PowerCase, gamma: float) -> FlowNetworkProblem:
@@ -223,14 +219,15 @@ def ptc(
     existence certified there and failing or undecided at hi.  An
     undecided row counts as no solution.
 
-    Otherwise, or when the prediction gives up, a certified multisection
-    takes over from the tightest bracket the rows gave (from (0, ceiling)
-    and a zero probe when there were none): each round probes the
-    SECTIONS - 1 interior points of the bracket (lo, hi) in one stacked
-    call run only until each row is decided (rho = inf), hi moves to the
-    first probe that is not feasible and lo to the probe before it, and the
-    curve is one more call, solved to `rho` since its loop flows are
-    emitted.  Either way existence is certified at the returned value and
+    When the prediction gives up, the stack is the zero scale alone, run
+    until it is decided (rho = inf).  Either stack's bracket ends at its
+    first row that is not feasible (the ceiling when none is), and unless
+    that call was the whole result a certified multisection takes over:
+    each round probes the SECTIONS - 1 interior points of the bracket
+    (lo, hi) in one stacked call run only until each row is decided
+    (rho = inf), hi moves to the first probe that is not feasible and lo
+    to the probe before it, and the curve is one more call, solved to
+    `rho` since its loop flows are emitted.  Either way existence is certified at the returned value and
     fails or is undecided at most tol above it; a zero scale that is not
     feasible gives ptc None.  Assumes a single existence interval [0, PTC].
 
@@ -248,7 +245,8 @@ def ptc(
 def _winding_ptc(
     problem: FlowNetworkProblem, basis: CycleBasis, u, tol: float, rho: float, curve_points: int = 9
 ) -> SweepResult:
-    """`ptc` on the case's problem and a basis, built once per sweep."""
+    """`ptc` on the case's problem and a basis, built once per sweep; one
+    bracket rule serves the predicted stack and the lone zero scale."""
     if not (0.0 < tol < math.inf and 0.0 < rho < math.inf):
         raise InputError("tol and rho must be finite and positive")
     if not (isinstance(curve_points, (int, np.integer)) and curve_points >= 0):
@@ -296,29 +294,26 @@ def _winding_ptc(
 
     guess = _predict_ptc(problem, basis, u, ceiling)
     if guess is None or not 0.0 <= guess <= ceiling:
-        # The bracket probes keep only their verdicts: rho = inf stops each
-        # one once it is decided.
-        if not probe(np.zeros(1), math.inf)[0][0]:
-            return SweepResult(u=u, ptc=None, curve=())
-        lo, hi = 0.0, ceiling
+        # The zero scale alone, for its verdict: rho = inf stops it once decided.
+        scales, first_rho = np.zeros(1), math.inf
     else:
         lo = max(guess - 0.5 * tol, 0.0)
         hi = lo + tol
         if hi - lo > tol:  # lo + tol rounded up
             hi = math.nextafter(hi, lo)
-        # The curve's first and last samples are the zero and lo probes; the
-        # rows ascend, so the bracket ends at the first that is not feasible.
+        # The curve's first and last samples are the zero and lo probes.
         curve = np.linspace(0.0, lo, curve_points)
-        scales = np.concatenate(([0.0], curve[1:-1], [lo, hi]))
-        feasible, flows = probe(scales, rho)
-        first = int(np.append(~feasible, True).argmax())
-        if first == 0:
-            return SweepResult(u=u, ptc=None, curve=())
-        if first == scales.size - 1:
-            return result(lo, hi, curve, feasible[: curve.size], flows[: curve.size])
-        # The ceiling is the bracket's upper end when even hi was feasible.
-        ends = np.append(scales, ceiling)
-        lo, hi = float(ends[first - 1]), float(ends[first])
+        scales, first_rho = np.concatenate(([0.0], curve[1:-1], [lo, hi])), rho
+    # The rows ascend, so the bracket ends at the first that is not feasible.
+    feasible, flows = probe(scales, first_rho)
+    first = int(np.append(~feasible, True).argmax())
+    if first == 0:
+        return SweepResult(u=u, ptc=None, curve=())
+    if first == scales.size - 1:  # hi: a lone zero row has returned above
+        return result(lo, hi, curve, feasible[: curve.size], flows[: curve.size])
+    # The ceiling is the bracket's upper end when even the last row was feasible.
+    ends = np.append(scales, ceiling)
+    lo, hi = float(ends[first - 1]), float(ends[first])
 
     cuts = np.arange(1, SECTIONS) / SECTIONS
     while hi - lo > tol:
@@ -404,14 +399,11 @@ def builtin_case(name: str, data_path: str | Path | None = None) -> PowerCase:
         doc = json.loads(Path(data_path).read_text())
         try:
             volts = [float(b["v"]) for b in doc["buses"]]
-            branches = tuple(
-                (_wire_int(r[0]), _wire_int(r[1]), float(r[2])) for r in doc["branches"]
-            )
+            if len(volts) != 24:
+                raise InputError("rts24-mod expects 24 buses")
+            branches = tuple((r[0], r[1], float(r[2])) for r in doc["branches"])
+            return PowerCase(buses=tuple(zip(volts, RTS24_MOD_P)), branches=branches, base_mva=100.0, name="rts24-mod")
         except (KeyError, TypeError, IndexError, ValueError, InputError) as exc:
             raise InputError(f"bad rts24 data file: {exc}") from exc
-        if len(volts) != 24:
-            raise InputError("rts24-mod expects 24 buses")
-        buses = tuple((volts[i], RTS24_MOD_P[i]) for i in range(24))
-        return PowerCase(buses=buses, branches=branches, base_mva=100.0, name="rts24-mod")
     raise UnknownCaseError(f"unknown built-in case {name!r}")
 

@@ -121,7 +121,9 @@ def count_feasible_winding_vectors(basis: CycleBasis, gamma: float) -> int:
 
 def winding_blocks(basis: CycleBasis, gamma: float) -> Iterator[np.ndarray]:
     """The candidate winding box, every |u_i| <= bound_i, in lexicographic
-    order, as (<= CHUNK_ROWS, k) int64 blocks.
+    order, as an iterator of (<= CHUNK_ROWS, k) int64 blocks.  A box of
+    more than int64 cells raises InputError at the call, not at the first
+    block.  A basis with no cycle gives the one (1, 0) block of u = ().
 
     Only the free coordinates (bound > 0) vary: row r of the box holds the
     mixed-radix digits of r, the last free coordinate fastest, so there is
@@ -134,11 +136,14 @@ def winding_blocks(basis: CycleBasis, gamma: float) -> Iterator[np.ndarray]:
     if total > np.iinfo(np.int64).max:
         raise InputError(f"the winding box holds {total} cells, too many to enumerate")
     stride = np.array([math.prod(radix[i + 1:]) for i in range(len(radix))], dtype=np.int64)
-    for start in range(0, total, CHUNK_ROWS):
+
+    def block(start: int) -> np.ndarray:
         r = np.arange(start, min(start + CHUNK_ROWS, total), dtype=np.int64)
         U = np.zeros((r.size, bounds.size), dtype=np.int64)
         U[:, free] = r[:, None] // stride % radix - bounds[free]
-        yield U
+        return U
+
+    return map(block, range(0, total, CHUNK_ROWS))
 
 
 def feasible_winding_vectors(basis: CycleBasis, gamma: float) -> Iterator[np.ndarray]:

@@ -58,6 +58,17 @@ class TestSolve:
         assert run(["solve", "--case", "pentagon", "--gamma", 1.4, "--out", out]) == 0
         assert json.loads(out.read_text())["solution_count"] == 3
 
+    def test_tree_solve_reads_a_zero_rate(self, tmp_path):
+        # A tree's one cell u = () has a constant map: rate 0.0 and no step.
+        problem = tmp_path / "tree.json"
+        assert run(["gen", "--nodes", 8, "--extra-edges", 0, "--seed", 3, "--p-scale", 0.05, "--out", problem]) == 0
+        out = tmp_path / "sol.json"
+        assert run(["solve", problem, "--out", out]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["basis"] is None and doc["solution_count"] == 1
+        report = doc["solutions"][0]["report"]
+        assert (report["iterations"], report["contraction_rate"], report["final_step"]) == (0, 0.0, 0.0)
+
     def test_rts24_with_case_data(self, tmp_path, capsys):
         data = tmp_path / "rts.json"
         data.write_text(json.dumps({

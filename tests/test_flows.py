@@ -38,6 +38,7 @@ from torusflow import (
     WeightedGraph,
     acyclic_solve,
     builtin_case,
+    canonical_rotation,
     case_to_problem,
     check_feasibility,
     count_feasible_winding_vectors,
@@ -232,6 +233,40 @@ class TestAcyclicSolve:
             assert sol.report.constraint_margin >= -1e-9
             unsolvable = prob.with_supply(crit * (1 + 1e-6) * p_hat)
             assert acyclic_solve(unsolvable) is None
+
+    def test_random_trees_match_the_closed_form_bit_for_bit(self, rng):
+        # The closed form: f is the cutset flow, and a solution exists iff f
+        # is within capacity; theta integrates h^-1(f / a) along the tree.
+        def closed_form(problem):
+            f = problem.cutset_flow
+            if not check_feasibility(problem, f)[0]:
+                return None
+            return f, canonical_rotation(problem.graph.tree_phases(problem.inverse_differences(f)))
+
+        for _ in range(20):
+            n = int(rng.integers(2, 11))
+            g = random_connected_graph(rng, n, extra_edges=0)
+            p_hat = balanced_vector(rng, n, scale=1.0)
+            prob = sin_problem(g, p_hat, 1.2)
+            flows = prob.cutset_flow / g.weight_vector
+            crit = float(np.min(math.sin(1.2) / np.abs(flows[np.abs(flows) > 1e-12])))
+            for side in (1 - 1e-6, 1 + 1e-6):
+                problem = prob.with_supply(crit * side * p_hat)
+                sol, want = acyclic_solve(problem), closed_form(problem)
+                assert (sol is None) == (want is None) == (side > 1)
+                if sol is None:
+                    continue
+                assert np.array_equal(sol.f, want[0]) and np.array_equal(sol.theta, want[1])
+                assert sol.u.shape == (0,) and sol.u.dtype == np.int64
+                it = sol.iteration
+                assert (it.iterations, it.rate, it.final_step, it.error_bound) == (0, 0.0, 0.0, 0.0)
+                assert it.feasible and it.contraction_verified and it.weighted_steps == (0.0,)
+
+    def test_single_node(self):
+        # No edge: the one cell u = () holds the one solution theta = (0).
+        g = WeightedGraph.from_edges(1, [])
+        (sol,) = solve_all(sin_problem(g, [0.0], 1.0))
+        assert sol.f.shape == (0,) and sol.theta.tolist() == [0.0] and not sol.report.failures()
 
 
 def _path_graph(n):
@@ -881,6 +916,21 @@ def test_stacked_recovery_marks_each_empty_cell():
     thetas, empty = recover_cells(problem, explicit, np.empty((0, 3)), np.empty((0, g.m)))
     assert thetas.shape == (0, 4) and empty.shape == (0,)
     assert verify_cells(problem, explicit, np.empty((0, g.m)), thetas, np.empty((0, 3))) == []
+
+
+def test_an_oversized_box_is_refused_before_any_cut_is_formed(monkeypatch):
+    # The 10x10 lattice's fundamental box holds more than int64 cells; its
+    # cut pool would be 24,553 rows (126,356 on the 14x14 lattice).
+    def refuse(*args):
+        raise AssertionError("the cut pool was formed")
+
+    monkeypatch.setattr(flows_module, "winding_cuts", refuse)
+    L = 10
+    edges = [(r * L + c, r * L + c + 1) for r in range(L) for c in range(L - 1)]
+    edges += [(r * L + c, (r + 1) * L + c) for r in range(L - 1) for c in range(L)]
+    prob = sin_problem(WeightedGraph.from_edges(L * L, edges), np.zeros(L * L), 1.4)
+    with pytest.raises(InputError, match="too many to enumerate"):
+        solve_all(prob)
 
 
 def test_solve_path_forms_no_dense_matrix(monkeypatch, tmp_path):

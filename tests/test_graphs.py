@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,34 @@ class TestWeightedGraph:
     def test_rejects_disconnected(self):
         with pytest.raises(SingularityError):
             WeightedGraph.from_edges(4, [(0, 1), (2, 3)])
+
+    def test_a_disconnected_size_is_refused_before_anything_is_sized_by_it(self):
+        # n > m + 1 nodes cannot be connected: the spanning tree's n-entry
+        # union-find and the n-key adjacency are never built.
+        tracemalloc.start()
+        try:
+            with pytest.raises(SingularityError, match="not connected"):
+                WeightedGraph.from_dict({"n": 2e6, "edges": [[0, 1]]})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+
+    @pytest.mark.parametrize(
+        "n, edges", [(3.9, [(0, 1), (1, 2), (2, 0)]), (3, [(0, 1.7), (1, 2), (2, 0)]), (3, [(0, True), (1, 2), (2, 0)])],
+        ids=["fractional-n", "fractional-endpoint", "bool-endpoint"],
+    )
+    def test_constructors_read_node_ids_strictly(self, n, edges):
+        # int() would build n = 3 and the edge (0, 1).
+        with pytest.raises(InputError, match="is not an int64 integer"):
+            WeightedGraph.from_edges(n, edges)
+        with pytest.raises(InputError, match="is not an int64 integer"):
+            WeightedGraph(n=n, edges=tuple(edges), weights=(1.0, 1.0, 1.0))
+
+    def test_numpy_node_ids_are_read_as_ints(self):
+        g = WeightedGraph.from_edges(np.int64(3), [(np.int64(0), np.int64(1)), (1, np.int32(2)), (2.0, 0)])
+        assert g == WeightedGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+        assert type(g.n) is int and all(type(i) is int for edge in g.edges for i in edge)
 
     def test_json_round_trip(self):
         g = square_with_diagonal()

@@ -100,6 +100,17 @@ class TestPowerCase:
         with pytest.raises(InputError, match="bad power case document: .* is not an int64 integer"):
             PowerCase.from_dict(doc)
 
+    @pytest.mark.parametrize("endpoint", [1.5, math.nan, True])
+    def test_branch_endpoints_are_read_strictly(self, endpoint):
+        # int() would build the branch (0, 1) from 1.5.
+        with pytest.raises(InputError, match="is not an int64 integer"):
+            PowerCase(buses=((1.0, 0.0),) * 3, branches=((0, endpoint, 1.0), (1, 2, 1.0), (2, 0, 1.0)))
+
+    def test_numpy_branch_endpoints_are_read_as_ints(self):
+        case = PowerCase(buses=((1.0, 0.0),) * 3, branches=((np.int64(0), np.int64(1), 1.0), (1, 2, 1.0), (2.0, 0, 1.0)))
+        assert case.branches == ((0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0))
+        assert all(type(i) is int and type(j) is int for i, j, _ in case.branches)
+
     def test_json_round_trip(self):
         case = builtin_case("ring12-asym")
         again = PowerCase.from_dict(case.to_dict())
@@ -330,6 +341,18 @@ class TestPtc:
         assert [len(scales) for _, scales in calls] == [1] + [powerflow.SECTIONS - 1] * (len(calls) - 2) + [9]
         assert [r for r, _ in calls] == [math.inf] * (len(calls) - 1) + [1e-10]
         assert res.curve[-1].scale - res.ptc <= tol
+
+    def test_an_infeasible_zero_scale_ends_an_unpredicted_search(self, monkeypatch):
+        # With no prediction the first stack is the zero scale alone, decided
+        # at rho = inf; u = [3] needs differences of pi/2 > gamma there.
+        decide, calls = powerflow.decide_cells, []
+        monkeypatch.setattr(powerflow, "_predict_ptc", lambda *a: None)
+        monkeypatch.setattr(powerflow, "decide_cells", lambda *a, **kw: calls.append((a, kw)) or decide(*a, **kw))
+        res = ptc(builtin_case("ring12-asym"), [3], GAMMA)
+        assert res.ptc is None and res.curve == ()
+        assert len(calls) == 1
+        (_, _, U, rho), kw = calls[0]
+        assert U.tolist() == [[3]] and rho == math.inf and kw["scales"].tolist() == [0.0]
 
     def test_bracket_ends_at_the_first_probe_that_is_not_feasible(self, monkeypatch):
         # A row of the certifying call reads not feasible, as an undecided
