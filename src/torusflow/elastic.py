@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -38,7 +39,11 @@ class ElasticEnergy:
     params: dict = field(default_factory=dict)
 
     def validate(self, gamma: float) -> None:
-        """Check evenness of H and finite-difference consistency of H'."""
+        """Check evenness of H and finite-difference consistency of H'.  A
+        pass is recorded per gamma, so each gamma is checked once."""
+        passed = self.__dict__.setdefault("_valid_gammas", set())
+        if gamma in passed:
+            return
         grid = np.linspace(-max(gamma, 0.1), max(gamma, 0.1), 201)
         vals = np.asarray(self.energy(grid), dtype=float)
         if np.max(np.abs(vals - vals[::-1])) > 1e-12:
@@ -52,6 +57,7 @@ class ElasticEnergy:
             raise InputError(
                 f"derivative of {self.name!r} disagrees with finite differences"
             )
+        passed.add(gamma)
 
     def flow_function(self) -> FlowFunction:
         if self.second_derivative is None:
@@ -66,8 +72,10 @@ class ElasticEnergy:
         )
 
     @staticmethod
+    @cache
     def spacing_potential() -> "ElasticEnergy":
-        """The built-in energy H(y) = 1 - cos(y)."""
+        """The built-in energy H(y) = 1 - cos(y), as one shared instance (not
+        to be mutated), so that a process checks it once per gamma."""
         return ElasticEnergy(
             energy=lambda y: 1.0 - np.cos(y),
             derivative=np.sin,

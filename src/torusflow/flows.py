@@ -300,8 +300,8 @@ class FlowNetworkProblem:
 
     @cached_property
     def contraction_rate(self) -> float:
-        """The infinity-norm contraction factor ||I - Lmin Lmax^{-1}||."""
-        return float(np.max(1.0 - self.lmin / self.lmax))
+        """The infinity-norm contraction factor ||I - Lmin Lmax^{-1}||, 0.0 on a graph with no edge."""
+        return float(np.max(1.0 - self.lmin / self.lmax, initial=0.0))
 
     @cached_property
     def cutset_flow(self) -> np.ndarray:

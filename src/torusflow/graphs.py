@@ -112,15 +112,17 @@ class WeightedGraph:
 
     @cached_property
     def tree(self) -> tuple[list[int], list[int], list[int]]:
-        """Parents, parent edges and BFS order of the spanning tree from node 0."""
+        """Parents, parent edges and BFS order of the spanning tree from node
+        0.  Each node's children follow its tree edges in `adjacency` order:
+        in a tree, every edge at v but v's parent edge leads to a child."""
         in_tree = set(spanning_tree(self))
-        search = _Bfs({v: [(e, w) for e, w in adj if e in in_tree] for v, adj in self.adjacency.items()}, 0)
-        while not search.exhausted:
-            search.grow()
-        parent, parent_edge = [-1] * self.n, [-1] * self.n
-        for v, (p, e) in zip(search.order[1:], search.up[1:]):
-            parent[v], parent_edge[v] = search.order[p], e
-        return parent, parent_edge, search.order
+        parent, parent_edge, order = [-1] * self.n, [-1] * self.n, [0]
+        for v in order:
+            for e, w in self.adjacency[v]:
+                if e in in_tree and e != parent_edge[v]:
+                    parent[w], parent_edge[w] = v, e
+                    order.append(w)
+        return parent, parent_edge, order
 
     def tree_flow(self, p) -> np.ndarray:
         """The flow balancing p (B f = p) that uses tree edges only; O(n)."""
@@ -229,6 +231,8 @@ def _wire_int(x) -> int:
     """The int that a document's number x stands for.  Raises InputError on a
     bool, a non-number, a non-integral value (1.7, inf, NaN) or one outside
     int64, which int(x) would take, truncate or overflow on."""
+    if type(x) is int and -(2**63) <= x < 2**63:  # most ids: one type check
+        return x
     integral = isinstance(x, (int, np.integer)) or isinstance(x, (float, np.floating)) and float(x).is_integer()
     if isinstance(x, bool) or not integral or not -(2**63) <= x < 2**63:
         raise InputError(f"{x!r} is not an int64 integer")
@@ -278,13 +282,14 @@ def spanning_tree(g: WeightedGraph) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Cycle:
-    """A simple cycle: cyclic node sequence plus its signed edge vector."""
+    """A simple cycle: cyclic node sequence plus its signed edge vector.
+    Node ids are read strictly (`_wire_int`)."""
 
     nodes: tuple[int, ...]
     vector: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(int(v) for v in self.nodes))
+        object.__setattr__(self, "nodes", tuple(map(_wire_int, self.nodes)))
         object.__setattr__(self, "vector", np.asarray(self.vector, dtype=np.int64))
 
     @property
@@ -294,7 +299,7 @@ class Cycle:
     @classmethod
     def from_nodes(cls, g: WeightedGraph, nodes: Sequence[int]) -> "Cycle":
         """Build the signed vector for a node sequence (closure implied)."""
-        nodes = [int(v) for v in nodes]
+        nodes = [_wire_int(v) for v in nodes]
         if nodes[0] == nodes[-1]:
             nodes = nodes[:-1]
         if len(nodes) < 3:
@@ -460,62 +465,6 @@ def explicit_cycle_basis(g: WeightedGraph, node_sequences: Iterable[Sequence[int
     return basis
 
 
-class _Bfs:
-    """Breadth-first search from `root`, grown one level per `grow` call.
-
-    Neighbours are scanned in `adjacency` order, so the tree does not depend
-    on how far the search has been grown.  Reached nodes are numbered by
-    position in `order`, the root at 0; `index` maps a node to its position
-    and `up[p]` is (position of the tree parent, edge to it), (-1, -1) at
-    the root.  `levels` counts the levels scanned: nodes at depth < `levels`
-    are scanned, and every node at depth `levels` is reached.
-    """
-
-    def __init__(self, adjacency: dict[int, list[tuple[int, int]]], root: int):
-        self.adjacency = adjacency
-        self.order = [root]
-        self.index = {root: 0}
-        self.up = [(-1, -1)]
-        self.levels = 0
-        self._scanned = 0
-
-    @property
-    def exhausted(self) -> bool:
-        """Every reached node is scanned: the search has reached all it can."""
-        return self._scanned == len(self.order)
-
-    def grow(self) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
-        """Scan the deepest reached level h, reaching level h + 1.
-
-        Returns the non-tree edges met for the first time, as (i, e, j) with
-        i the position of a node on level h and j that of a node reached but
-        not yet scanned: first those with j later on level h, then those
-        with j on level h + 1.  Each non-tree edge is met for the first time
-        at exactly one scan.
-        """
-        order, index, up = self.order, self.index, self.up
-        start = self._scanned
-        end = reached = len(order)
-        same, deeper = [], []
-        adjacency, find = self.adjacency, index.get
-        for i in range(start, end):
-            for e, w in adjacency[order[i]]:
-                j = find(w)
-                if j is None:
-                    index[w] = reached
-                    reached += 1
-                    order.append(w)
-                    up.append((i, e))
-                elif j > i:
-                    if j < end:
-                        same.append((i, e, j))
-                    else:
-                        deeper.append((i, e, j))
-        self._scanned = end
-        self.levels += 1
-        return same, deeper
-
-
 def _tree_path_nodes(parent: list[int], a: int, b: int) -> list[int]:
     """Node path a -> b through the tree (via lowest common ancestor)."""
     up_a = [a]
@@ -561,31 +510,6 @@ def fundamental_cycle_basis(g: WeightedGraph) -> CycleBasis:
     return CycleBasis(graph=g, cycles=tuple(cycles), kind="fundamental")
 
 
-def _edge_set_cycle(g: WeightedGraph, edge_set: Iterable[int]) -> Cycle:
-    """The simple cycle on an edge set, walked from its smallest node towards
-    that node's smaller neighbour; its vector is +1 on an edge the walk
-    leaves at the edge's first node and -1 on the others."""
-    touch: dict[int, list[tuple[int, int]]] = {}
-    for e in edge_set:
-        i, j = g.edges[e]
-        touch.setdefault(i, []).append((j, e))
-        touch.setdefault(j, []).append((i, e))
-    start = min(touch)
-    a, (b, e) = start, min(touch[start])
-    nodes, walked, signs = [start], [], []
-    while True:
-        walked.append(e)
-        signs.append(1 if g.edges[e][0] == a else -1)
-        if b == start:
-            break
-        nodes.append(b)
-        first, second = touch[b]
-        a, (b, e) = b, second if first[1] == e else first
-    vec = np.zeros(g.m, dtype=np.int64)
-    vec[walked] = signs
-    return Cycle(nodes=tuple(nodes), vector=vec)
-
-
 def minimum_cycle_basis(g: WeightedGraph) -> CycleBasis:
     """Minimum-length cycle basis via Horton's candidate set.
 
@@ -593,93 +517,145 @@ def minimum_cycle_basis(g: WeightedGraph) -> CycleBasis:
     the endpoints x, y of a non-tree edge e.  C(v, e) is simple exactly
     when those paths meet only at v.  Candidates are ordered by (length,
     root, sorted edge indices) and the shortest are kept greedily under
-    GF(2) independence; a repeated edge set reduces to zero, so only its
-    first copy can be kept.  Unweighted cycle length is the objective.
+    GF(2) independence.  Unweighted cycle length is the objective.  Each
+    kept cycle runs from its smallest node towards that node's smaller
+    neighbour, and its vector is +1 on an edge it leaves at the edge's
+    first node and -1 on the others.
 
     The candidates come one length class L = 3, 4, ... at a time, and the
     greedy stops in the class where it holds k cycles:
 
     * C(v, e) has length d_v(x) + d_v(y) + 1, and |d_v(x) - d_v(y)| <= 1 as
-      x and y are adjacent.  So class L has both ends at depth
-      h = floor((L - 1) / 2), or one at h and one at h + 1: all of it is
-      met while scanning level h, and class L needs v's BFS grown only to
-      depth floor(L / 2).
-    * Each root's BFS grows one level at a time in the same scan order, so
-      its tree is that of a full BFS.  A candidate is filed under its class
-      as its edge is met; its path is walked only if the greedy reaches
-      that class.
-    * Sorting one class by (root, sorted edges) gives exactly that class's
-      block of the global (length, root, edges) order, so the greedy keeps
-      the same k cycles in the same order as on the full candidate set.
+      x and y are adjacent.  So classes 2h + 1 and 2h + 2 are met while
+      scanning level h: both ends at depth h, or one at h and one at h + 1.
+    * Every root's BFS is plain lists (nodes in reach order, their
+      positions, up pointers as (parent position, edge), scan start), grown
+      one level per round in adjacency order, so its tree is that of a full
+      BFS.  A round scans level h of every root, then runs the greedy on
+      classes 2h + 1 and 2h + 2.
+    * Within a class, a repeated edge set keeps only its smallest root's
+      copy: a later copy reduces to zero, so dropping it keeps every pick.
+      Sorting a class by (root, sorted edges) gives exactly its block of
+      the global (length, root, edges) order, so the greedy keeps the same
+      k cycles in the same order as on the full candidate set.
     * Nodes outside the 2-core (the pendant trees) are stripped first, leaf
-      by leaf.  No candidate passes through them, and no BFS path between two kept nodes does
-      either, so the kept roots' trees and candidates are unchanged.
+      by leaf.  No candidate passes through them, and no BFS path between
+      two kept nodes does either, so the kept roots' trees and candidates
+      are unchanged.
+    * A kept cycle's nodes and edges are read off its two tree paths, and
+      the signs of all k cycles go into one (k, m) int64 matrix.
     """
     k = g.cycle_space_dim
     if k < 1:
         raise AcyclicGraphError("acyclic graph has an empty cycle basis")
     # Strip leaf by leaf: a node whose degree falls to 1 lies on no cycle.
-    degree = [len(g.adjacency[v]) for v in range(g.n)]
+    adjacency = g.adjacency
+    degree = [len(adjacency[v]) for v in range(g.n)]
     leaves = [v for v in range(g.n) if degree[v] == 1]
     for v in leaves:
-        for _, w in g.adjacency[v]:
+        for _, w in adjacency[v]:
             degree[w] -= 1
             if degree[w] == 1:
                 leaves.append(w)
-    core = {v: [(e, w) for e, w in g.adjacency[v] if degree[w] > 1] for v in range(g.n) if degree[v] > 1}
-    growing = [_Bfs(core, v) for v in core]
-    filed: dict[int, list[tuple[_Bfs, list]]] = {}  # class -> (search, its links), in root order
-    picked: list[tuple[int, ...]] = []
+    if leaves:
+        adjacency = {v: [(e, w) for e, w in adjacency[v] if degree[w] > 1] for v in range(g.n) if degree[v] > 1}
+    searches = [[[v], {v: 0}, [(-1, -1)], 0] for v in adjacency]  # order, index, up, scan start
+    picked: list[tuple[list, int, int, int]] = []  # (search, i, e, j) per kept cycle
     pivots: dict[int, int] = {}  # pivot edge -> row index into reduced
     reduced: list[int] = []  # GF(2) rows as bitmasks
-    for length in range(3, len(core) + 1):  # a simple cycle has at most one edge per node
-        if len(picked) == k:
-            break
-        h = (length - 1) // 2
-        for search in growing:
-            while search.levels <= h and not search.exhausted:
-                level = search.levels
-                same, deeper = search.grow()
-                for cls, found in ((2 * level + 1, same), (2 * level + 2, deeper)):
-                    if found:
-                        filed.setdefault(cls, []).append((search, found))
-        growing = [search for search in growing if not search.exhausted]
-
-        keys = []
-        for search, links in filed.pop(length, ()):
-            v, up = search.order[0], search.up
-            for i, e, j in links:
-                path = [e]
-                if length % 2 == 0:  # j is one level below i
-                    j, b = up[j]
-                    path.append(b)
-                while i != j:
-                    i, a = up[i]
-                    j, b = up[j]
-                    path += (a, b)
-                if i == 0:  # the two tree paths meet only at the root
-                    keys.append((v, tuple(sorted(path))))
-        keys.sort()
-        for _, key in keys:
-            row = 0
-            for e in key:
-                row |= 1 << e
-            cur = row
-            while cur:
-                pivot = cur.bit_length() - 1
-                if pivot not in pivots:
-                    break
-                cur ^= reduced[pivots[pivot]]
-            if cur:
-                pivots[cur.bit_length() - 1] = len(reduced)
-                reduced.append(cur)
-                picked.append(key)
-                if len(picked) == k:
-                    break
+    while searches and len(picked) < k:
+        # Scan the deepest level h of every root.  Its links (i, e, j) are
+        # the non-tree edges met for the first time, with j later on level
+        # h (class 2h + 1) or on level h + 1 (class 2h + 2).
+        classes: tuple[list, list] = ([], [])  # per class: (search, its links), in root order
+        for search in searches:
+            order, index, up, start = search
+            end = len(order)
+            same, deeper = [], []
+            for i in range(start, end):
+                for e, w in adjacency[order[i]]:
+                    j = index.get(w)
+                    if j is None:
+                        index[w] = len(order)
+                        order.append(w)
+                        up.append((i, e))
+                    elif j > i:
+                        (same if j < end else deeper).append((i, e, j))
+            search[3] = end
+            for found, links in zip(classes, (same, deeper)):
+                if links:
+                    found.append((search, links))
+        searches = [search for search in searches if search[3] < len(search[0])]
+        for odd, found in zip((True, False), classes):
+            first: dict[tuple[int, ...], tuple] = {}  # edge set -> its smallest root's copy
+            for search, links in found:
+                up = search[2]
+                for link in links:
+                    i, e, j = link
+                    path = [e]
+                    if not odd:  # j is one level below i
+                        j, b = up[j]
+                        path.append(b)
+                    while i != j:
+                        i, a = up[i]
+                        j, b = up[j]
+                        path += (a, b)
+                    if i == 0:  # the two tree paths meet only at the root
+                        key = tuple(sorted(path))
+                        if key not in first:
+                            first[key] = (search[0][0], key, search, *link)
+            for _, key, search, i, e, j in sorted(first.values()):
+                row = 0
+                for edge in key:
+                    row |= 1 << edge
+                while row:
+                    pivot = row.bit_length() - 1
+                    if pivot not in pivots:
+                        break
+                    row ^= reduced[pivots[pivot]]
+                if row:
+                    pivots[row.bit_length() - 1] = len(reduced)
+                    reduced.append(row)
+                    picked.append((search, i, e, j))
+                    if len(picked) == k:
+                        break
+            if len(picked) == k:
+                break
     if len(picked) < k:
         raise RankError("Horton candidates did not span the cycle space")
 
-    return CycleBasis(graph=g, cycles=tuple(_edge_set_cycle(g, key) for key in picked), kind="minimum")
+    # Walk each kept cycle up from i to the root, down to j and across e:
+    # node t is left along edge out[t].  Then start it at its smallest node
+    # and turn it towards that node's smaller neighbour.
+    walks, turns, rows, outs, tails = [], [], [], [], []
+    for r, ((order, _, up, _), i, e, j) in enumerate(picked):
+        nodes, out, down, down_out = [], [], [], []
+        while i:
+            nodes.append(order[i])
+            i, a = up[i]
+            out.append(a)
+        while j:
+            down.append(order[j])
+            j, b = up[j]
+            down_out.append(b)
+        nodes.append(order[0])
+        nodes += down[::-1]
+        out += down_out[::-1]
+        out.append(e)
+        t = nodes.index(min(nodes))
+        forward = nodes[(t + 1) % len(nodes)] < nodes[t - 1]
+        walks.append(nodes[t:] + nodes[:t] if forward else nodes[t::-1] + nodes[:t:-1])
+        turns.append(1 if forward else -1)
+        rows += [r] * len(nodes)
+        outs += out
+        tails += nodes
+    # The walk leaves edge out[t] at its first node exactly when node t is
+    # that node, and a turned walk flips every sign.
+    outs, tails, rows = np.array((outs, tails, rows))
+    vectors = np.zeros((k, g.m), dtype=np.int64)
+    vectors[rows, outs] = np.where(g.ends[0][outs] == tails, 1, -1) * np.array(turns)[rows]
+    cycles = tuple(Cycle(nodes=nodes, vector=vector) for nodes, vector in zip(walks, vectors))
+    return CycleBasis(graph=g, cycles=cycles, kind="minimum")
 
 
 def cycle_edge_pinv(basis: CycleBasis) -> np.ndarray:

@@ -6,6 +6,7 @@ so it shares no code path with the library being tested.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 
@@ -327,6 +328,29 @@ def horton_minimum_basis(g):
             prev, cur = cur, step
         cycles.append((tuple(nodes), vector))
     return cycles
+
+
+def tree_bfs(g, tree_edges):
+    """Parents, parent edges and order of a queue BFS from node 0 that
+    follows only `tree_edges`, each node's edges taken in edge input order
+    (-1 for the root's parent and parent edge)."""
+    tree = set(tree_edges)
+    incident = {v: [] for v in range(g.n)}
+    for e, (i, j) in enumerate(g.edges):
+        if e in tree:
+            incident[i].append((e, j))
+            incident[j].append((e, i))
+    parent, parent_edge, order = [-1] * g.n, [-1] * g.n, []
+    visited, queue = {0}, collections.deque([0])
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for e, w in incident[v]:
+            if w not in visited:
+                visited.add(w)
+                parent[w], parent_edge[w] = v, e
+                queue.append(w)
+    return parent, parent_edge, order
 
 
 def cycles_share_an_edge(cycle_matrix) -> bool:

@@ -199,3 +199,24 @@ class TestSolveElastic:
         assert len(crit) == len(flow_sols)
         for theta, sol in zip(crit, flow_sols):
             assert phases_equal_mod_rotation(theta, sol.theta, 1e-7)
+
+
+class TestValidateOncePerGamma:
+    def test_spacing_potential_is_one_shared_instance(self):
+        assert ElasticEnergy.spacing_potential() is ElasticEnergy.spacing_potential()
+
+    def test_check_runs_once_per_gamma(self, monkeypatch):
+        spacing = ElasticEnergy.spacing_potential()
+        grids = []
+        linspace = np.linspace
+        monkeypatch.setattr(np, "linspace", lambda *args, **kw: grids.append(args) or linspace(*args, **kw))
+        for gamma in (0.3125, 0.3125, 0.4375, 0.3125, 0.4375):
+            spacing.validate(gamma)
+            spacing_problem(ring_graph(4), np.zeros(4), gamma)
+        assert [args[2] for args in grids] == [201, 201]
+
+    def test_failing_energy_raises_every_time(self):
+        bad = ElasticEnergy(energy=np.sin, derivative=np.cos)
+        for _ in range(3):
+            with pytest.raises(InputError, match="is not even"):
+                bad.validate(1.0)

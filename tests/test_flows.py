@@ -1074,3 +1074,8 @@ class TestBasisOfAnotherGraph:
         other = WeightedGraph.from_edges(graph.n, graph.edges, 2.0 * graph.weight_vector)
         with pytest.raises(InputError, match="another graph"):
             ptc(case, [0], 1.4, basis=fundamental_cycle_basis(other))
+
+
+def test_contraction_rate_on_a_graph_with_no_edge():
+    prob = sin_problem(WeightedGraph.from_edges(1, []), [0.0], 1.0)
+    assert prob.contraction_rate == 0.0

@@ -437,6 +437,25 @@ def _assert_matches_eager_horton(g):
     assert got.fingerprint == want_basis.fingerprint
 
 
+def _with_pendant_trees(rng, g, count):
+    """g with `count` new nodes, each hung by one edge from a random earlier
+    node, so that trees of leaves grow off it."""
+    edges = list(g.edges)
+    for v in range(g.n, g.n + count):
+        edges.append((int(rng.integers(0, v)), v))
+    return WeightedGraph.from_edges(g.n + count, edges)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20), extra=st.integers(0, 12), pendant=st.integers(0, 12))
+def test_tree_matches_reference_bfs(seed, n, extra, pendant):
+    rng = np.random.default_rng(seed)
+    g = _shuffled(rng, _with_pendant_trees(rng, random_connected_graph(rng, n, extra_edges=extra), pendant))
+    assert g.tree == oracles.tree_bfs(g, spanning_tree(g))
+    if g.cycle_space_dim:
+        _assert_matches_eager_horton(g)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 24), extra=st.integers(1, 30))
 def test_minimum_basis_matches_eager_horton_on_random_graphs(seed, n, extra):
@@ -743,3 +762,12 @@ class TestCycleFromNodes:
         basis = explicit_cycle_basis(square_with_diagonal(), [(0, 1, 3), (1, 2, 3)])
         assert np.array_equal(basis.cycles[0].vector, [1, 0, 0, 1, 1])
         assert np.array_equal(basis.cycles[1].vector, [0, 1, 1, 0, -1])
+
+    def test_node_ids_are_read_strictly(self):
+        # A triangle with a pendant edge (2, 3); int() would read 1.7 as 1.
+        g = WeightedGraph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+        with pytest.raises(InputError, match="1.7 is not an int64 integer"):
+            explicit_cycle_basis(g, [[0, 1.7, 2]])
+        with pytest.raises(InputError, match="1.5 is not an int64 integer"):
+            Cycle((0, 1.5, 2), [1, 1, 1, 0])
+        assert Cycle((0, np.int64(1), 2.0), [1, 1, 1, 0]).nodes == (0, 1, 2)
