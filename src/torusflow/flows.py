@@ -26,7 +26,7 @@ from .errors import (
     NonIntegerWindingError,
     TorusFlowError,
 )
-from .graphs import Cycle, CycleBasis, WeightedGraph, fundamental_cycle_basis
+from .graphs import Cycle, CycleBasis, WeightedGraph, _winding_ints, fundamental_cycle_basis
 from .torus import (
     TWO_PI,
     WINDING_INT_TOL,
@@ -529,7 +529,7 @@ def winding_fixed_point_map(problem: FlowNetworkProblem, basis: CycleBasis, u, f
     residual = float(np.max(np.abs(problem.graph.divergence(f) - problem.p)))
     if residual >= BALANCE_TOL:
         raise BalanceError(f"f is not balanced: ||Bf - p||_inf = {residual:.3e}")
-    twopi_u = TWO_PI * np.asarray(u, dtype=float)
+    twopi_u = TWO_PI * _winding_ints(u, basis.size)
     return f - _map_step(problem, basis, _map_inverse(problem, basis), f, twopi_u)[2]
 
 
@@ -588,7 +588,7 @@ def projection_iteration(
     if not 0.0 < rho < math.inf:
         raise InputError("rho must be finite and positive")
     _check_basis(problem, basis)
-    twopi_u = TWO_PI * np.asarray(u, dtype=float)
+    twopi_u = TWO_PI * _winding_ints(u, basis.size)
     rate = problem.contraction_rate
     inverse = _map_inverse(problem, basis)
     f = problem.graph.cutset_flow(problem.p, basis)
@@ -695,10 +695,7 @@ def decide_cells(
     inverse = _map_inverse(problem, basis)
     # |x_e| <= sqrt(Lmin_e a_e) ||x||, and the contraction adds 1 / (1 - rate).
     to_bound = problem.map_norm_to_edge / (1.0 - rate)
-    U = np.asarray(U, dtype=float)
-    if U.ndim != 2 or U.shape[1] != basis.size:
-        raise InputError(f"need a (B, {basis.size}) stack of winding vectors, not {U.shape}")
-    twopi_u = TWO_PI * U
+    twopi_u = TWO_PI * _winding_ints(U, basis.size, 2)
     rows = np.arange(twopi_u.shape[0])
     flows = np.empty((rows.size, basis.graph.m))
     feasible = np.empty(rows.size, dtype=bool)
@@ -813,10 +810,7 @@ def decide_cell(
 ) -> tuple[np.ndarray, IterationReport]:
     """Certified damped Newton solve of cell u, and its three-way verdict:
     `decide_cells` on the single row u, read through its row view."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (basis.size,):
-        raise InputError(f"need a winding vector of length {basis.size}, not shape {u.shape}")
-    flows, verdicts = decide_cells(problem, basis, u[None, :], rho)
+    flows, verdicts = decide_cells(problem, basis, _winding_ints(u, basis.size)[None, :], rho)
     return flows[0], verdicts[0]
 
 
@@ -846,7 +840,7 @@ def recover_cells(problem: FlowNetworkProblem, basis: CycleBasis, U, F) -> tuple
     if over.any():
         bad = np.nonzero(margins[over.argmax()] < -FEASIBILITY_SLACK)[0].tolist()
         raise FeasibilityError(f"flow exceeds capacity on edges {bad}")
-    U = np.asarray(U, dtype=np.int64)
+    U = _winding_ints(U, basis.size, 2)
     delta = problem.inverse_differences(F)
     C = basis.matrix
     delta -= (((delta @ C.T - TWO_PI * U) @ basis.weighted_gram_inverse) @ C) / problem.graph.weight_vector
@@ -858,7 +852,7 @@ def recover_phases(problem: FlowNetworkProblem, basis: CycleBasis, u, f) -> np.n
     """Phases of a feasible fixed-point flow, canonical modulo rotation:
     `recover_cells` on the single row f, raising NonIntegerWindingError
     when the cell is empty."""
-    u = np.asarray(u, dtype=np.int64)
+    u = _winding_ints(u, basis.size)
     theta, empty = recover_cells(problem, basis, u[None, :], np.asarray(f, dtype=float)[None, :])
     if empty[0]:
         raise NonIntegerWindingError(f"no integer shift for u={u.tolist()}: cell is empty")

@@ -239,6 +239,26 @@ def _wire_int(x) -> int:
     return int(x)
 
 
+def _winding_ints(u, k: int, ndim: int = 1) -> np.ndarray:
+    """u as an int64 winding vector of length k, or with ndim = 2 as a
+    (B, k) stack of them.  Raises InputError on another shape, or on an
+    entry that is not an int64 integer (0.7, inf, NaN, a bool), which
+    astype(int64) would truncate or wrap."""
+    a = np.asarray(u)
+    if a.ndim != ndim or a.shape[-1:] != (k,):
+        want = f"a winding vector of length {k}" if ndim == 1 else f"a (B, {k}) stack of winding vectors"
+        raise InputError(f"need {want}, not shape {a.shape}")
+    if a.dtype.kind == "i":
+        return a.astype(np.int64, copy=False)
+    if a.dtype.kind in "uf":
+        x = a.astype(float)
+        bad = ~(np.isfinite(x) & (x == np.rint(x)) & (-(2.0**63) <= x) & (x < 2.0**63))
+        if not bad.any():
+            return a.astype(np.int64)
+        raise InputError(f"winding vectors must hold int64 integers, not {a[bad][0].item()!r}")
+    raise InputError(f"winding vectors must hold int64 integers, not {a.dtype} values")
+
+
 def deflated_pinv(lap: np.ndarray) -> np.ndarray:
     """Pseudoinverse of a symmetric matrix whose nullspace is span{1}.
 
@@ -680,9 +700,7 @@ def integer_cycle_shift(basis: CycleBasis, u: Sequence[int]) -> np.ndarray:
     basis kind: there z is T^{-1} u for the basis's off-tree block T.  If
     T^{-1} u is not integral no integer shift exists, meaning u is outside
     the winding image, and NonIntegerWindingError is raised."""
-    u = np.asarray(u, dtype=np.int64)
-    if u.shape != (basis.size,):
-        raise InputError("winding vector has the wrong length")
+    u = _winding_ints(u, basis.size)
     edges, T = basis.off_tree
     try:
         w = np.linalg.solve(T.astype(float), u.astype(float))

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GammaError, InputError, MissingDataError, UnknownCaseError
+from .errors import GammaError, InputError, MissingDataError, NonIntegerWindingError, UnknownCaseError
 from .flows import (
     DEFAULT_RHO,
     FEASIBILITY_SLACK,
@@ -30,7 +30,14 @@ from .flows import (
     _newton_coordinates,
     decide_cells,
 )
-from .graphs import CycleBasis, WeightedGraph, _wire_int, fundamental_cycle_basis
+from .graphs import (
+    CycleBasis,
+    WeightedGraph,
+    _winding_ints,
+    _wire_int,
+    fundamental_cycle_basis,
+    integer_cycle_shift,
+)
 from .torus import TWO_PI
 
 REBALANCE_LIMIT = 0.01
@@ -54,7 +61,7 @@ class PowerCase:
     branches: tuple[tuple[int, int, float], ...]  # (i, j, susceptance)
     base_mva: float | None = None
     name: str = ""
-    rebalance_correction: float = field(default=0.0, compare=False)
+    rebalance_correction: float = field(default=0.0, init=False, compare=False)
 
     def __post_init__(self):
         buses = tuple((float(v), float(p)) for v, p in self.buses)
@@ -229,7 +236,9 @@ def ptc(
     to the probe before it, and the curve is one more call, solved to
     `rho` since its loop flows are emitted.  Either way existence is certified at the returned value and
     fails or is undecided at most tol above it; a zero scale that is not
-    feasible gives ptc None.  Assumes a single existence interval [0, PTC].
+    feasible gives ptc None, and so does a cell outside the winding image
+    (no integer cycle shift), before any solve: it is empty at every scale.
+    Assumes a single existence interval [0, PTC].
 
     The bracket's ceiling is certified without a probe: a feasible verdict
     bounds every |f_e| by capacity + FEASIBILITY_SLACK, and B f = P p_hat,
@@ -251,9 +260,7 @@ def _winding_ptc(
         raise InputError("tol and rho must be finite and positive")
     if not (isinstance(curve_points, (int, np.integer)) and curve_points >= 0):
         raise InputError(f"curve_points must be a non-negative integer, not {curve_points!r}")
-    u = np.asarray(u, dtype=np.int64)
-    if u.shape != (basis.size,):
-        raise InputError(f"need a winding vector of length {basis.size}, not shape {u.shape}")
+    u = _winding_ints(u, basis.size)
     p_hat = problem.p
     if float(np.max(np.abs(p_hat))) == 0.0:
         raise InputError("the case profile is identically zero; nothing to scale")
@@ -292,6 +299,11 @@ def _winding_ptc(
     if tol < 2 * SECTIONS * math.ulp(ceiling):
         raise InputError(f"tol {tol!r} is below {2 * SECTIONS} ulps of the PTC ceiling {ceiling!r}")
 
+    # A cell outside the winding image holds no solution at any scale.
+    try:
+        integer_cycle_shift(basis, u)
+    except NonIntegerWindingError:
+        return SweepResult(u=u, ptc=None, curve=())
     guess = _predict_ptc(problem, basis, u, ceiling)
     if guess is None or not 0.0 <= guess <= ceiling:
         # The zero scale alone, for its verdict: rho = inf stops it once decided.

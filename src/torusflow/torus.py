@@ -19,7 +19,7 @@ from .errors import (
     PolytopeMembershipError,
     PuncturedTorusError,
 )
-from .graphs import Cycle, CycleBasis, WeightedGraph
+from .graphs import Cycle, CycleBasis, WeightedGraph, _winding_ints
 
 TWO_PI = 2.0 * math.pi
 BOUNDARY_TOL = 1e-12
@@ -240,7 +240,7 @@ def polytope_to_torus(basis: CycleBasis, x, u) -> np.ndarray:
     """
     g = basis.graph
     x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=np.int64)
+    u = _winding_ints(u, basis.size)
     if x.shape != (g.n,):
         raise InputError(f"x must have length {g.n}")
     if abs(float(np.sum(x))) > 1e-9 * max(1.0, float(np.max(np.abs(x)))):

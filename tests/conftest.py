@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from torusflow import FlowFunction, FlowNetworkProblem, WeightedGraph
+from torusflow import FlowFunction, FlowNetworkProblem, PowerCase, WeightedGraph
 
 
 def ring_graph(n, weights=None):
@@ -90,3 +90,16 @@ def lattice_with_detours(side=9):
         n += 6
         edges += list(zip(path, path[1:]))
     return WeightedGraph.from_edges(n, edges)
+
+
+def chorded_hexagon_case():
+    """Six unit buses on a hexagon with the chords (2, 5) and (0, 4), one
+    unit from bus 0 to bus 3.  Against the explicit basis of
+    CHORDED_HEXAGON_CYCLES its off-tree block has determinant -2, so some of
+    that basis's winding cells have no integer cycle shift."""
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (2, 5), (0, 4)]
+    p = (1.0, 0.0, 0.0, -1.0, 0.0, 0.0)
+    return PowerCase(buses=tuple((1.0, x) for x in p), branches=tuple((i, j, 1.0) for i, j in edges))
+
+
+CHORDED_HEXAGON_CYCLES = [[0, 1, 2, 3, 4, 5], [0, 1, 2, 5, 4], [0, 5, 2, 3, 4]]

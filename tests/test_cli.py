@@ -58,17 +58,6 @@ class TestSolve:
         assert run(["solve", "--case", "pentagon", "--gamma", 1.4, "--out", out]) == 0
         assert json.loads(out.read_text())["solution_count"] == 3
 
-    def test_tree_solve_reads_a_zero_rate(self, tmp_path):
-        # A tree's one cell u = () has a constant map: rate 0.0 and no step.
-        problem = tmp_path / "tree.json"
-        assert run(["gen", "--nodes", 8, "--extra-edges", 0, "--seed", 3, "--p-scale", 0.05, "--out", problem]) == 0
-        out = tmp_path / "sol.json"
-        assert run(["solve", problem, "--out", out]) == 0
-        doc = json.loads(out.read_text())
-        assert doc["basis"] is None and doc["solution_count"] == 1
-        report = doc["solutions"][0]["report"]
-        assert (report["iterations"], report["contraction_rate"], report["final_step"]) == (0, 0.0, 0.0)
-
     def test_rts24_with_case_data(self, tmp_path, capsys):
         data = tmp_path / "rts.json"
         data.write_text(json.dumps({
@@ -98,23 +87,37 @@ class TestSolve:
         assert run(["solve", at_14, "--out", rewritten]) == 0
         assert overridden.read_bytes() == rewritten.read_bytes()
 
+    _TRIANGLE = problem_to_dict(sin_problem(ring_graph(3), [0.1, 0.0, -0.1], 1.4))
+
     @pytest.mark.parametrize(
-        "change",
+        "argv, doc",
         [
-            {"graph": {"n": 3.9, "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0]]}},
-            {"graph": {"n": 3, "edges": [[0, 1.7, 1.0], [1, 2, 1.0], [2, 0, 1.0]]}},
-            {"flow": None},
-            {"flow": 5},
-            {"flow": "sin"},
-            {"flow": [1, 2, 3]},
+            (["solve"], dict(_TRIANGLE, graph={"n": 3.9, "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0]]})),
+            (["solve"], dict(_TRIANGLE, graph={"n": 3, "edges": [[0, 1.7, 1.0], [1, 2, 1.0], [2, 0, 1.0]]})),
+            (["solve"], dict(_TRIANGLE, flow=None)),
+            (["solve"], dict(_TRIANGLE, flow=5)),
+            (["solve"], dict(_TRIANGLE, flow="sin")),
+            (["solve"], dict(_TRIANGLE, flow=[1, 2, 3])),
+            (["sweep"], {"buses": [{"v": 1.0, "p": 0.0}] * 3, "branches": [[0, 1.5, 1.0], [1, 2, 1.0], [2, 0, 1.0]]}),
+            (
+                ["solve", "--case", "rts24-mod", "--gamma", 1.4, "--case-data"],
+                {
+                    "buses": [{"v": 1.0}] * 24,
+                    "branches": [[i, i + 1, 1.0] for i in range(22)] + [[22.5, 23, 1.0], [23, 0, 1.0]],
+                },
+            ),
         ],
-        ids=["fractional-n", "fractional-endpoint", "flow-null", "flow-5", "flow-sin", "flow-ints"],
+        ids=[
+            "fractional-n", "fractional-endpoint", "flow-null", "flow-5", "flow-sin", "flow-ints",
+            "case-fractional-endpoint", "rts24-fractional-endpoint",
+        ],
     )
-    def test_malformed_document_is_one_input_error_line(self, change, tmp_path, capsys):
-        doc = problem_to_dict(sin_problem(ring_graph(3), [0.1, 0.0, -0.1], 1.4))
+    def test_malformed_document_is_one_input_error_line(self, argv, doc, tmp_path, capsys):
+        # The document's path is the last argument: a problem file, a case
+        # file or an rts24 data file.
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(dict(doc, **change)))
-        assert run(["solve", path]) == 1
+        path.write_text(json.dumps(doc))
+        assert run([*argv, path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and err.count("\n") == 1
 
@@ -317,6 +320,7 @@ class TestCheckAndDecompose:
         assert run(["check", pentagon_file, sol_path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("input error: bad solution document: ") and "is not an int64 integer" in err
+        assert err.count("\n") == 1
 
     def test_check_winding_vector_of_the_wrong_length_exit_1(self, pentagon_file, tmp_path, capsys):
         sol_path, doc = self._solve_to_files(pentagon_file, tmp_path)

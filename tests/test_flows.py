@@ -711,7 +711,7 @@ class TestCycleSpaceAgainstDenseReference:
                 # A start computed after the map ran on another basis is still
                 # taken with the fundamental one: it does not read call history.
                 fresh = prob.with_supply(prob.p)
-                winding_fixed_point_map(fresh, minimum_cycle_basis(g), 0, g.tree_flow(prob.p))
+                winding_fixed_point_map(fresh, minimum_cycle_basis(g), [0] * g.cycle_space_dim, g.tree_flow(prob.p))
                 assert np.max(np.abs(fresh.cutset_flow - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
     def test_recover_phases_matches_polytope_to_torus(self, rng):
@@ -942,10 +942,9 @@ def test_solve_path_forms_no_dense_matrix(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("dense reference routine called on a library path")
 
-    names = (
-        "deflated_pinv", "cycle_projection", "cycle_edge_pinv",
-        "integer_cycle_shift", "integer_shift_solve",
-    )
+    # integer_cycle_shift is not among them: ptc reads it, a k x k solve on
+    # the off-tree block, to refuse a cell outside the winding image.
+    names = ("deflated_pinv", "cycle_projection", "cycle_edge_pinv", "integer_shift_solve")
     for mod_name, mod in list(sys.modules.items()):
         if mod_name == "torusflow" or mod_name.startswith("torusflow."):
             for name in names:
@@ -1079,3 +1078,37 @@ class TestBasisOfAnotherGraph:
 def test_contraction_rate_on_a_graph_with_no_edge():
     prob = sin_problem(WeightedGraph.from_edges(1, []), [0.0], 1.0)
     assert prob.contraction_rate == 0.0
+
+
+class TestWindingVectorsReadStrictly:
+    """Every entry point that takes a winding vector refuses one that is not
+    integral, finite and of the basis's length, which a cast to int64
+    would truncate (0.7 to 0) or wrap, instead of answering for another
+    cell."""
+
+    case = builtin_case("ring12-sym")
+    problem = case_to_problem(case, 1.4)
+    basis = fundamental_cycle_basis(problem.graph)
+    f = decide_cell(problem, basis, [0])[0]
+    calls = {
+        "decide_cells": lambda self, u: decide_cells(self.problem, self.basis, [u]),
+        "decide_cell": lambda self, u: decide_cell(self.problem, self.basis, u),
+        "recover_cells": lambda self, u: recover_cells(self.problem, self.basis, [u], self.f[None]),
+        "recover_phases": lambda self, u: recover_phases(self.problem, self.basis, u, self.f),
+        "projection_iteration": lambda self, u: projection_iteration(self.problem, self.basis, u),
+        "winding_fixed_point_map": lambda self, u: winding_fixed_point_map(self.problem, self.basis, u, self.f),
+        "ptc": lambda self, u: ptc(self.case, u, 1.4),
+        "integer_cycle_shift": lambda self, u: integer_cycle_shift(self.basis, u),
+        "polytope_to_torus": lambda self, u: polytope_to_torus(self.basis, np.zeros(12), u),
+    }
+
+    @pytest.mark.parametrize("u", [[0.7], [math.nan], [math.inf], [0, 0]], ids=["0.7", "nan", "inf", "length-2"])
+    @pytest.mark.parametrize("name", list(calls))
+    def test_refused(self, name, u):
+        with pytest.raises(InputError, match="winding vector"):
+            self.calls[name](self, u)
+
+    @pytest.mark.parametrize("name", list(calls))
+    def test_int64_and_integral_floats_pass(self, name):
+        for u in ([np.int64(0)], np.zeros(1, dtype=np.int64), [0.0], np.zeros(1)):
+            self.calls[name](self, u)

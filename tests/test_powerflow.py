@@ -6,20 +6,25 @@ import pytest
 
 import oracles
 import torusflow.powerflow as powerflow
+from conftest import CHORDED_HEXAGON_CYCLES, chorded_hexagon_case
 from torusflow import (
     GammaError,
     InputError,
     MissingDataError,
+    NonIntegerWindingError,
     PowerCase,
     UnknownCaseError,
     builtin_case,
     case_to_problem,
     congestion,
+    explicit_cycle_basis,
     feasible_winding_vectors,
     fundamental_cycle_basis,
+    integer_cycle_shift,
     ptc,
     solve_all,
 )
+from torusflow.flows import decide_cells, recover_cells
 
 TWO_PI = 2 * math.pi
 GAMMA = math.pi / 2 - 0.01
@@ -54,6 +59,11 @@ class TestPowerCase:
         )
         assert case.rebalance_correction == pytest.approx(0.0005)
         assert abs(float(np.sum(case.supply))) < 1e-12
+
+    def test_rebalance_correction_is_not_an_argument(self):
+        # It is computed from the buses; an argument would be overwritten.
+        with pytest.raises(TypeError, match="rebalance_correction"):
+            PowerCase(buses=((1.0, 1.001), (1.0, -1.0)), branches=((0, 1, 1.0),), rebalance_correction=0.5)
 
     def test_large_imbalance_rejected(self):
         with pytest.raises(InputError, match="imbalance"):
@@ -428,6 +438,42 @@ class TestPtc:
         for u in ([1, 0], [], [[1]]):
             with pytest.raises(InputError, match="winding vector"):
                 ptc(builtin_case("ring12-sym"), u, GAMMA)
+
+    def _chorded_hexagon(self):
+        case = chorded_hexagon_case()
+        problem = case_to_problem(case, 1.56)
+        basis = explicit_cycle_basis(problem.graph, CHORDED_HEXAGON_CYCLES)
+        assert round(np.linalg.det(basis.off_tree[1])) == -2
+        return case, problem, basis
+
+    def test_a_cell_outside_the_winding_image_has_no_ptc(self):
+        # T^-1 u is not integral for u = (-1, 0, 0): no phases wind by u at
+        # any scale, yet its feasible fixed points once certified a PTC.
+        case, problem, basis = self._chorded_hexagon()
+        res = ptc(case, [-1, 0, 0], 1.56, basis=basis)
+        assert res.ptc is None and res.curve == ()
+        for scale in (0.0, 0.0645, 0.129):
+            solutions = solve_all(problem.with_supply(scale * problem.p), basis=basis)
+            assert [s.u.tolist() for s in solutions] == [[0, 0, 0]]
+
+    def test_empty_cells_are_the_cells_without_an_integer_shift(self):
+        # At scale 0 the feasible rows that recover_cells marks empty are
+        # exactly those whose u has no integer cycle shift.
+        _, problem, basis = self._chorded_hexagon()
+        U = np.array(list(feasible_winding_vectors(basis, 1.56)))
+        flows, verdicts = decide_cells(problem, basis, U, scales=np.zeros(len(U)))
+        rows = verdicts.feasible.nonzero()[0]
+        _, empty = recover_cells(problem, basis, U[rows], flows[rows])
+
+        def no_shift(u):
+            try:
+                integer_cycle_shift(basis, u)
+            except NonIntegerWindingError:
+                return True
+            return False
+
+        assert empty.tolist() == [no_shift(u) for u in U[rows]]
+        assert empty.any() and not empty.all()
 
     def test_tol_below_the_float_spacing_is_rejected(self):
         # Its cut points would round onto the bracket's ends: at tol 1e-17 the
