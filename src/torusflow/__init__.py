@@ -11,7 +11,6 @@ from .elastic import (
     solve_elastic,
 )
 from .errors import (
-    AcyclicGraphError,
     BalanceError,
     BasisKindError,
     ConvergenceBudgetError,

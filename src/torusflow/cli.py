@@ -17,7 +17,6 @@ import numpy as np
 
 from . import serialize
 from .errors import (
-    AcyclicGraphError,
     CyclicGraphError,
     GammaError,
     InputError,
@@ -59,7 +58,6 @@ _INPUT_ERRORS = (
     GammaError,
     SingularityError,
     WeightError,
-    AcyclicGraphError,
     CyclicGraphError,
     json.JSONDecodeError,
     OSError,
@@ -183,13 +181,12 @@ def _load_problem(args) -> FlowNetworkProblem:
 
 
 def _load_solution(args):
-    """The problem, its basis (None on a tree) and the solution file's (u, f, theta)."""
+    """The problem, its basis and the solution file's (u, f, theta)."""
     problem = _load_problem(args)
     u, f, theta = serialize.solution_from_dict(json.loads(Path(args.solution).read_text()))
     if f.shape != (problem.graph.m,):
         raise InputError("flow length does not match the graph")
-    basis = _make_basis(problem.graph, args.basis) if problem.graph.cycle_space_dim else None
-    return problem, basis, u, f, theta
+    return problem, _make_basis(problem.graph, args.basis), u, f, theta
 
 
 def _make_basis(graph: WeightedGraph, kind: str):
@@ -204,19 +201,18 @@ def _cmd_solve(args) -> int:
         raise InputError(f"--scale must be finite, not {args.scale!r}")
     if args.scale != 1.0:
         problem = problem.with_supply(args.scale * problem.p)
-    basis = _make_basis(problem.graph, args.basis) if problem.graph.cycle_space_dim else None
+    basis = _make_basis(problem.graph, args.basis)
     solutions = solve_all(problem, rho=args.rho, basis=basis)
     if args.format == "csv":
-        if basis is None:
-            raise InputError("CSV solve output needs a cyclic graph")
         text = serialize.solutions_csv(solutions, problem, basis)
     else:
+        tag = basis if basis.size else None  # a tree's document names no basis
         doc = {
             "problem": serialize.problem_to_dict(problem),
             "rho": args.rho,
-            "basis": serialize.basis_to_dict(basis) if basis is not None else None,
+            "basis": tag and serialize.basis_to_dict(tag),
             "solution_count": len(solutions),
-            "solutions": serialize.solution_rows(solutions, basis),
+            "solutions": serialize.solution_rows(solutions, tag),
         }
         text = serialize.dumps_canonical(doc)
     _write(text, args.out)
@@ -334,7 +330,7 @@ def _cmd_decompose(args) -> int:
             np.max(np.abs(problem.graph.divergence(f) - problem.p))
         ),
     }
-    if basis is not None:
+    if basis.size:
         doc["basis_fingerprint"] = basis.fingerprint
         doc["loop_flows"] = basis.matrix @ f
     _write(serialize.dumps_canonical(doc), args.out)
@@ -343,11 +339,8 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_check(args) -> int:
     problem, basis, u, f, theta = _load_solution(args)
-    if basis is not None:
-        if u.shape != (basis.size,):
-            raise InputError("winding vector length does not match the basis")
-    elif u.size:
-        raise InputError("an acyclic graph has no cycles: its winding vector must be empty")
+    if u.shape != (basis.size,):
+        raise InputError("winding vector length does not match the basis")
     report = verify_solution(problem, basis, f, theta, u)
     flagged = report.failures()
     doc = {"ok": not flagged, **serialize.solution_to_dict(Solution(f, theta, u, report))["report"]}

@@ -9,10 +9,6 @@ class SingularityError(TorusFlowError):
     """The graph is disconnected, so Laplacian-based solves are singular."""
 
 
-class AcyclicGraphError(TorusFlowError):
-    """A cycle basis was requested for a graph without cycles."""
-
-
 class CyclicGraphError(TorusFlowError):
     """The acyclic closed-form solver was called on a cyclic graph."""
 

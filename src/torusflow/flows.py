@@ -525,6 +525,7 @@ def _check_basis(problem: FlowNetworkProblem, basis: CycleBasis) -> None:
 
 def winding_fixed_point_map(problem: FlowNetworkProblem, basis: CycleBasis, u, f) -> np.ndarray:
     """One application of T_u; preserves the balance constraint B f = p."""
+    _check_basis(problem, basis)
     f = np.asarray(f, dtype=float)
     residual = float(np.max(np.abs(problem.graph.divergence(f) - problem.p)))
     if residual >= BALANCE_TOL:
@@ -701,7 +702,6 @@ def decide_cells(
     feasible = np.empty(rows.size, dtype=bool)
     error_bound = np.empty(rows.size)
     final_step = np.empty(rows.size)
-    iterations = np.empty(rows.size, dtype=int)
 
     # Every row starts from the cutset flow taken with this basis, scaled by
     # the row's scale (1 when none is given); a row with u != 0 adds its
@@ -728,17 +728,6 @@ def decide_cells(
         budget = _step_budget(rate, TIGHT_RHO / (d * to_bound))
     floor = np.zeros(rows.size, dtype=bool)
 
-    def finish(leave, bound, ok):
-        """Record the stack rows in the mask `leave`, with their verdicts at f
-        and `bound`: `ok` is the feasible flag of every stack row."""
-        leave = leave.nonzero()[0]
-        at_rows = rows[leave]
-        flows[at_rows] = F[leave]
-        feasible[at_rows] = ok[leave]
-        error_bound[at_rows] = bound[leave]
-        final_step[at_rows] = np.abs(S[leave]).max(axis=1, initial=0.0)
-        iterations[at_rows] = len(history) - 1
-
     while rows.size:
         size = np.abs(F)
         low = (problem.capacity - size).min(axis=1, initial=math.inf)
@@ -750,19 +739,23 @@ def decide_cells(
         # iff some margin + b < -s.
         ok = low - bound >= -FEASIBILITY_SLACK
         done = floor | (low + bound < -FEASIBILITY_SLACK) | (ok & (bound < rho))
-        if leaving := np.count_nonzero(done):
-            finish(done, bound, ok)
-            if leaving == rows.size:
-                break
-            keep = ~done
-            F, D, G, S, d, bound, ok = F[keep], D[keep], G[keep], S[keep], d[keep], bound[keep], ok[keep]
-            twopi_u, loop_round, rows, budget = twopi_u[keep], loop_round[keep], rows[keep], budget[keep]
-        if (late := len(history) > 2 * budget).any():
+        if (late := ~done & (len(history) > 2 * budget)).any():
             i = int(late.argmax())
             raise ConvergenceBudgetError(
                 f"Newton solve exceeded 2x its budget of {budget[i]} steps "
                 f"(certified distance {bound[i]:.3e})"
             )
+        if leaving := np.count_nonzero(done):
+            at_rows = rows[done]
+            flows[at_rows] = F[done]
+            feasible[at_rows] = ok[done]
+            error_bound[at_rows] = bound[done]
+            final_step[at_rows] = np.abs(S[done]).max(axis=1, initial=0.0)
+            if leaving == rows.size:
+                break
+            keep = ~done
+            F, D, G, S, d = F[keep], D[keep], G[keep], S[keep], d[keep]
+            twopi_u, loop_round, rows, budget = twopi_u[keep], loop_round[keep], rows[keep], budget[keep]
         newton = _newton_coordinates(basis, problem.inverse_slopes(D), G) @ C
         trial = F - newton
         state = _map_step(problem, basis, inverse, trial, twopi_u)
@@ -782,26 +775,29 @@ def decide_cells(
             if t < 1.0 - rate:
                 break
             pending = pending[part[3] > rate * d[pending]]
-        progress = state[3] < d
-        if not progress.all():
-            # No progress: f stays, with its verdict.
-            finish(~progress, bound, ok)
-            if not progress.any():
-                break
-            trial, state, d = trial[progress], tuple(x[progress] for x in state), d[progress]
-            twopi_u, loop_round, rows = twopi_u[progress], loop_round[progress], rows[progress]
-            budget = budget[progress]
-        # T_u contracts by rate; a step that shrinks d less is at the rounding floor.
-        floor = state[3] > rate * d
+        # T_u contracts by rate; a step that shrinks d less is at the rounding
+        # floor.  A step that makes no progress is undone, so its row leaves
+        # at the next check with its verdict at f.
+        stuck = ~(state[3] < d)
+        floor = stuck | (state[3] > rate * d)
+        if stuck.any():
+            trial[stuck] = F[stuck]
+            for now, then in zip(state, (D, G, S, d)):
+                now[stuck] = then[stuck]
         F, (D, G, S, d) = trial, state
-        history.append((rows, d))
+        if not stuck.all():
+            history.append((rows[~stuck], d[~stuck]))
 
     # The edges that prove each row infeasible, for all rows at once: a
     # feasible row has every margin - b >= -s, so it has none.
     infeasible = (problem.capacity - np.abs(flows)) + error_bound[:, None] < -FEASIBILITY_SLACK
+    # A row's steps are its entries in the history: it is in every column
+    # from the first to the last step it took.
     steps = np.full((len(flows), len(history)), np.nan)
+    iterations = np.empty(len(flows), dtype=int)
     for j, (at_rows, column) in enumerate(history):
         steps[:, j][at_rows] = column
+        iterations[at_rows] = j
     return flows, CellVerdicts(rate, feasible, infeasible, error_bound, final_step, iterations, steps)
 
 
@@ -841,6 +837,8 @@ def recover_cells(problem: FlowNetworkProblem, basis: CycleBasis, U, F) -> tuple
         bad = np.nonzero(margins[over.argmax()] < -FEASIBILITY_SLACK)[0].tolist()
         raise FeasibilityError(f"flow exceeds capacity on edges {bad}")
     U = _winding_ints(U, basis.size, 2)
+    if len(U) != len(F):
+        raise InputError(f"need one flow per cell: {len(F)} flows for {len(U)} cells")
     delta = problem.inverse_differences(F)
     C = basis.matrix
     delta -= (((delta @ C.T - TWO_PI * U) @ basis.weighted_gram_inverse) @ C) / problem.graph.weight_vector
@@ -859,7 +857,7 @@ def recover_phases(problem: FlowNetworkProblem, basis: CycleBasis, u, f) -> np.n
     return theta[0]
 
 
-def verify_cells(problem: FlowNetworkProblem, basis: CycleBasis | None, F, Theta, U) -> list[SolutionReport]:
+def verify_cells(problem: FlowNetworkProblem, basis: CycleBasis, F, Theta, U) -> list[SolutionReport]:
     """Recompute all residuals of a (B, ·) stack of solutions from scratch:
     one `SolutionReport` per row.
 
@@ -869,6 +867,7 @@ def verify_cells(problem: FlowNetworkProblem, basis: CycleBasis | None, F, Theta
     the graph, the problem's constants and the basis.  A NaN in a row
     makes that row's residuals NaN, which `failures` flags.
     """
+    _check_basis(problem, basis)
     g = problem.graph
     F = np.asarray(F, dtype=float)
     delta = edge_differences(g, Theta)
@@ -878,11 +877,8 @@ def verify_cells(problem: FlowNetworkProblem, basis: CycleBasis | None, F, Theta
     margin = problem.gamma - angle.max(axis=-1, initial=0.0)
     allowance = FEASIBILITY_SLACK / np.abs(g.weight_vector * problem._certified("dh_gamma"))
     within = (angle <= problem.gamma + allowance).all(axis=-1)
-    if basis is not None and basis.size:
-        raw = delta @ basis.matrix.T / TWO_PI
-        winding_dev = np.abs(raw - np.asarray(U, dtype=float)).max(axis=-1)
-    else:
-        winding_dev = np.zeros(len(F))
+    raw = delta @ basis.matrix.T / TWO_PI
+    winding_dev = np.abs(raw - np.asarray(U, dtype=float)).max(axis=-1, initial=0.0)
     margins = problem.capacity - np.abs(F)
     boundary = margins.min(axis=-1, initial=math.inf) <= FEASIBILITY_SLACK
     return [
@@ -893,7 +889,7 @@ def verify_cells(problem: FlowNetworkProblem, basis: CycleBasis | None, F, Theta
 
 def verify_solution(
     problem: FlowNetworkProblem,
-    basis: CycleBasis | None,
+    basis: CycleBasis,
     f,
     theta,
     u,
@@ -938,9 +934,8 @@ def solve_all(
     """
     if not 0.0 < rho < math.inf:
         raise InputError("rho must be finite and positive")
-    g = problem.graph
     if basis is None:
-        basis = fundamental_cycle_basis(g) if g.cycle_space_dim else CycleBasis(g, (), "fundamental")
+        basis = fundamental_cycle_basis(problem.graph)
     blocks = winding_blocks(basis, problem.gamma)
     cuts, limits = winding_cuts(basis, problem.gamma)
     # In floats BLAS forms |a . u| exactly: every term is a small integer.

@@ -24,7 +24,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    AcyclicGraphError,
     BasisKindError,
     InputError,
     NonIntegerWindingError,
@@ -140,8 +139,6 @@ class WeightedGraph:
         A^{-1}-orthogonal cycle part C^T W^{-1} C A^{-1} f, W = C A^{-1} C^T,
         with W^{-1} = `basis.weighted_gram_inverse`."""
         f = self.tree_flow(p)
-        if self.cycle_space_dim == 0:
-            return f
         if basis is None:
             basis = fundamental_cycle_basis(self)
         C = basis.matrix
@@ -350,9 +347,7 @@ class CycleBasis:
     @cached_property
     def matrix(self) -> np.ndarray:
         """Cycle-edge matrix: one row per basis cycle."""
-        if not self.cycles:
-            return np.zeros((0, self.graph.m))
-        return np.array([c.vector for c in self.cycles], dtype=float)
+        return np.array([c.vector for c in self.cycles], dtype=float).reshape(self.size, self.graph.m)
 
     @cached_property
     def edge_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -473,7 +468,7 @@ class CycleBasis:
         # The off-tree block's determinant is an integer: nonzero means at
         # least 1 in size.
         sign, logdet = np.linalg.slogdet(self.off_tree[1])
-        if self.size == 0 or sign == 0 or logdet < math.log(0.5):
+        if sign == 0 or logdet < math.log(0.5):
             raise RankError("cycle vectors are not linearly independent")
 
 
@@ -508,10 +503,9 @@ def fundamental_cycle_basis(g: WeightedGraph) -> CycleBasis:
 
     Each cycle is oriented so its defining non-tree edge has coefficient -1
     (the node sequence runs with the tree path from the edge's first node to
-    its second, closing against the edge orientation).
+    its second, closing against the edge orientation).  A tree's basis is
+    empty.
     """
-    if g.cycle_space_dim < 1:
-        raise AcyclicGraphError("acyclic graph has an empty cycle basis")
     parent, parent_edge, _ = g.tree
     in_tree = set(parent_edge[1:])
     cycles = []
@@ -563,11 +557,10 @@ def minimum_cycle_basis(g: WeightedGraph) -> CycleBasis:
       two kept nodes does either, so the kept roots' trees and candidates
       are unchanged.
     * A kept cycle's nodes and edges are read off its two tree paths, and
-      the signs of all k cycles go into one (k, m) int64 matrix.
+      the signs of all k cycles go into one (k, m) int64 matrix; a tree's
+      k = 0 gives the empty basis.
     """
     k = g.cycle_space_dim
-    if k < 1:
-        raise AcyclicGraphError("acyclic graph has an empty cycle basis")
     # Strip leaf by leaf: a node whose degree falls to 1 lies on no cycle.
     adjacency = g.adjacency
     degree = [len(adjacency[v]) for v in range(g.n)]
@@ -671,7 +664,7 @@ def minimum_cycle_basis(g: WeightedGraph) -> CycleBasis:
         tails += nodes
     # The walk leaves edge out[t] at its first node exactly when node t is
     # that node, and a turned walk flips every sign.
-    outs, tails, rows = np.array((outs, tails, rows))
+    outs, tails, rows = np.array((outs, tails, rows), dtype=np.intp)
     vectors = np.zeros((k, g.m), dtype=np.int64)
     vectors[rows, outs] = np.where(g.ends[0][outs] == tails, 1, -1) * np.array(turns)[rows]
     cycles = tuple(Cycle(nodes=nodes, vector=vector) for nodes, vector in zip(walks, vectors))
@@ -707,7 +700,7 @@ def integer_cycle_shift(basis: CycleBasis, u: Sequence[int]) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise RankError(f"off-tree block is singular: {exc}") from exc
     w_int = np.rint(w)
-    if np.max(np.abs(w - w_int)) > 1e-9:
+    if np.max(np.abs(w - w_int), initial=0.0) > 1e-9:
         raise NonIntegerWindingError(
             f"no integer shift for u={u.tolist()}: not in the winding image"
         )

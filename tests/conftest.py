@@ -103,3 +103,23 @@ def chorded_hexagon_case():
 
 
 CHORDED_HEXAGON_CYCLES = [[0, 1, 2, 3, 4, 5], [0, 1, 2, 5, 4], [0, 5, 2, 3, 4]]
+
+
+def random_tree_case(seed, reverse=False):
+    """A seeded radial case of 8-40 buses: each bus hangs from a random
+    earlier one by a randomly oriented branch, with random voltages,
+    susceptances and a balanced profile; with reverse, every branch is
+    turned around."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 41))
+    branches = []
+    for j in range(1, n):
+        i = int(rng.integers(0, j))
+        b = float(rng.uniform(1.0, 5.0))
+        branches.append((j, i, b) if rng.random() < 0.5 else (i, j, b))
+    if reverse:
+        branches = [(j, i, b) for i, j, b in branches]
+    p = rng.normal(size=n)
+    p -= p.mean()
+    volts = rng.uniform(0.95, 1.05, size=n)
+    return PowerCase(buses=tuple(zip(volts.tolist(), p.tolist())), branches=tuple(branches))

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ring_graph, sin_problem
-from torusflow import WeightedGraph, cli, fundamental_cycle_basis
+from conftest import random_tree_case, ring_graph, sin_problem
+from torusflow import WeightedGraph, cli, fundamental_cycle_basis, ptc
 from torusflow.cli import main
 from torusflow.serialize import dumps_canonical, problem_to_dict
 
@@ -265,6 +265,56 @@ class TestSweep:
         assert by_u[(1,)] > by_u[(0,)]
 
 
+class TestTrees:
+    """A tree's basis is empty and its box the one cell u = (): every
+    subcommand takes a radial network."""
+
+    @pytest.fixture
+    def tree_file(self, tmp_path):
+        path = tmp_path / "tree.json"
+        argv = ["gen", "--nodes", 5, "--extra-edges", 0, "--seed", 3, "--p-scale", 0.05, "--out", path]
+        assert run(argv) == 0
+        return path
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("reverse", [False, True], ids=["as-drawn", "reversed"])
+    def test_sweep(self, seed, reverse, tmp_path):
+        case = random_tree_case(seed, reverse)
+        path = tmp_path / "tree-case.json"
+        path.write_text(json.dumps(case.to_dict()))
+        out = tmp_path / "s.json"
+        assert run(["sweep", path, "--tol", 1e-7, "--out", out]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["basis"]["cycles"] == []
+        (result,) = doc["results"]
+        assert result["u"] == []
+        want = ptc(case, [], doc["gamma"], tol=1e-7).ptc
+        assert result["ptc"] == want
+        csv = tmp_path / "s.csv"
+        assert run(["sweep", path, "--tol", 1e-7, "--format", "csv", "--out", csv]) == 0
+        lines = csv.read_text().splitlines()
+        assert lines[0] == "P,exists,congestion"
+        assert len(lines) == 1 + len(result["curve"])
+
+    @pytest.mark.parametrize("kind", ["fundamental", "minimum"])
+    def test_basis(self, kind, tree_file, tmp_path):
+        out = tmp_path / "b.json"
+        assert run(["basis", tree_file, "--basis", kind, "--out", out]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["kind"], doc["cycles"], doc["vectors"], doc["lengths"]) == (kind, [], [], [])
+
+    def test_solve_csv(self, tree_file, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run(["solve", tree_file, "--format", "csv", "--out", out]) == 0
+        header, row = out.read_text().splitlines()
+        assert header.split(",")[:5] == ["f_0", "f_1", "f_2", "f_3", "theta_0"]
+        assert header.split(",")[-4:] == ["margin_0", "margin_1", "margin_2", "margin_3"]
+        doc = tmp_path / "s.json"
+        assert run(["solve", tree_file, "--out", doc]) == 0
+        sol = json.loads(doc.read_text())["solutions"][0]
+        assert [float(x) for x in row.split(",")[:4]] == sol["f"]
+
+
 class TestCheckAndDecompose:
     def _solve_to_files(self, pentagon_file, tmp_path):
         out = tmp_path / "sols.json"
@@ -357,7 +407,8 @@ class TestCheckAndDecompose:
         sol["u"] = [3]
         sol_path.write_text(json.dumps(sol))
         assert run(["check", problem, sol_path]) == 1
-        assert "winding vector must be empty" in capsys.readouterr().err
+        # A tree's basis is empty: the one length check refuses u.
+        assert capsys.readouterr().err == "input error: winding vector length does not match the basis\n"
 
     def test_decompose_flow_of_the_wrong_length_exit_1(self, pentagon_file, tmp_path, capsys):
         sol_path, doc = self._solve_to_files(pentagon_file, tmp_path)

@@ -664,7 +664,7 @@ class TestVerifySolution:
             theta = np.array([0.0, -(1.0 + excess)])
             f = slope * edge_differences(g, theta)
             prob = FlowNetworkProblem.single_family(g, FlowFunction.linear(slope), [f[0], -f[0]], 1.0)
-            report = verify_solution(prob, None, f, theta, [])
+            report = verify_solution(prob, fundamental_cycle_basis(g), f, theta, [])
             assert report.constraint_margin == pytest.approx(-excess, abs=1e-14)
             assert report.within_allowance == ok
             assert [s.split()[0] for s in report.failures()] == ([] if ok else ["constraint"])
@@ -707,12 +707,11 @@ class TestCycleSpaceAgainstDenseReference:
             prob = _mixed_problem(rng, g)
             ref = g.weight_vector * (g.incidence.T @ (oracles.laplacian_pinv(g) @ prob.p))
             assert np.max(np.abs(prob.cutset_flow - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
-            if g.cycle_space_dim:
-                # A start computed after the map ran on another basis is still
-                # taken with the fundamental one: it does not read call history.
-                fresh = prob.with_supply(prob.p)
-                winding_fixed_point_map(fresh, minimum_cycle_basis(g), [0] * g.cycle_space_dim, g.tree_flow(prob.p))
-                assert np.max(np.abs(fresh.cutset_flow - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+            # A start computed after the map ran on another basis is still
+            # taken with the fundamental one: it does not read call history.
+            fresh = prob.with_supply(prob.p)
+            winding_fixed_point_map(fresh, minimum_cycle_basis(g), [0] * g.cycle_space_dim, g.tree_flow(prob.p))
+            assert np.max(np.abs(fresh.cutset_flow - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
     def test_recover_phases_matches_polytope_to_torus(self, rng):
         checked = 0
@@ -1035,6 +1034,24 @@ def test_pruned_solve_matches_exhaustive_on_fixed_boxes():
     assert cases[0][1].size > 64 and counts[2] == 243
 
 
+class TestRecoverCellsRowCounts:
+    """`recover_cells` pairs row r of U with row r of F, so their row counts
+    must match: one U row would otherwise broadcast over every F row."""
+
+    problem = case_to_problem(builtin_case("ring12-sym"), 1.4)
+    basis = fundamental_cycle_basis(problem.graph)
+    f = decide_cell(problem, basis, [0])[0]
+
+    @pytest.mark.parametrize("cells, flows", [(1, 3), (3, 1)], ids=["one-u-three-f", "three-u-one-f"])
+    def test_mismatch_raises(self, cells, flows):
+        with pytest.raises(InputError, match=f"{flows} flows for {cells} cells"):
+            recover_cells(self.problem, self.basis, np.ones((cells, 1), dtype=int), np.tile(self.f, (flows, 1)))
+
+    def test_matching_rows_recover(self):
+        theta, empty = recover_cells(self.problem, self.basis, np.zeros((3, 1), dtype=int), np.tile(self.f, (3, 1)))
+        assert theta.shape == (3, 12) and not empty.any()
+
+
 class TestBasisOfAnotherGraph:
     # g1 and g2 share four edges and have two independent cycles each: g2's
     # basis on g1's problem must raise, not let solve_all return [].
@@ -1065,6 +1082,25 @@ class TestBasisOfAnotherGraph:
     def test_another_graphs_basis_raises(self, call):
         with pytest.raises(InputError, match="another graph"):
             call(self.problem(), fundamental_cycle_basis(self.g2))
+
+    def test_another_graphs_basis_raises_on_verification(self):
+        # The unit pentagon and a square with a pendant edge both have m = 5
+        # and one cycle.  Read through the square's cycle, the pentagon's
+        # u = -1 solution would report a winding mismatch of 0.2, and its T_u
+        # step would be 0.053 where its own basis gives 6.9e-12.
+        problem = sin_problem(ring_graph(5), np.zeros(5), 1.4)
+        (sol,) = [s for s in solve_all(problem) if s.u.tolist() == [-1]]
+        square = WeightedGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)])
+        other = fundamental_cycle_basis(square)
+        with pytest.raises(InputError, match="another graph"):
+            verify_solution(problem, other, sol.f, sol.theta, sol.u)
+        with pytest.raises(InputError, match="another graph"):
+            verify_cells(problem, other, sol.f[None], sol.theta[None], sol.u[None])
+        with pytest.raises(InputError, match="another graph"):
+            winding_fixed_point_map(problem, other, sol.u, sol.f)
+        own = fundamental_cycle_basis(problem.graph)
+        assert not verify_solution(problem, own, sol.f, sol.theta, sol.u).failures()
+        assert np.max(np.abs(winding_fixed_point_map(problem, own, sol.u, sol.f) - sol.f)) < 1e-9
 
     def test_ptc_probe_raises(self):
         # The same ring with other weights is another graph.

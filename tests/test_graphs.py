@@ -17,7 +17,6 @@ from conftest import (
     triangle,
 )
 from torusflow import (
-    AcyclicGraphError,
     BasisKindError,
     Cycle,
     CycleBasis,
@@ -329,11 +328,6 @@ class TestFundamentalBasis:
             assert all(c.vector[o] == 0 for o in others)
         _basis_invariants(basis)
 
-    def test_acyclic_raises(self):
-        g = WeightedGraph.from_edges(3, [(0, 1), (1, 2)])
-        with pytest.raises(AcyclicGraphError):
-            fundamental_cycle_basis(g)
-
     def test_cycles_match_node_walks(self, rng):
         # Vectors read off the tree's parent edges equal the adjacency walk of
         # Cycle.from_nodes along the same node path, bit for bit.
@@ -350,6 +344,37 @@ class TestFundamentalBasis:
                 assert cycle.nodes == walk.nodes
                 assert cycle.vector.dtype == walk.vector.dtype and np.array_equal(cycle.vector, walk.vector)
             assert basis.fingerprint == CycleBasis(graph=g, cycles=walks, kind="fundamental").fingerprint
+
+
+class TestTreeBasis:
+    """A tree's cycle space is {0}: each builder gives the empty basis of its
+    kind, which passes `validate`."""
+
+    @pytest.mark.parametrize(
+        "build, kind",
+        [
+            (fundamental_cycle_basis, "fundamental"),
+            (minimum_cycle_basis, "minimum"),
+            (lambda g: explicit_cycle_basis(g, []), "explicit"),
+        ],
+        ids=["fundamental", "minimum", "explicit"],
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_empty_and_valid(self, build, kind, seed):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, int(rng.integers(2, 12)), extra_edges=0)
+        assert g.cycle_space_dim == 0
+        basis = build(g)
+        assert (basis.kind, basis.size, basis.cycles, basis.lengths) == (kind, 0, (), ())
+        assert basis.matrix.shape == (0, g.m)
+        assert basis.off_tree[0] == () and basis.off_tree[1].shape == (0, 0)
+        basis.validate()
+        assert integer_cycle_shift(basis, []).tolist() == [0] * g.m
+
+    def test_single_node(self):
+        g = WeightedGraph.from_edges(1, [])
+        for basis in (fundamental_cycle_basis(g), minimum_cycle_basis(g), explicit_cycle_basis(g, [])):
+            assert basis.size == 0 and basis.matrix.shape == (0, 0)
 
 
 class TestMinimumBasis:
@@ -452,8 +477,7 @@ def test_tree_matches_reference_bfs(seed, n, extra, pendant):
     rng = np.random.default_rng(seed)
     g = _shuffled(rng, _with_pendant_trees(rng, random_connected_graph(rng, n, extra_edges=extra), pendant))
     assert g.tree == oracles.tree_bfs(g, spanning_tree(g))
-    if g.cycle_space_dim:
-        _assert_matches_eager_horton(g)
+    _assert_matches_eager_horton(g)  # a tree (extra = 0) gives the empty basis
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

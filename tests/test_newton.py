@@ -360,6 +360,32 @@ def test_rounding_floor_ends_the_solve():
         assert it.error_bound < flows.DEFAULT_RHO
 
 
+def test_a_step_without_progress_is_undone(monkeypatch):
+    # Every T_u step after the start's is made to measure inf, so no trial
+    # makes progress.  The row must leave with the flow, verdict and step
+    # history it had at the start, not at the trial it refused.
+    problem = case_to_problem(builtin_case("ring12-asym"), 1.4)
+    basis = fundamental_cycle_basis(problem.graph)
+    U = np.zeros((2, 1), dtype=int)
+    assert decide_cells(problem, basis, U)[1].iterations.min() > 0
+    # rho = inf stops each row at the start, where it is decided.
+    start, at_start = decide_cells(problem, basis, U, math.inf)
+    assert np.array_equal(start[0], problem.graph.cutset_flow(problem.p, basis))
+    original, calls = flows._map_step, []
+
+    def no_progress(*args):
+        delta, grad, step, norm = original(*args)
+        calls.append(norm.copy())
+        return delta, grad, step, norm if len(calls) == 1 else np.full_like(norm, np.inf)
+
+    monkeypatch.setattr(flows, "_map_step", no_progress)
+    stacked, verdicts = decide_cells(problem, basis, U)
+    assert len(calls) > 2  # a trial and its back-tracking ran
+    assert np.array_equal(stacked, start)
+    assert list(verdicts) == list(at_start)
+    assert verdicts[0].iterations == 0 and verdicts[0].weighted_steps == (calls[0][0],)
+
+
 @pytest.mark.parametrize("index", [0, 3])
 def test_newton_takes_few_steps_near_the_limit(index):
     # The pentagon's splay cell starts in the linear tail: its linearised

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 import torusflow.powerflow as powerflow
-from conftest import CHORDED_HEXAGON_CYCLES, chorded_hexagon_case
+from conftest import CHORDED_HEXAGON_CYCLES, chorded_hexagon_case, random_tree_case
 from torusflow import (
     GammaError,
     InputError,
@@ -512,6 +512,32 @@ def _mesh_case(seed) -> PowerCase:
         buses=tuple(zip(volts.tolist(), (p - p.mean()).tolist())),
         branches=tuple(zip(*graph.ends, graph.weight_vector)),
     )
+
+
+class TestTreePtc:
+    """A tree's basis is empty and its one cell u = () holds the cutset flow
+    P f, so its PTC has the closed form min_e a_e sin(gamma) / |f_e|
+    (Dorfler, Chertkov & Bullo, PNAS 2013), widened only by the slack that
+    a feasible verdict allows."""
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["as-drawn", "reversed"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ptc_is_the_closed_form(self, seed, reverse):
+        from torusflow.flows import FEASIBILITY_SLACK
+
+        case = random_tree_case(seed, reverse)
+        problem = case_to_problem(case, GAMMA)
+        f = np.abs(problem.graph.tree_flow(problem.p))
+        closed = float(np.min(problem.capacity / f))
+        widened = float(np.min((problem.capacity + FEASIBILITY_SLACK) / f))
+        for tol in (1e-6, 1e-9):
+            res = ptc(case, [], GAMMA, tol=tol)
+            assert res.u.shape == (0,)
+            assert closed - tol <= res.ptc <= widened * (1 + 1e-12)
+            *curve, last = res.curve
+            assert last.scale - res.ptc <= tol and not last.exists
+            assert all(s.exists and s.loop_flows == () for s in curve)
+            assert curve[-1].scale == res.ptc
 
 
 class TestPtcPrediction:
