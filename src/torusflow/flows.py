@@ -23,19 +23,10 @@ from .errors import (
     FeasibilityError,
     GammaError,
     InputError,
-    NonIntegerWindingError,
     TorusFlowError,
 )
-from .graphs import Cycle, CycleBasis, WeightedGraph, _winding_ints, fundamental_cycle_basis
-from .torus import (
-    TWO_PI,
-    WINDING_INT_TOL,
-    canonical_rotation,
-    edge_differences,
-    integrate_cells,
-    winding_blocks,
-    winding_cuts,
-)
+from .graphs import Cycle, CycleBasis, WeightedGraph, _winding_ints, fundamental_cycle_basis, integer_cycle_shift
+from .torus import TWO_PI, WINDING_INT_TOL, _candidate_blocks, canonical_rotation, edge_differences
 
 MIN_SLOPE = 1e-9
 BALANCE_TOL = 1e-8
@@ -280,7 +271,7 @@ class FlowNetworkProblem:
 
     def _certified(self, name: str) -> np.ndarray:
         """The certificate entry `name` of every edge, filled once per group."""
-        out = np.empty(self.graph.m)
+        out = np.zeros(self.graph.m)
         for h, idx in self._edge_groups:
             out[idx] = getattr(h.cert, name)
         return out
@@ -315,7 +306,7 @@ class FlowNetworkProblem:
         groups = self._edge_groups
         if len(groups) == 1:
             return np.asarray(pick(groups[0][0])(x.ravel()), dtype=float).reshape(x.shape)
-        out = np.empty_like(x)
+        out = np.zeros_like(x)
         for h, idx in groups:
             part = x[..., idx]
             out[..., idx] = np.asarray(pick(h)(part.ravel()), dtype=float).reshape(part.shape)
@@ -396,11 +387,13 @@ class IterationReport:
     report).  It is the exact-arithmetic bound read from the T_u step plus
     a rounding term r, which covers the rounding of that step's h_gamma^{-1}
     evaluation (the division by A included) and of its loop residual, and
-    treats M^{-1} as exact; `decide_cells` says what r leaves out.  So it
-    reads 0.0 only where r is 0: at the zero flow of the cell u = 0, where
-    the step is exact.  A cell is decided when it is `feasible`
-    or has `infeasible_edges`; otherwise it is undecided.  For a Newton
-    solve this is the one-row view `CellVerdicts[r]` of its stack's record.
+    treats M^{-1} as exact; `decide_cells` says what r leaves out, the start
+    flow's own balance rounding among it.  It reads 0.0 only where the step
+    and r are both 0: on a basis with no cycle (a tree's), whose one row
+    keeps its rounded tree flow, and at the zero flow of the cell u = 0.  A
+    cell is decided when it is `feasible` or has `infeasible_edges`;
+    otherwise it is undecided.  For a Newton solve this is the one-row view
+    `CellVerdicts[r]` of its stack's record.
     """
 
     iterations: int
@@ -670,10 +663,13 @@ def decide_cells(
     with ||M^{-1}||_inf the largest absolute row sum of the call's M^{-1}.
     M^{-1} is treated as exact, and r leaves out the
     rounding of the products by M^{-1} and C and of the norm, which are
-    relative to the step and vanish with it.  Only b reads r: the budget, the
-    rounding-floor test and the contraction flags read d.  With s =
-    FEASIBILITY_SLACK the cell is feasible when every margin - b >= -s, and
-    infeasible on the edges whose margin + b < -s.
+    relative to the step and vanish with it.  Nor does b cover the start
+    flow's own balance rounding: every step lies in Img C^T, so B f keeps
+    the start's rounded B f0 = p, and f* is the fixed point on that
+    balance; `verify_cells`' balance residual bounds the gap.  Only b
+    reads r: the budget, the rounding-floor test and the contraction flags
+    read d.  With s = FEASIBILITY_SLACK the cell is feasible when every
+    margin - b >= -s, and infeasible on the edges whose margin + b < -s.
     A row stops as soon as some edge proves it infeasible, whatever b is:
     that verdict is final, and an infeasible row's f is accurate only to
     its b.  A feasible row stops once b < rho as well, so every feasible
@@ -698,10 +694,10 @@ def decide_cells(
     to_bound = problem.map_norm_to_edge / (1.0 - rate)
     twopi_u = TWO_PI * _winding_ints(U, basis.size, 2)
     rows = np.arange(twopi_u.shape[0])
-    flows = np.empty((rows.size, basis.graph.m))
-    feasible = np.empty(rows.size, dtype=bool)
-    error_bound = np.empty(rows.size)
-    final_step = np.empty(rows.size)
+    flows = np.zeros((rows.size, basis.graph.m))
+    feasible = np.zeros(rows.size, dtype=bool)
+    error_bound = np.zeros(rows.size)
+    final_step = np.zeros(rows.size)
 
     # Every row starts from the cutset flow taken with this basis, scaled by
     # the row's scale (1 when none is given); a row with u != 0 adds its
@@ -794,7 +790,7 @@ def decide_cells(
     # A row's steps are its entries in the history: it is in every column
     # from the first to the last step it took.
     steps = np.full((len(flows), len(history)), np.nan)
-    iterations = np.empty(len(flows), dtype=int)
+    iterations = np.zeros(len(flows), dtype=int)
     for j, (at_rows, column) in enumerate(history):
         steps[:, j][at_rows] = column
         iterations[at_rows] = j
@@ -816,18 +812,19 @@ def check_feasibility(problem: FlowNetworkProblem, f) -> tuple[bool, np.ndarray]
     return bool(np.all(margins >= -FEASIBILITY_SLACK)), margins
 
 
-def recover_cells(problem: FlowNetworkProblem, basis: CycleBasis, U, F) -> tuple[np.ndarray, np.ndarray]:
+def recover_cells(problem: FlowNetworkProblem, basis: CycleBasis, U, F) -> np.ndarray:
     """Phases of a (B, m) stack F of feasible fixed-point flows in the cells
-    U, canonical modulo rotation: the (B, n) phases and the (B,) mask of
-    empty cells, whose rows hold no solution.
+    U, canonical modulo rotation: (B, n).
 
     Fits each row's delta = h_gamma^{-1}(A^{-1}f) to C delta = 2pi u by
     A-weighted least squares (giving B^T x + 2pi C^+ u for the polytope
     coordinate x), applying G = A^{-1} C^T W^{-1}, W = C A^{-1} C^T, to the
     stack through W^{-1} = `basis.weighted_gram_inverse`, and integrates
-    every row along the tree with `integrate_cells`, whose off-tree residue
-    marks the empty cells.  The first row that exceeds a capacity raises
-    FeasibilityError.
+    every row along the tree with `WeightedGraph.tree_phases`.  The cells
+    are taken to lie in the winding image, as `solve_all`'s candidates do:
+    off the tree a row outside it misses its delta by 2pi z for a z that is
+    not integral, which `verify_cells` reports.  The first row that
+    exceeds a capacity raises FeasibilityError.
     """
     _check_basis(problem, basis)
     F = np.asarray(F, dtype=float)
@@ -842,19 +839,16 @@ def recover_cells(problem: FlowNetworkProblem, basis: CycleBasis, U, F) -> tuple
     delta = problem.inverse_differences(F)
     C = basis.matrix
     delta -= (((delta @ C.T - TWO_PI * U) @ basis.weighted_gram_inverse) @ C) / problem.graph.weight_vector
-    theta, empty = integrate_cells(problem.graph, delta)
-    return canonical_rotation(theta), empty
+    return canonical_rotation(problem.graph.tree_phases(delta))
 
 
 def recover_phases(problem: FlowNetworkProblem, basis: CycleBasis, u, f) -> np.ndarray:
     """Phases of a feasible fixed-point flow, canonical modulo rotation:
     `recover_cells` on the single row f, raising NonIntegerWindingError
-    when the cell is empty."""
+    when u is not in the winding image (`integer_cycle_shift`)."""
     u = _winding_ints(u, basis.size)
-    theta, empty = recover_cells(problem, basis, u[None, :], np.asarray(f, dtype=float)[None, :])
-    if empty[0]:
-        raise NonIntegerWindingError(f"no integer shift for u={u.tolist()}: cell is empty")
-    return theta[0]
+    integer_cycle_shift(basis, u)
+    return recover_cells(problem, basis, u[None, :], np.asarray(f, dtype=float)[None, :])[0]
 
 
 def verify_cells(problem: FlowNetworkProblem, basis: CycleBasis, F, Theta, U) -> list[SolutionReport]:
@@ -865,12 +859,18 @@ def verify_cells(problem: FlowNetworkProblem, basis: CycleBasis, F, Theta, U) ->
     through theta's wrapped differences (a row with a difference of
     geodesic length pi raises PuncturedTorusError); the rows share only
     the graph, the problem's constants and the basis.  A NaN in a row
-    makes that row's residuals NaN, which `failures` flags.
+    makes that row's residuals NaN, which `failures` flags.  F must be
+    (B, m), Theta (B, n) and U a (B, k) stack of winding vectors, or
+    InputError is raised.
     """
     _check_basis(problem, basis)
     g = problem.graph
     F = np.asarray(F, dtype=float)
+    U = _winding_ints(U, basis.size, 2)
     delta = edge_differences(g, Theta)
+    if not F.shape == delta.shape == (len(U), g.m):
+        want = f"({len(U)}, {g.m}) flows and ({len(U)}, {g.n}) phases for {len(U)} cells"
+        raise InputError(f"need {want}, not {F.shape} and {np.shape(Theta)}")
     balance = np.abs(g.divergence(F) - problem.p).max(axis=-1, initial=0.0)
     physics = np.abs(F - problem.edge_flows(delta)).max(axis=-1, initial=0.0)
     angle = np.abs(delta)
@@ -878,7 +878,7 @@ def verify_cells(problem: FlowNetworkProblem, basis: CycleBasis, F, Theta, U) ->
     allowance = FEASIBILITY_SLACK / np.abs(g.weight_vector * problem._certified("dh_gamma"))
     within = (angle <= problem.gamma + allowance).all(axis=-1)
     raw = delta @ basis.matrix.T / TWO_PI
-    winding_dev = np.abs(raw - np.asarray(U, dtype=float)).max(axis=-1, initial=0.0)
+    winding_dev = np.abs(raw - U).max(axis=-1, initial=0.0)
     margins = problem.capacity - np.abs(F)
     boundary = margins.min(axis=-1, initial=math.inf) <= FEASIBILITY_SLACK
     return [
@@ -887,18 +887,12 @@ def verify_cells(problem: FlowNetworkProblem, basis: CycleBasis, F, Theta, U) ->
     ]
 
 
-def verify_solution(
-    problem: FlowNetworkProblem,
-    basis: CycleBasis,
-    f,
-    theta,
-    u,
-) -> SolutionReport:
+def verify_solution(problem: FlowNetworkProblem, basis: CycleBasis, f, theta, u) -> SolutionReport:
     """Recompute all solution residuals from scratch: `verify_cells` on the
     single row (f, theta, u)."""
     f = np.asarray(f, dtype=float)[None, :]
     theta = np.asarray(theta, dtype=float)[None, :]
-    return verify_cells(problem, basis, f, theta, np.asarray(u, dtype=float)[None, :])[0]
+    return verify_cells(problem, basis, f, theta, _winding_ints(u, basis.size)[None, :])[0]
 
 
 def acyclic_solve(problem: FlowNetworkProblem) -> Solution | None:
@@ -916,37 +910,27 @@ def solve_all(
 ) -> list[Solution]:
     """All solutions of the flow network problem, sorted by winding vector.
 
-    Walks the candidate winding box in lexicographic order, in the
-    (<= CHUNK_ROWS, k) blocks of `winding_blocks`, and drops each block's
-    rows that break a `winding_cuts` cut: such a cell holds no solution.
-    The rest of a block is decided by one `decide_cells` call (certified
-    Newton plus the three-way verdict per cell).  The first undecided cell
-    raises TorusFlowError naming its u.  The block's feasible rows then
-    have their phases recovered by one `recover_cells` call; the rows of
-    empty cells are dropped, and the rest are certified by one
+    Walks the candidate cells of the winding box in lexicographic order,
+    in the (<= CHUNK_ROWS, k) blocks of `torus._candidate_blocks`: the box's
+    cells that break no cut and lie in the winding image.  Each block is
+    decided by one `decide_cells` call (certified Newton plus the
+    three-way verdict per cell).  The first undecided cell raises
+    TorusFlowError naming its u.  The block's feasible rows then have their
+    phases recovered by one `recover_cells` call and are certified by one
     `verify_cells` call, each row from its own flow and phases.  The first
     failed certificate in box order raises.  The solutions come in box
     order: their f and theta are rows of the block's (solutions, m) and
     (solutions, n) arrays, which hold nothing else, and each u is an array
     of its own.  A block with no feasible row skips both calls.
-    A tree's default basis is empty, and its box the one cell u = ().  A
+    A tree's default basis has no cycle, and its box the one cell u = ().  A
     box too large to enumerate raises InputError before any cut is formed.
     """
     if not 0.0 < rho < math.inf:
         raise InputError("rho must be finite and positive")
     if basis is None:
         basis = fundamental_cycle_basis(problem.graph)
-    blocks = winding_blocks(basis, problem.gamma)
-    cuts, limits = winding_cuts(basis, problem.gamma)
-    # In floats BLAS forms |a . u| exactly: every term is a small integer.
-    cuts_t = cuts.T.astype(float)
     solutions = []
-    for U in blocks:
-        dots = U @ cuts_t
-        np.abs(dots, out=dots)
-        U = U[(dots <= limits).all(axis=1)]
-        if not len(U):
-            continue
+    for U in _candidate_blocks(basis, problem.gamma):
         flows, verdicts = decide_cells(problem, basis, U, rho)
         undecided = ~(verdicts.feasible | verdicts.infeasible.any(axis=1))
         if undecided.any():
@@ -958,10 +942,8 @@ def solve_all(
         rows = verdicts.feasible.nonzero()[0]
         if not rows.size:
             continue
-        thetas, empty = recover_cells(problem, basis, U[rows], flows[rows])
-        # A row of an empty cell admits no integer cycle shift: no solution.
-        rows, thetas = rows[~empty], thetas[~empty]
         F, U_rows = flows[rows], U[rows]
+        thetas = recover_cells(problem, basis, U_rows, F)
         reports = verify_cells(problem, basis, F, thetas, U_rows)
         for u, report in zip(U_rows, reports):
             if report.failures():

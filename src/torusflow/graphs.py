@@ -688,24 +688,35 @@ def integer_shift_solve(basis: CycleBasis, u: Sequence[int]) -> np.ndarray:
     return integer_cycle_shift(basis, u)
 
 
+def _winding_image(basis: CycleBasis, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T^{-1} u rounded, for each row u of a (B, k) int64 stack U and the
+    basis's off-tree block T, as a (B, k) int64 stack, and the (B,) mask of
+    the rows in the winding image: those whose T^{-1} u is integral to
+    1e-9, so that C z = u has an integer solution.  The rows share one
+    k x k solve.  A zero row is in the image, and a block of zero rows
+    makes no solve."""
+    W = np.zeros(U.shape)
+    if U.any():
+        try:
+            W = np.linalg.solve(basis.off_tree[1].astype(float), U.T.astype(float)).T
+        except np.linalg.LinAlgError as exc:
+            raise RankError(f"off-tree block is singular: {exc}") from exc
+    Z = np.rint(W)
+    return Z.astype(np.int64), np.abs(W - Z).max(axis=1, initial=0.0) <= 1e-9
+
+
 def integer_cycle_shift(basis: CycleBasis, u: Sequence[int]) -> np.ndarray:
     """Integer z with C_Sigma z = u, supported on the off-tree edges, for any
-    basis kind: there z is T^{-1} u for the basis's off-tree block T.  If
-    T^{-1} u is not integral no integer shift exists, meaning u is outside
-    the winding image, and NonIntegerWindingError is raised."""
+    basis kind: there z is T^{-1} u for the basis's off-tree block T, the
+    one-row view of `_winding_image`.  If T^{-1} u is not integral no
+    integer shift exists, meaning u is outside the winding image, and
+    NonIntegerWindingError is raised."""
     u = _winding_ints(u, basis.size)
-    edges, T = basis.off_tree
-    try:
-        w = np.linalg.solve(T.astype(float), u.astype(float))
-    except np.linalg.LinAlgError as exc:
-        raise RankError(f"off-tree block is singular: {exc}") from exc
-    w_int = np.rint(w)
-    if np.max(np.abs(w - w_int), initial=0.0) > 1e-9:
-        raise NonIntegerWindingError(
-            f"no integer shift for u={u.tolist()}: not in the winding image"
-        )
+    w, image = _winding_image(basis, u[None, :])
+    if not image[0]:
+        raise NonIntegerWindingError(f"no integer shift for u={u.tolist()}: not in the winding image")
     z = np.zeros(basis.graph.m, dtype=np.int64)
-    z[list(edges)] = w_int
+    z[list(basis.off_tree[0])] = w[0]
     return z
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GammaError, InputError, MissingDataError, NonIntegerWindingError, UnknownCaseError
+from .errors import GammaError, InputError, MissingDataError, UnknownCaseError
 from .flows import (
     DEFAULT_RHO,
     FEASIBILITY_SLACK,
@@ -33,10 +33,10 @@ from .flows import (
 from .graphs import (
     CycleBasis,
     WeightedGraph,
+    _winding_image,
     _winding_ints,
     _wire_int,
     fundamental_cycle_basis,
-    integer_cycle_shift,
 )
 from .torus import TWO_PI
 
@@ -237,7 +237,7 @@ def ptc(
     `rho` since its loop flows are emitted.  Either way existence is certified at the returned value and
     fails or is undecided at most tol above it; a zero scale that is not
     feasible gives ptc None, and so does a cell outside the winding image
-    (no integer cycle shift), before any solve: it is empty at every scale.
+    (T^{-1} u not integral), before any solve: it is empty at every scale.
     Assumes a single existence interval [0, PTC].
 
     The bracket's ceiling is certified without a probe: a feasible verdict
@@ -300,9 +300,7 @@ def _winding_ptc(
         raise InputError(f"tol {tol!r} is below {2 * SECTIONS} ulps of the PTC ceiling {ceiling!r}")
 
     # A cell outside the winding image holds no solution at any scale.
-    try:
-        integer_cycle_shift(basis, u)
-    except NonIntegerWindingError:
+    if not _winding_image(basis, u[None, :])[1][0]:
         return SweepResult(u=u, ptc=None, curve=())
     guess = _predict_ptc(problem, basis, u, ceiling)
     if guess is None or not 0.0 <= guess <= ceiling:

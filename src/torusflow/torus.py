@@ -19,7 +19,7 @@ from .errors import (
     PolytopeMembershipError,
     PuncturedTorusError,
 )
-from .graphs import Cycle, CycleBasis, WeightedGraph, _winding_ints
+from .graphs import Cycle, CycleBasis, WeightedGraph, _winding_image, _winding_ints, integer_cycle_shift
 
 TWO_PI = 2.0 * math.pi
 BOUNDARY_TOL = 1e-12
@@ -209,16 +209,23 @@ def winding_cuts(basis: CycleBasis, gamma: float) -> tuple[np.ndarray, np.ndarra
     return A[binds], limits[binds]
 
 
-def integrate_cells(g: WeightedGraph, delta) -> tuple[np.ndarray, np.ndarray]:
-    """Phases (theta_0 = 0) integrating each row of a (B, m) stack delta,
-    C delta = 2pi u, along the spanning tree, and the (B,) mask of empty
-    cells.  Off the tree the phases differ from delta by 2pi z, C z = u; a
-    row is empty when z is not integral (u has no integer cycle shift),
-    which its wrapped off-tree residue shows."""
-    delta = np.asarray(delta, dtype=float)
-    theta = g.tree_phases(delta)
-    residue = np.abs(wrap(g.differences(theta) - delta))
-    return theta, residue.max(axis=-1, initial=0.0) > TWO_PI * WINDING_INT_TOL
+def _candidate_blocks(basis: CycleBasis, gamma: float) -> Iterator[np.ndarray]:
+    """The candidate cells of the winding box: each `winding_blocks` block's
+    rows that break no `winding_cuts` cut and lie in the winding image
+    (`_winding_image`), as the (<= CHUNK_ROWS, k) int64 blocks that keep a
+    row, in box order.  Every other cell holds no solution.  The box is
+    checked before its cut pool is formed."""
+    blocks = winding_blocks(basis, gamma)
+    cuts, limits = winding_cuts(basis, gamma)
+    # In floats BLAS forms |a . u| exactly: every term is a small integer.
+    cuts_t = cuts.T.astype(float)
+    for U in blocks:
+        dots = U @ cuts_t
+        np.abs(dots, out=dots)
+        U = U[(dots <= limits).all(axis=1)]
+        U = U[_winding_image(basis, U)[1]]
+        if len(U):
+            yield U
 
 
 def torus_to_polytope(basis: CycleBasis, theta) -> tuple[np.ndarray, np.ndarray]:
@@ -234,9 +241,11 @@ def torus_to_polytope(basis: CycleBasis, theta) -> tuple[np.ndarray, np.ndarray]
 
 
 def polytope_to_torus(basis: CycleBasis, x, u) -> np.ndarray:
-    """Phases whose wrapped differences equal B^T x + 2pi C^+ u, mean zero.
+    """Phases whose wrapped differences equal B^T x + 2pi C^+ u, mean zero,
+    integrated along the spanning tree.
 
-    Raises NonIntegerWindingError when u has no integer cycle shift.
+    Raises NonIntegerWindingError when u is not in the winding image (no
+    integer cycle shift, `integer_cycle_shift`).
     """
     g = basis.graph
     x = np.asarray(x, dtype=float)
@@ -247,13 +256,10 @@ def polytope_to_torus(basis: CycleBasis, x, u) -> np.ndarray:
         raise PolytopeMembershipError("x is not orthogonal to the all-ones vector")
     target = g.differences(x) + TWO_PI * (basis.matrix.T @ np.linalg.solve(basis.gram(np.ones(g.m)), u))
     if np.max(np.abs(target)) >= math.pi:
-        raise PolytopeMembershipError(
-            "B^T x + 2pi C^+ u leaves the open cube (-pi, pi)^m"
-        )
-    theta, empty = integrate_cells(g, target[None, :])
-    if empty[0]:
-        raise NonIntegerWindingError(f"no integer shift for u={u.tolist()}: cell is empty")
-    return wrap(theta[0] - np.mean(theta[0]))
+        raise PolytopeMembershipError("B^T x + 2pi C^+ u leaves the open cube (-pi, pi)^m")
+    integer_cycle_shift(basis, u)
+    theta = g.tree_phases(target)
+    return wrap(theta - np.mean(theta))
 
 
 def phases_equal_mod_rotation(a, b, tol: float = 1e-9) -> bool:

@@ -1,12 +1,15 @@
-"""The comparison half of tests/corpus.py, on in-memory documents: no git
-and no command-line runs."""
+"""tests/corpus.py: its comparison on in-memory documents, with no git and
+no command-line runs, and the checked-in corpus run in-process against
+tests/corpus/expected.json."""
 import json
+
+import pytest
 
 import corpus
 
 
 def _solve_doc(rows):
-    return json.dumps({"solution_count": len(rows), "solutions": rows}).encode()
+    return json.dumps({"basis": None, "solution_count": len(rows), "solutions": rows}).encode()
 
 
 ROWS = [
@@ -52,3 +55,42 @@ def test_the_call_list_covers_the_tree_documents():
     for name in ("solve-tree.json", "check-tree.json", "decompose-tree.json", "windings-tree.json"):
         assert name in names
     assert sum(name.startswith("solve-mesh-") for name in names) == 2 * len(corpus.MESH_SEEDS)
+
+
+def test_the_corpus_matches_its_expected_file(tmp_path):
+    expected = json.loads(corpus.EXPECTED.read_text())
+    assert list(expected["documents"]) == [name for name, _ in corpus.calls()]
+    assert corpus.EXPECTED.stat().st_size < 200_000
+    assert corpus.check_expected(corpus.run_here(tmp_path), expected) == []
+
+
+def _expected(rows):
+    return {"tolerances": {"value": 1e-9, "ptc": 1e-6}, "documents": {"a.json": corpus.summarise(0, _solve_doc(rows))}}
+
+
+@pytest.mark.parametrize(
+    "change, where",
+    [
+        (lambda rows: [dict(rows[0], u=[1]), rows[1]], ".a.json.solutions[0][0][0]: -1 -> 1"),
+        (lambda rows: rows[:1], ".a.json.count: 2 -> 1"),
+        (lambda rows: [dict(rows[0], f=[0.5, -0.25 + 3e-8]), rows[1]], ".a.json.solutions[0][1]"),
+    ],
+    ids=["changed-u", "dropped-solution", "moved-f"],
+)
+def test_expected_file_departures_are_reported(change, where):
+    got = {"a.json": (0, _solve_doc(change(ROWS)))}
+    lines = corpus.check_expected(got, _expected(ROWS))
+    assert lines and lines[0].startswith(where)
+
+
+def test_drift_within_the_tolerances_passes():
+    sweep = {"basis": {"fingerprint": "x"}, "results": [{"u": [0], "ptc": 0.5, "curve": []}]}
+    expected = _expected(ROWS)
+    expected["documents"]["b.json"] = corpus.summarise(0, json.dumps(sweep).encode())
+    sweep["results"][0]["ptc"] += 5e-7
+    nudged = [dict(ROWS[0], f=[0.5 + 5e-10, -0.25]), ROWS[1]]
+    got = {"a.json": (0, _solve_doc(nudged)), "b.json": (0, json.dumps(sweep).encode())}
+    assert corpus.check_expected(got, expected) == []
+    sweep["results"][0]["ptc"] += 1e-6
+    got["b.json"] = (0, json.dumps(sweep).encode())
+    assert corpus.check_expected(got, expected) == [".b.json.results[0].ptc: 0.5 -> 0.5000015"]

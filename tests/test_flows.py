@@ -65,6 +65,7 @@ from torusflow import (
     wrap,
 )
 from torusflow.flows import FEASIBILITY_SLACK, decide_cell, decide_cells, recover_cells, verify_cells
+from torusflow.graphs import _winding_image
 from torusflow.torus import WINDING_INT_TOL
 
 TWO_PI = 2 * math.pi
@@ -782,6 +783,22 @@ class TestEmptyWindingCells:
             assert np.array_equal(winding_vector(basis, theta), u)
         assert outcomes == {NonIntegerWindingError: 6, PolytopeMembershipError: 20, None: 1}
 
+    def test_only_cells_in_the_winding_image_reach_the_solve(self, monkeypatch):
+        # The cuts keep 19 of the 27 box cells; the 6 of them outside the
+        # winding image never reach decide_cells.
+        g, basis, prob = self._setup()
+        decided = []
+
+        def spy(problem, basis, U, *args):
+            decided.extend(U.tolist())
+            return decide_cells(problem, basis, U, *args)
+
+        monkeypatch.setattr(flows_module, "decide_cells", spy)
+        assert [s.u.tolist() for s in solve_all(prob, basis=basis)] == [[0, 0, 0]]
+        assert len(decided) == 13
+        for u in decided:
+            integer_cycle_shift(basis, u)
+
     def test_solution_set_matches_fundamental_basis(self):
         g, basis, prob = self._setup()
         by_explicit = solve_all(prob, basis=basis)
@@ -829,8 +846,11 @@ def _reference_verify(problem, basis, f, theta, u):
 
 def _check_stacked_rows(problem, basis, U, F, rng):
     """`recover_cells` and `verify_cells` on a stack against one-row calls:
-    the reference loops above and the one-row views."""
-    thetas, empty = recover_cells(problem, basis, U, F)
+    the reference loops above and the one-row views.  The winding-image
+    mask of `_winding_image` must mark exactly the rows whose off-tree
+    residue the reference finds, and it is returned."""
+    thetas = recover_cells(problem, basis, U, F)
+    empty = ~_winding_image(basis, U)[1]
     assert thetas.shape == (len(U), problem.graph.n) and empty.shape == (len(U),)
     for u, f, theta, is_empty in zip(U, F, thetas, empty):
         ref_theta, ref_empty = _reference_recover(problem, basis, u, f)
@@ -912,8 +932,8 @@ def test_stacked_recovery_marks_each_empty_cell():
         rows = verdicts.feasible
         empty = _check_stacked_rows(problem, basis, box[rows], flows[rows], np.random.default_rng(3))
         assert int(empty.sum()) == empties
-    thetas, empty = recover_cells(problem, explicit, np.empty((0, 3)), np.empty((0, g.m)))
-    assert thetas.shape == (0, 4) and empty.shape == (0,)
+    thetas = recover_cells(problem, explicit, np.empty((0, 3)), np.empty((0, g.m)))
+    assert thetas.shape == (0, 4) and _winding_image(explicit, np.empty((0, 3), dtype=np.int64))[1].shape == (0,)
     assert verify_cells(problem, explicit, np.empty((0, g.m)), thetas, np.empty((0, 3))) == []
 
 
@@ -923,7 +943,7 @@ def test_an_oversized_box_is_refused_before_any_cut_is_formed(monkeypatch):
     def refuse(*args):
         raise AssertionError("the cut pool was formed")
 
-    monkeypatch.setattr(flows_module, "winding_cuts", refuse)
+    monkeypatch.setattr(torus_module, "winding_cuts", refuse)
     L = 10
     edges = [(r * L + c, r * L + c + 1) for r in range(L) for c in range(L - 1)]
     edges += [(r * L + c, (r + 1) * L + c) for r in range(L - 1) for c in range(L)]
@@ -941,8 +961,9 @@ def test_solve_path_forms_no_dense_matrix(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("dense reference routine called on a library path")
 
-    # integer_cycle_shift is not among them: ptc reads it, a k x k solve on
-    # the off-tree block, to refuse a cell outside the winding image.
+    # integer_cycle_shift is not among them: it is the one-row view of the
+    # winding-image test, a k x k solve on the off-tree block, which the
+    # candidate walk, phase recovery and ptc read.
     names = ("deflated_pinv", "cycle_projection", "cycle_edge_pinv", "integer_shift_solve")
     for mod_name, mod in list(sys.modules.items()):
         if mod_name == "torusflow" or mod_name.startswith("torusflow."):
@@ -985,12 +1006,13 @@ def test_solve_path_forms_no_dense_matrix(monkeypatch, tmp_path):
 
 
 def _exhaustive_solve(problem, basis):
-    """`solve_all` with the cut pool patched to be empty: every box cell is decided."""
+    """`solve_all` with the cut pool patched to be empty: every box cell in
+    the winding image is decided."""
     def no_cuts(basis, gamma):
         return np.zeros((0, basis.size), dtype=np.int64), np.zeros(0, dtype=np.int64)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flows_module, "winding_cuts", no_cuts)
+        mp.setattr(torus_module, "winding_cuts", no_cuts)
         return solve_all(problem, basis=basis)
 
 
@@ -1048,8 +1070,42 @@ class TestRecoverCellsRowCounts:
             recover_cells(self.problem, self.basis, np.ones((cells, 1), dtype=int), np.tile(self.f, (flows, 1)))
 
     def test_matching_rows_recover(self):
-        theta, empty = recover_cells(self.problem, self.basis, np.zeros((3, 1), dtype=int), np.tile(self.f, (3, 1)))
-        assert theta.shape == (3, 12) and not empty.any()
+        U = np.zeros((3, 1), dtype=np.int64)
+        theta = recover_cells(self.problem, self.basis, U, np.tile(self.f, (3, 1)))
+        assert theta.shape == (3, 12) and _winding_image(self.basis, U)[1].all()
+
+
+class TestVerifyShapes:
+    """`verify_solution` and `verify_cells` certify each row against its own
+    winding vector: a u, f or theta of another shape, or stacks of other
+    row counts, raise InputError rather than broadcast."""
+
+    problem = case_to_problem(builtin_case("ring12-sym"), 1.4)
+    basis = fundamental_cycle_basis(problem.graph)
+    sol = next(s for s in solve_all(problem, basis=basis) if not s.u.any())
+
+    @pytest.mark.parametrize("u", [[0, 0], [], [[0]]], ids=["two", "none", "nested"])
+    def test_winding_vector_of_another_shape(self, u):
+        with pytest.raises(InputError, match="winding vector of length 1"):
+            verify_solution(self.problem, self.basis, self.sol.f, self.sol.theta, u)
+
+    def test_flow_of_another_length(self):
+        with pytest.raises(InputError, match=r"\(1, 12\) flows"):
+            verify_solution(self.problem, self.basis, self.sol.f[:-1], self.sol.theta, [0])
+
+    def test_stack_of_another_width(self):
+        with pytest.raises(InputError, match=r"\(B, 1\) stack of winding vectors"):
+            verify_cells(self.problem, self.basis, self.sol.f[None], self.sol.theta[None], [[0, 0]])
+
+    @pytest.mark.parametrize("flows, phases, cells", [(2, 1, 2), (1, 1, 2), (1, 2, 1)])
+    def test_row_counts_that_differ(self, flows, phases, cells):
+        F, T = np.tile(self.sol.f, (flows, 1)), np.tile(self.sol.theta, (phases, 1))
+        with pytest.raises(InputError, match=f"for {cells} cells"):
+            verify_cells(self.problem, self.basis, F, T, np.zeros((cells, 1), dtype=int))
+
+    def test_matching_rows_pass(self):
+        reports = verify_cells(self.problem, self.basis, self.sol.f[None], self.sol.theta[None], [[0]])
+        assert reports == [self.sol.report] and not reports[0].failures()
 
 
 class TestBasisOfAnotherGraph:

@@ -4,6 +4,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from conftest import (
     complete_graph,
     lattice_with_detours,
     random_connected_graph,
+    random_tree_case,
     ring_graph,
     sin_problem,
     square_with_diagonal,
@@ -163,6 +165,33 @@ def test_decided_rows_never_read_a_zero_bound(seed, n, extra, gamma, mixed, rho)
         _, verdicts = decide_cells(problem, basis, box, rho)
         decided = verdicts.feasible | verdicts.infeasible.any(axis=1)
         assert decided.any() and np.all(verdicts.error_bound[decided] > 0.0)
+
+
+def test_tree_bounds_read_zero_and_leave_out_the_start_rounding():
+    # On a tree the step is 0, so every record's error_bound reads 0.0; the
+    # flow is the tree flow's rounded subtree sums, which the bound leaves
+    # out and the balance residual covers.
+    gap, feasible = 0.0, 0
+    for seed in range(20):
+        problem = case_to_problem(random_tree_case(seed), NEAR_LIMIT)
+        problem = problem.with_supply(0.3 * problem.p)
+        g = problem.graph
+        basis = fundamental_cycle_basis(g)
+        U = np.zeros((1, 0), dtype=int)
+        F, verdicts = decide_cells(problem, basis, U)
+        assert verdicts.error_bound.tolist() == [0.0] and verdicts[0].decided
+        if verdicts.feasible[0]:
+            feasible += 1
+            (report,) = flows.verify_cells(problem, basis, F, flows.recover_cells(problem, basis, U, F), U)
+            assert report.balance_residual < flows.BALANCE_TOL
+        parent, parent_edge, order = g.tree
+        subtree = [Fraction(x) for x in problem.p]
+        for v in reversed(order[1:]):
+            e = parent_edge[v]
+            exact = subtree[v] if g.edges[e][0] == v else -subtree[v]
+            gap = max(gap, abs(float(Fraction(F[0, e]) - exact)))
+            subtree[parent[v]] += subtree[v]
+    assert feasible >= 15 and 0.0 < gap < flows.BALANCE_TOL
 
 
 def test_linearised_start_saves_newton_steps():

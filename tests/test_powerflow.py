@@ -13,6 +13,7 @@ from torusflow import (
     MissingDataError,
     NonIntegerWindingError,
     PowerCase,
+    PuncturedTorusError,
     UnknownCaseError,
     builtin_case,
     case_to_problem,
@@ -23,6 +24,7 @@ from torusflow import (
     integer_cycle_shift,
     ptc,
     solve_all,
+    verify_solution,
 )
 from torusflow.flows import decide_cells, recover_cells
 
@@ -457,13 +459,23 @@ class TestPtc:
             assert [s.u.tolist() for s in solutions] == [[0, 0, 0]]
 
     def test_empty_cells_are_the_cells_without_an_integer_shift(self):
-        # At scale 0 the feasible rows that recover_cells marks empty are
-        # exactly those whose u has no integer cycle shift.
+        # At scale 0 the feasible rows whose recovered phases fail their
+        # certificate are exactly those whose u has no integer cycle shift.
         _, problem, basis = self._chorded_hexagon()
         U = np.array(list(feasible_winding_vectors(basis, 1.56)))
         flows, verdicts = decide_cells(problem, basis, U, scales=np.zeros(len(U)))
         rows = verdicts.feasible.nonzero()[0]
-        _, empty = recover_cells(problem, basis, U[rows], flows[rows])
+        thetas = recover_cells(problem, basis, U[rows], flows[rows])
+        zero = problem.with_supply(0.0 * problem.p)
+
+        def fails(f, theta, u):
+            # A half-integral shift puts an off-tree difference at pi.
+            try:
+                return bool(verify_solution(zero, basis, f, theta, u).failures())
+            except PuncturedTorusError:
+                return True
+
+        empty = [fails(*row) for row in zip(flows[rows], thetas, U[rows])]
 
         def no_shift(u):
             try:
@@ -472,8 +484,8 @@ class TestPtc:
                 return True
             return False
 
-        assert empty.tolist() == [no_shift(u) for u in U[rows]]
-        assert empty.any() and not empty.all()
+        assert empty == [no_shift(u) for u in U[rows]]
+        assert any(empty) and not all(empty)
 
     def test_tol_below_the_float_spacing_is_rejected(self):
         # Its cut points would round onto the bracket's ends: at tol 1e-17 the
